@@ -179,6 +179,12 @@ def in_footprint(points, deployment: Deployment) -> np.ndarray:
     return (proj <= half).all(axis=2).any(axis=1)
 
 
+# Rejection-sampling rounds before a drop gives up.  Each round draws twice
+# the stations still missing, so feasible layouts finish within a few dozen
+# rounds; the budget only stops layouts that no point or almost none fits.
+_MAX_SAMPLE_ROUNDS = 1000
+
+
 def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
                       rng: np.random.Generator) -> np.ndarray:
     sites = deployment.site_positions()
@@ -186,7 +192,7 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
     lo = sites.min(axis=0) - margin
     hi = sites.max(axis=0) + margin
     out = np.empty((0, 2))
-    while len(out) < count:
+    for _ in range(_MAX_SAMPLE_ROUNDS):
         m = max(2 * (count - len(out)), 64)
         pts = rng.uniform(lo, hi, size=(m, 2))
         keep = in_footprint(pts, deployment)
@@ -195,7 +201,12 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
         d = np.linalg.norm(pts[:, None, :] - sites[None, :, :], axis=2)
         keep &= d.min(axis=1) >= min_distance_m
         out = np.concatenate([out, pts[keep]])
-    return out[:count]
+        if len(out) >= count:
+            return out[:count]
+    raise ConfigError(
+        f"min_distance_m={min_distance_m:g} leaves too little of the footprint: "
+        f"{len(out)} of {count} stations placed in {_MAX_SAMPLE_ROUNDS} sampling rounds "
+        f"(the cell circumradius is {margin:g} m)")
 
 
 def drop_mobiles(deployment: Deployment, environment: str, count: int,

@@ -65,8 +65,15 @@ class ScenarioConfig:
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
 
     def validate(self):
-        if not self.f_c_ghz > 0:
-            raise ConfigError(f"f_c_ghz must be positive, got {self.f_c_ghz}")
+        dep = self.deployment
+        # None leaves bandwidth_hz and tx_power_dbm to the carrier table
+        for name, value in (("f_c_ghz", self.f_c_ghz),
+                            ("bandwidth_hz", self.bandwidth_hz),
+                            ("deployment.isd_m", dep.isd_m),
+                            ("deployment.bs_height_m", dep.bs_height_m),
+                            ("deployment.ms_height_m", dep.ms_height_m)):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.power_scheme not in ("scaled", "constant"):
             raise ConfigError(
                 f"power_scheme must be 'scaled' or 'constant', got {self.power_scheme!r}")
@@ -79,19 +86,23 @@ class ScenarioConfig:
             raise ConfigError(f"ms_per_sector must be >= 1, got {self.ms_per_sector}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("noise_figure_db", "g_sm_db", "ms_gain_dbi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        dep = self.deployment
-        if not dep.isd_m > 0:
-            raise ConfigError(f"deployment.isd_m must be positive, got {dep.isd_m}")
-        if dep.min_distance_m < 0:
-            raise ConfigError("deployment.min_distance_m must be non-negative")
+        for name in ("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("min_distance_m", "indoor_depth_max_m"):
+            value = getattr(dep, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"deployment.{name} must be non-negative and finite, got {value}")
+        circumradius = dep.isd_m / np.sqrt(3.0)
+        if dep.min_distance_m >= circumradius:
+            raise ConfigError(
+                f"deployment.min_distance_m must be below the cell circumradius "
+                f"isd_m/sqrt(3) = {circumradius:g} m, got {dep.min_distance_m}")
         if not 1 <= dep.floor_count_min <= dep.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy "
                               "1 <= min <= max")
-        if dep.indoor_depth_max_m < 0:
-            raise ConfigError("deployment.indoor_depth_max_m must be non-negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -378,11 +389,34 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     return entries
 
 
-def _write_cdf_csv(path: Path, series: CdfSeries):
-    n = series.n
-    lines = ["value_db,cdf"]
-    lines += [f"{v:.10g},{(i + 1) / n:.10g}" for i, v in enumerate(series.samples)]
-    path.write_text("\n".join(lines) + "\n")
+# Rows per formatting call of _write_table: large enough that the per-call
+# cost vanishes, small enough that one block's Python floats stay a few MB.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _write_table(path: Path, header, columns):
+    """Write equal-length 1-D ``columns`` as CSV rows under a ``header`` line.
+
+    Integer and bool columns print as ``%d`` and float columns as ``%.10g``.
+    The rows go out a block at a time: the block's values are interleaved
+    by row from ``ndarray.tolist()`` and formatted by one ``%`` call on the
+    row format repeated once per row.  The bytes equal those of formatting
+    each value alone with ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and
+    ``format`` share CPython's float-to-text conversion (``nan``, ``inf``
+    and ``-0`` included), and ``%d`` of a Python int or bool is its
+    decimal digits.
+    """
+    n_cols = len(columns)
+    row_fmt = ",".join("%.10g" if col.dtype.kind == "f" else "%d"
+                       for col in columns) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [col[start:start + _WRITE_BLOCK_ROWS].tolist() for col in columns]
+            values = [None] * (len(block[0]) * n_cols)
+            for j, vals in enumerate(block):
+                values[j::n_cols] = vals
+            fh.write(row_fmt * len(block[0]) % tuple(values))
 
 
 def save_results(result: RunResult, outdir) -> list[Path]:
@@ -394,7 +428,8 @@ def save_results(result: RunResult, outdir) -> list[Path]:
 
     for name, series in (("cl_cdf.csv", result.cl_cdf), ("gm_cdf.csv", result.gm_cdf)):
         path = outdir / name
-        _write_cdf_csv(path, series)
+        _write_table(path, ("value_db", "cdf"),
+                     (series.samples, np.arange(1, series.n + 1) / series.n))
         written.append(path)
 
     summary = {
@@ -413,16 +448,13 @@ def save_results(result: RunResult, outdir) -> list[Path]:
         "regime_fractions": result.regime_fractions,
     }
     path = outdir / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
     written.append(path)
 
     if result.links is not None:
         path = outdir / "links.csv"
         cols = linkbudget.LINK_CSV_COLUMNS
-        rows = zip(*(result.links[c] for c in cols))
-        lines = [",".join(cols)]
-        lines += [",".join(f"{v:.10g}" if isinstance(v, float) or isinstance(v, np.floating)
-                           else str(int(v)) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        _write_table(path, cols, [result.links[c] for c in cols])
         written.append(path)
     return written

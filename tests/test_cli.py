@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from mmwsim.cli import main
@@ -57,6 +58,24 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     path.write_text("f_c_ghz: -4.0\n")
     assert main(["run", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
     assert "f_c_ghz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, field", [
+    (dict(tx_power_dbm=float("nan")), "tx_power_dbm"),
+    (dict(tx_power_dbm=float("inf")), "tx_power_dbm"),
+    (dict(bandwidth_hz=-5), "bandwidth_hz"),
+    (dict(bandwidth_hz=float("nan")), "bandwidth_hz"),
+    (dict(deployment=dict(bs_height_m=-3.0)), "bs_height_m"),
+    (dict(deployment=dict(ms_height_m=-1.5)), "ms_height_m"),
+    (dict(deployment=dict(min_distance_m=150.0)), "min_distance_m"),
+], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
+        "ms_height_negative", "min_distance_infeasible"])
+def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, **override)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

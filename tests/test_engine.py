@@ -5,9 +5,11 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from mmwsim import (ConfigError, ScenarioConfig, load_config, los_probability,
-                    run_scenario, run_sweep, save_results)
-from mmwsim.engine import DeploymentParams, _stream, sweep_seed
+from mmwsim import (ConfigError, ScenarioConfig, drop_mobiles, generate_layout,
+                    load_config, los_probability, run_scenario, run_sweep, save_results)
+from mmwsim.engine import (_WRITE_BLOCK_ROWS, DeploymentParams, _stream, _write_table,
+                           sweep_seed)
+from mmwsim.linkbudget import LINK_CSV_COLUMNS
 
 
 def small(**kw):
@@ -27,6 +29,9 @@ def test_validation_messages():
         (dict(g_sm_db=float("inf")), "g_sm_db"),
         (dict(deployment=DeploymentParams(isd_m=-1.0)), "isd_m"),
         (dict(deployment=DeploymentParams(floor_count_min=9)), "floor_count"),
+        (dict(bandwidth_hz=0.0), "bandwidth_hz"),
+        (dict(deployment=DeploymentParams(ms_height_m=0.0)), "ms_height_m"),
+        (dict(deployment=DeploymentParams(min_distance_m=115.5)), "min_distance_m"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -189,6 +194,52 @@ def test_saved_outputs(tmp_path):
     header = (tmp_path / "links.csv").read_text().splitlines()[0]
     assert header == ("ms_id,sector_id,d_2d,d_3d,is_los,pl,l_o2i,l_oa,"
                       "g_tx,g_sm,coupling_loss,p_rx")
+
+
+def reference_csv(header, columns) -> bytes:
+    """The per-value formatting rule the CSV writers must reproduce."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.10g}" if isinstance(v, (float, np.floating))
+                       else str(int(v)) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_saved_outputs_golden_bytes(tmp_path):
+    res = run_scenario(small(n_drops=2), collect_links=True)
+    save_results(res, tmp_path)
+    cols = LINK_CSV_COLUMNS
+    assert len(res.links["ms_id"]) % _WRITE_BLOCK_ROWS != 0
+    assert (tmp_path / "links.csv").read_bytes() == reference_csv(
+        cols, [res.links[c] for c in cols])
+    for name, series in (("cl_cdf.csv", res.cl_cdf), ("gm_cdf.csv", res.gm_cdf)):
+        n = series.n
+        lines = ["value_db,cdf"]
+        lines += [f"{v:.10g},{(i + 1) / n:.10g}" for i, v in enumerate(series.samples)]
+        assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_BLOCK_ROWS, 2 * _WRITE_BLOCK_ROWS + 3])
+def test_write_table_matches_per_value_rule(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.normal(0.0, 1e3, n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    floats[:4] = [np.nan, np.inf, -np.inf, -0.0][:n_rows]
+    columns = [np.arange(n_rows) - 7, floats, rng.uniform(size=n_rows) < 0.5,
+               rng.integers(0, 2, n_rows).astype(np.uint8), np.full(n_rows, -3.5)]
+    header = ("a", "b", "c", "d", "e")
+    path = tmp_path / "t.csv"
+    _write_table(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_infeasible_min_distance_raises():
+    # min_distance_m above the 115.5 m circumradius at ISD 200 m admits no
+    # point: validation rejects it, and the sampler's round budget stops a
+    # direct call instead of looping for ever
+    with pytest.raises(ConfigError, match="min_distance_m"):
+        run_scenario(small(deployment=DeploymentParams(min_distance_m=150.0)))
+    with pytest.raises(ConfigError, match="min_distance_m"):
+        drop_mobiles(generate_layout(200.0), "outdoor", 57, np.random.default_rng(0),
+                     min_distance_m=150.0)
 
 
 def test_nonfinite_link_aborts_with_provenance(monkeypatch):
