@@ -7,7 +7,7 @@ transmit-power allocation.
 """
 
 from .antenna import AntennaPattern, ms_gain, sector_gain
-from .deployment import (Deployment, MobileStation, Sector, Site, drop_mobiles,
+from .deployment import (Deployment, MobileDrop, Sector, Site, drop_mobiles,
                          generate_layout, in_footprint, wrap_displacement,
                          wrap_displacements)
 from .engine import (DeploymentParams, RunResult, ScenarioConfig, SweepEntry,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaPattern", "CdfSeries", "ConfigError", "Deployment",
     "DeploymentParams", "FrequencyRangeWarning", "GeometryResult",
-    "LinkGeometry", "LinkRecord", "MobileStation", "PowerAllocation",
+    "LinkGeometry", "LinkRecord", "MobileDrop", "PowerAllocation",
     "PropagationParams", "RunResult", "ScenarioConfig", "Sector",
     "ShadowDraws", "Site", "SweepEntry", "associate", "classify_regime",
     "cl_snr0_threshold", "coupling_loss", "draw_shadows", "drop_mobiles",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +51,13 @@ class Site:
     sectors: tuple[Sector, ...]
 
 
-@dataclass(frozen=True)
-class MobileStation:
-    position: tuple[float, float]
-    height_m: float
-    indoor: bool
-    indoor_depth_m: float  # d_2D-in; 0 for outdoor stations
-    floor_index: int  # 1 for outdoor stations
+class MobileDrop(NamedTuple):
+    """Stations of one drop, one array entry per station."""
+
+    xy: np.ndarray  # (n, 2) positions in metres
+    height_m: np.ndarray  # (n,) antenna heights in metres
+    indoor_depth_m: np.ndarray  # (n,) d_2D-in; 0 for outdoor stations
+    floor: np.ndarray  # (n,) floor index; 1 for outdoor stations
 
 
 @dataclass(frozen=True)
@@ -138,13 +139,37 @@ def generate_layout(isd_m: float, bs_height_m: float = 10.0,
     return Deployment(sites=tuple(sites), isd_m=isd_m, wrap_vectors=wrap)
 
 
+def _nearest_images(sites: np.ndarray, ms_xy: np.ndarray, wrap_vectors):
+    """Minimum-norm displacements from ``sites`` (s, 2) and their wrap images
+    to the stations ``ms_xy`` (n, 2), as ``(disp (n, s, 2), d2d (n, s))``.
+
+    The images are scanned in order (the site itself, then each wrap
+    vector) keeping the running best; an image replaces it only when its
+    distance is strictly smaller, so on ties the lowest image index wins.
+    """
+    shifts = np.vstack([np.zeros((1, 2)), np.asarray(wrap_vectors, dtype=float)])
+    images = sites[None, :, :] + shifts[:, None, :]  # (7, s, 2)
+    ms_x = ms_xy[:, 0, None]
+    ms_y = ms_xy[:, 1, None]
+    best_dx = ms_x - images[0, :, 0]
+    best_dy = ms_y - images[0, :, 1]
+    best_d = np.sqrt(best_dx * best_dx + best_dy * best_dy)
+    for image in images[1:]:
+        dx = ms_x - image[:, 0]
+        dy = ms_y - image[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        closer = d < best_d
+        np.copyto(best_dx, dx, where=closer)
+        np.copyto(best_dy, dy, where=closer)
+        np.copyto(best_d, d, where=closer)
+    return np.stack([best_dx, best_dy], axis=-1), best_d
+
+
 def wrap_displacement(site_pos, ms_pos, deployment: Deployment) -> np.ndarray:
     """Minimum-norm displacement from a site (or one of its six wrap images) to a station."""
-    site = np.asarray(site_pos, dtype=float)
-    ms = np.asarray(ms_pos, dtype=float)
-    shifts = np.vstack([np.zeros((1, 2)), np.asarray(deployment.wrap_vectors, dtype=float)])
-    disp = ms[None, :] - (site[None, :] + shifts)
-    return disp[np.argmin(np.linalg.norm(disp, axis=1))]
+    site = np.asarray(site_pos, dtype=float).reshape(1, 2)
+    ms = np.asarray(ms_pos, dtype=float).reshape(1, 2)
+    return _nearest_images(site, ms, deployment.wrap_vectors)[0][0, 0]
 
 
 def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
@@ -157,17 +182,12 @@ def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
     Returns
     -------
     disp : (n, n_sites, 2) minimum-norm displacement vectors (site to station)
-    d2d : (n, n_sites) horizontal distances in metres
+    d2d : (n, n_sites) horizontal distances in metres, the norms of ``disp``
+
+    Among the site and its six wrap images the nearest one is kept; on a
+    tie the lowest image index wins (the site itself before any image).
     """
-    sites = deployment.site_positions()
-    shifts = np.vstack([np.zeros((1, 2)), np.asarray(deployment.wrap_vectors, dtype=float)])
-    images = sites[None, :, :] + shifts[:, None, :]  # (7, s, 2)
-    diff = ms_xy[:, None, None, :] - images[None, :, :, :]  # (n, 7, s, 2)
-    norms = np.linalg.norm(diff, axis=3)
-    best = norms.argmin(axis=1)  # (n, s)
-    d2d = np.take_along_axis(norms, best[:, None, :], axis=1)[:, 0, :]
-    disp = np.take_along_axis(diff, best[:, None, :, None], axis=1)[:, 0, :, :]
-    return disp, d2d
+    return _nearest_images(deployment.site_positions(), ms_xy, deployment.wrap_vectors)
 
 
 def in_footprint(points, deployment: Deployment) -> np.ndarray:
@@ -195,12 +215,11 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
     for _ in range(_MAX_SAMPLE_ROUNDS):
         m = max(2 * (count - len(out)), 64)
         pts = rng.uniform(lo, hi, size=(m, 2))
-        keep = in_footprint(pts, deployment)
+        pts = pts[in_footprint(pts, deployment)]
         # Inside the footprint the nearest of the 19 sites is also the nearest
         # wrap image, so plain distances enforce the wrapped minimum too.
         d = np.linalg.norm(pts[:, None, :] - sites[None, :, :], axis=2)
-        keep &= d.min(axis=1) >= min_distance_m
-        out = np.concatenate([out, pts[keep]])
+        out = np.concatenate([out, pts[d.min(axis=1) >= min_distance_m]])
         if len(out) >= count:
             return out[:count]
     raise ConfigError(
@@ -212,7 +231,7 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
 def drop_mobiles(deployment: Deployment, environment: str, count: int,
                  rng: np.random.Generator, ms_height_m: float = 1.5,
                  min_distance_m: float = 10.0, indoor_depth_max_m: float = 25.0,
-                 floor_count_min: int = 4, floor_count_max: int = 8) -> list[MobileStation]:
+                 floor_count_min: int = 4, floor_count_max: int = 8) -> MobileDrop:
     """Drop stations uniformly over the cluster footprint.
 
     Positions are rejection-sampled over the union of the 19 cells, keeping
@@ -221,26 +240,22 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on
     [0, indoor_depth_max_m]; station height is 3*(floor-1) + ms_height_m.
+    Outdoor stations stand at ``ms_height_m`` on floor 1 with zero depth.
+
+    Returns a ``MobileDrop`` of arrays ``(xy (n, 2), height_m (n,),
+    indoor_depth_m (n,), floor (n,))`` with ``n = count``.
     """
     if environment not in ("outdoor", "indoor"):
         raise ConfigError(f"environment must be 'outdoor' or 'indoor', got {environment!r}")
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
 
-    pos = _sample_positions(deployment, count, min_distance_m, rng)
+    xy = _sample_positions(deployment, count, min_distance_m, rng)
     if environment == "outdoor":
-        return [
-            MobileStation(position=(float(x), float(y)), height_m=ms_height_m,
-                          indoor=False, indoor_depth_m=0.0, floor_index=1)
-            for x, y in pos
-        ]
+        return MobileDrop(xy, np.full(count, ms_height_m, dtype=float),
+                          np.zeros(count), np.ones(count, dtype=np.int64))
 
     n_floors = rng.integers(floor_count_min, floor_count_max + 1, size=count)
     floor = rng.integers(1, n_floors + 1)
     depth = rng.uniform(0.0, indoor_depth_max_m, size=count)
-    return [
-        MobileStation(position=(float(x), float(y)),
-                      height_m=float(3.0 * (fl - 1) + ms_height_m),
-                      indoor=True, indoor_depth_m=float(dd), floor_index=int(fl))
-        for (x, y), fl, dd in zip(pos, floor, depth)
-    ]
+    return MobileDrop(xy, 3.0 * (floor - 1) + ms_height_m, depth, floor)

@@ -103,6 +103,19 @@ class ScenarioConfig:
         if not 1 <= dep.floor_count_min <= dep.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy "
                               "1 <= min <= max")
+        # The shortest link pairs min_distance_m with the station height
+        # closest to the BS: ms_height_m outdoors, 3k + ms_height_m indoors
+        # for floors k + 1 = 1..floor_count_max.
+        heights = np.array([dep.ms_height_m])
+        if self.environment == "indoor":
+            k = np.floor((dep.bs_height_m - dep.ms_height_m) / 3.0) + np.arange(2.0)
+            heights = 3.0 * np.clip(k, 0, dep.floor_count_max - 1) + dep.ms_height_m
+        d3d_min = np.hypot(dep.min_distance_m, np.abs(dep.bs_height_m - heights).min())
+        if d3d_min < 1.0:
+            raise ConfigError(
+                f"deployment.min_distance_m={dep.min_distance_m:g} with bs_height_m="
+                f"{dep.bs_height_m:g} admits links with d_3d = {d3d_min:g} m, below the "
+                f"1 m close-in reference distance")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -230,15 +243,12 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
     indoor = config.environment == "indoor"
     f_hz = config.f_c_ghz * 1e9
 
-    mss = deployment_mod.drop_mobiles(
+    ms_xy, h_ms, d2din, _ = deployment_mod.drop_mobiles(
         dep, config.environment, count, _stream(config.seed, drop_index, 0),
         ms_height_m=depcfg.ms_height_m, min_distance_m=depcfg.min_distance_m,
         indoor_depth_max_m=depcfg.indoor_depth_max_m,
         floor_count_min=depcfg.floor_count_min,
         floor_count_max=depcfg.floor_count_max)
-    ms_xy = np.array([m.position for m in mss])
-    h_ms = np.array([m.height_m for m in mss])
-    d2din = np.array([m.indoor_depth_m for m in mss])
 
     disp, d2d = deployment_mod.wrap_displacements(dep, ms_xy)  # (n, s, 2), (n, s)
     # LoS is drawn on the outdoor distance d_2D-out (TR 38.901 Table 7.4.2-1)

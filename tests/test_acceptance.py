@@ -49,8 +49,8 @@ def test_criterion_02_abg_frequency_slope():
     # expected value from the slope identity itself: 21.3 * log10(50)
     expected = 21.3 * math.log10(50.0)
     dep = generate_layout(200.0)
-    mss = drop_mobiles(dep, "outdoor", 570, np.random.default_rng(ACCEPT_SEED))
-    _, d2d = wrap_displacements(dep, np.array([m.position for m in mss]))
+    drop = drop_mobiles(dep, "outdoor", 570, np.random.default_rng(ACCEPT_SEED))
+    _, d2d = wrap_displacements(dep, drop.xy)
     d3d = np.hypot(d2d, 1.5 - 10.0)
     diff = pl_nlos_abg(100.0, d3d) - pl_nlos_abg(2.0, d3d)
     ok = bool(np.allclose(diff, expected, atol=1e-9))

@@ -68,8 +68,10 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(deployment=dict(bs_height_m=-3.0)), "bs_height_m"),
     (dict(deployment=dict(ms_height_m=-1.5)), "ms_height_m"),
     (dict(deployment=dict(min_distance_m=150.0)), "min_distance_m"),
+    (dict(ms_per_sector=100, deployment=dict(bs_height_m=1.6, ms_height_m=1.5,
+                                             min_distance_m=0.0)), "min_distance_m"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
-        "ms_height_negative", "min_distance_infeasible"])
+        "ms_height_negative", "min_distance_infeasible", "d3d_below_1m"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, **override)
     out = tmp_path / "out"

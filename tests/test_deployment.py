@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,65 +138,162 @@ def test_wrapped_distance_never_exceeds_direct(dep, rng):
     assert np.all(d2d <= direct + 1e-9)
 
 
+def _argmin_wrap_displacements(dep, ms):
+    # the reference rule: every (station, image, site) difference, their
+    # norms, the argmin over images and take_along_axis
+    shifts = np.vstack([np.zeros((1, 2)), np.asarray(dep.wrap_vectors, dtype=float)])
+    images = dep.site_positions()[None, :, :] + shifts[:, None, :]
+    diff = ms[:, None, None, :] - images[None, :, :, :]
+    norms = np.linalg.norm(diff, axis=3)
+    best = norms.argmin(axis=1)
+    d2d = np.take_along_axis(norms, best[:, None, :], axis=1)[:, 0, :]
+    disp = np.take_along_axis(diff, best[:, None, :, None], axis=1)[:, 0, :, :]
+    return disp, d2d, norms
+
+
+def _assert_wrap_bit_identical(dep, ms):
+    disp, d2d = wrap_displacements(dep, ms)
+    want_disp, want_d2d, _ = _argmin_wrap_displacements(dep, ms)
+    assert np.array_equal(disp, want_disp)
+    assert np.array_equal(d2d, want_d2d)
+
+
+def test_wrap_displacements_bit_identical_to_argmin_rule(dep):
+    rng = np.random.default_rng(314)
+    inside = rng.uniform(-700, 700, size=(6000, 2))
+    inside = inside[in_footprint(inside, dep)]
+    outside = rng.uniform(-2000, 2000, size=(2000, 2))
+    outside = outside[~in_footprint(outside, dep)]
+    assert len(inside) > 1000 and len(outside) > 1000
+    for ms in (inside, outside, dep.site_positions()):
+        _assert_wrap_bit_identical(dep, ms)
+
+
+def test_wrap_displacements_ties_pick_lowest_image(dep):
+    # q = v/2 lies exactly halfway between the centre site (image 0) and its
+    # image at v: q - 0 and q - v are exact negatives of each other
+    v = np.asarray(dep.wrap_vectors)
+    ms = v / 2.0
+    _, _, norms = _argmin_wrap_displacements(dep, ms)
+    for k in range(6):
+        assert norms[k, 0, 0] == norms[k, k + 1, 0] == norms[k, :, 0].min()
+    _assert_wrap_bit_identical(dep, ms)
+    disp, _ = wrap_displacements(dep, ms)
+    assert np.array_equal(disp[:, 0, :], ms)  # the site itself wins
+    # two neighbouring images tie on integer wrap vectors (halves are exact)
+    idep = replace(dep, wrap_vectors=tuple((float(round(x)), float(round(y)))
+                                           for x, y in dep.wrap_vectors))
+    iv = np.asarray(idep.wrap_vectors)
+    ms = (iv + np.roll(iv, -1, axis=0)) / 2.0  # between images k+1 and k+2 (mod 6)
+    _, _, norms = _argmin_wrap_displacements(idep, ms)
+    for k in range(6):
+        a, b = k + 1, (k + 1) % 6 + 1
+        assert norms[k, a, 0] == norms[k, b, 0] == norms[k, :, 0].min()
+    _assert_wrap_bit_identical(idep, ms)
+    disp, _ = wrap_displacements(idep, ms)
+    lower = np.minimum(np.arange(6), (np.arange(6) + 1) % 6)
+    assert np.array_equal(disp[:, 0, :], ms - iv[lower])
+    # the scalar form runs the same loop
+    for k in range(6):
+        assert np.array_equal(wrap_displacement((0.0, 0.0), ms[k], idep),
+                              ms[k] - iv[lower[k]])
+
+
+def _reference_sample_positions(dep, count, min_distance_m, rng):
+    # the reference sampler measures the 19 site distances of every candidate
+    sites = dep.site_positions()
+    margin = dep.isd_m / math.sqrt(3.0)
+    lo = sites.min(axis=0) - margin
+    hi = sites.max(axis=0) + margin
+    out = np.empty((0, 2))
+    while len(out) < count:
+        m = max(2 * (count - len(out)), 64)
+        pts = rng.uniform(lo, hi, size=(m, 2))
+        keep = in_footprint(pts, dep)
+        d = np.linalg.norm(pts[:, None, :] - sites[None, :, :], axis=2)
+        keep &= d.min(axis=1) >= min_distance_m
+        out = np.concatenate([out, pts[keep]])
+    return out[:count]
+
+
+@pytest.mark.parametrize("count, min_distance_m, seed", [
+    (5, 10.0, 0), (31, 0.0, 3), (57, 60.0, 1), (570, 10.0, 42), (1000, 100.0, 7)])
+def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
+    want = _reference_sample_positions(dep, count, min_distance_m, np.random.default_rng(seed))
+    got = drop_mobiles(dep, "outdoor", count, np.random.default_rng(seed),
+                       min_distance_m=min_distance_m)
+    assert np.array_equal(got.xy, want)
+    # indoor draws follow the positions on the same generator
+    rng = np.random.default_rng(seed)
+    want = _reference_sample_positions(dep, count, min_distance_m, rng)
+    n_floors = rng.integers(4, 9, size=count)
+    floor = rng.integers(1, n_floors + 1)
+    depth = rng.uniform(0.0, 25.0, size=count)
+    got = drop_mobiles(dep, "indoor", count, np.random.default_rng(seed),
+                       min_distance_m=min_distance_m)
+    assert np.array_equal(got.xy, want)
+    assert np.array_equal(got.floor, floor)
+    assert np.array_equal(got.indoor_depth_m, depth)
+    assert np.array_equal(got.height_m, [float(3.0 * (f - 1) + 1.5) for f in floor])
+
+
 def test_drop_outdoor_attributes(dep, rng):
-    mss = drop_mobiles(dep, "outdoor", 300, rng)
-    assert len(mss) == 300
-    assert all(not m.indoor for m in mss)
-    assert all(m.height_m == 1.5 for m in mss)
-    assert all(m.indoor_depth_m == 0.0 for m in mss)
-    assert all(m.floor_index == 1 for m in mss)
+    drop = drop_mobiles(dep, "outdoor", 300, rng)
+    assert drop.xy.shape == (300, 2)
+    assert all(len(a) == 300 for a in drop)
+    # outdoor stations have no in-building segment
+    assert np.all(drop.height_m == 1.5)
+    assert np.all(drop.indoor_depth_m == 0.0)
+    assert np.all(drop.floor == 1)
 
 
 def test_drop_positions_inside_footprint(dep, rng):
-    mss = drop_mobiles(dep, "outdoor", 500, rng)
-    pts = np.array([m.position for m in mss])
-    assert in_footprint(pts, dep).all()
+    drop = drop_mobiles(dep, "outdoor", 500, rng)
+    assert in_footprint(drop.xy, dep).all()
 
 
 def test_drop_min_distance(dep, rng):
-    mss = drop_mobiles(dep, "outdoor", 2000, rng)
-    pts = np.array([m.position for m in mss])
-    _, d2d = wrap_displacements(dep, pts)
+    drop = drop_mobiles(dep, "outdoor", 2000, rng)
+    _, d2d = wrap_displacements(dep, drop.xy)
     assert d2d.min() >= 10.0
 
 
 def test_drop_indoor_attributes(dep, rng):
-    mss = drop_mobiles(dep, "indoor", 2000, rng)
-    floors = np.array([m.floor_index for m in mss])
-    depth = np.array([m.indoor_depth_m for m in mss])
-    heights = np.array([m.height_m for m in mss])
+    drop = drop_mobiles(dep, "indoor", 2000, rng)
+    floors, depth, heights = drop.floor, drop.indoor_depth_m, drop.height_m
     assert floors.min() >= 1 and floors.max() <= 8
     assert floors.max() >= 5  # floor counts reach 8, so top floors occur
     assert depth.min() >= 0.0 and depth.max() <= 25.0
     assert_allclose(heights, 3.0 * (floors - 1) + 1.5)
-    assert all(m.indoor for m in mss)
+    # every indoor station has an in-building segment
+    assert np.all(depth > 0.0)
 
 
 def test_drop_indoor_depth_mean(dep):
     # mean of Uniform(0, 25) is 12.5
     rng = np.random.default_rng(2024)
-    mss = drop_mobiles(dep, "indoor", 100_000, rng)
-    mean = np.mean([m.indoor_depth_m for m in mss])
+    drop = drop_mobiles(dep, "indoor", 100_000, rng)
+    mean = np.mean(drop.indoor_depth_m)
     assert abs(mean - 12.5) < 0.1
 
 
 def test_drop_uniformity_per_cell(dep):
     # per-cell counts of 1e5 drops stay within 3 sigma of multinomial noise
     rng = np.random.default_rng(77)
-    mss = drop_mobiles(dep, "outdoor", 100_000, rng)
-    pts = np.array([m.position for m in mss])
+    pts = drop_mobiles(dep, "outdoor", 100_000, rng).xy
     nearest = np.linalg.norm(
         pts[:, None, :] - dep.site_positions()[None, :, :], axis=2).argmin(axis=1)
     counts = np.bincount(nearest, minlength=19)
     p = 1.0 / 19.0
-    sigma = math.sqrt(len(mss) * p * (1 - p))
-    assert np.abs(counts - len(mss) * p).max() <= 3.0 * sigma
+    sigma = math.sqrt(len(pts) * p * (1 - p))
+    assert np.abs(counts - len(pts) * p).max() <= 3.0 * sigma
 
 
 def test_drop_deterministic(dep):
     a = drop_mobiles(dep, "indoor", 50, np.random.default_rng(5))
     b = drop_mobiles(dep, "indoor", 50, np.random.default_rng(5))
-    assert a == b
+    assert a._fields == b._fields
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_drop_errors(dep, rng):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,10 +33,33 @@ def test_validation_messages():
         (dict(bandwidth_hz=0.0), "bandwidth_hz"),
         (dict(deployment=DeploymentParams(ms_height_m=0.0)), "ms_height_m"),
         (dict(deployment=DeploymentParams(min_distance_m=115.5)), "min_distance_m"),
+        # links below the 1 m close-in reference distance: d_3d = 0.1 m, a
+        # station on floor 4 level with a 10.5 m BS, and 0.943 m indoors
+        (dict(deployment=DeploymentParams(bs_height_m=1.6, ms_height_m=1.5,
+                                          min_distance_m=0.0)), "min_distance_m"),
+        (dict(environment="indoor",
+              deployment=DeploymentParams(bs_height_m=10.5, min_distance_m=0.0)),
+         "min_distance_m"),
+        (dict(environment="indoor", deployment=DeploymentParams(min_distance_m=0.8)),
+         "min_distance_m"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
             small(**kw).validate()
+
+
+def test_validate_accepts_links_of_1m_and_more():
+    # the default indoor layout: the closest floor (10.5 m) is 0.5 m from the
+    # 10 m BS, and 10 m clearance keeps every d_3d above 10 m
+    small(environment="indoor").validate()
+    near = DeploymentParams(bs_height_m=1.6, ms_height_m=1.5, min_distance_m=1.0)
+    small(deployment=near).validate()
+    small(environment="indoor", deployment=near).validate()
+    # floor 4 (10.5 m) meets a 10.5 m BS only where buildings reach it
+    level = DeploymentParams(bs_height_m=10.5, min_distance_m=0.0)
+    small(deployment=level).validate()
+    small(environment="indoor",
+          deployment=replace(level, floor_count_min=3, floor_count_max=3)).validate()
 
 
 def test_from_dict_rejects_unknown_fields():
