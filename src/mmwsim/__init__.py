@@ -6,36 +6,30 @@ for outdoor or indoor stations at 2-100 GHz under scaled or constant
 transmit-power allocation.
 """
 
-from .antenna import AntennaPattern, ms_gain, sector_gain
-from .deployment import (Deployment, MobileDrop, Sector, Site, drop_mobiles,
-                         generate_layout, in_footprint, wrap_displacement,
-                         wrap_displacements)
+from .antenna import AntennaPattern, sector_gain
+from .deployment import (Deployment, MobileDrop, drop_mobiles, generate_layout,
+                         in_footprint, wrap_displacements)
 from .engine import (DeploymentParams, RunResult, ScenarioConfig, SweepEntry,
-                     load_config, run_scenario, run_sweep, save_results)
+                     link_budget, load_config, run_scenario, run_sweep, save_results)
 from .errors import ConfigError, FrequencyRangeWarning
-from .linkbudget import (LinkRecord, PowerAllocation, associate,
-                         cl_snr0_threshold, coupling_loss, noise_power,
-                         power_allocation)
-from .metrics import (CdfSeries, GeometryResult, classify_regime,
-                      empirical_cdf, geometry_metric)
-from .propagation import (LinkGeometry, PropagationParams, ShadowDraws,
-                          draw_shadows, fspl, link_loss, los_probability,
-                          material_loss, o2i_loss, oxygen_absorption,
+from .linkbudget import (PowerAllocation, associate, cl_snr0_threshold, coupling_loss,
+                         noise_power, power_allocation)
+from .metrics import CdfSeries, empirical_cdf, geometry_metric
+from .propagation import (PropagationParams, ShadowDraws, draw_shadows, fspl,
+                          los_probability, material_loss, o2i_loss, oxygen_absorption,
                           pl_los_ci, pl_nlos_abg)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern", "CdfSeries", "ConfigError", "Deployment",
-    "DeploymentParams", "FrequencyRangeWarning", "GeometryResult",
-    "LinkGeometry", "LinkRecord", "MobileDrop", "PowerAllocation",
-    "PropagationParams", "RunResult", "ScenarioConfig", "Sector",
-    "ShadowDraws", "Site", "SweepEntry", "associate", "classify_regime",
-    "cl_snr0_threshold", "coupling_loss", "draw_shadows", "drop_mobiles",
-    "empirical_cdf", "fspl", "generate_layout", "geometry_metric",
-    "in_footprint", "link_loss", "load_config", "los_probability",
-    "material_loss", "ms_gain", "noise_power", "o2i_loss",
+    "DeploymentParams", "FrequencyRangeWarning", "MobileDrop", "PowerAllocation",
+    "PropagationParams", "RunResult", "ScenarioConfig", "ShadowDraws",
+    "SweepEntry", "associate", "cl_snr0_threshold", "coupling_loss",
+    "draw_shadows", "drop_mobiles", "empirical_cdf", "fspl", "generate_layout",
+    "geometry_metric", "in_footprint", "link_budget", "load_config",
+    "los_probability", "material_loss", "noise_power", "o2i_loss",
     "oxygen_absorption", "pl_los_ci", "pl_nlos_abg", "power_allocation",
     "run_scenario", "run_sweep", "save_results", "sector_gain",
-    "wrap_displacement", "wrap_displacements",
+    "wrap_displacements",
 ]

@@ -1,4 +1,4 @@
-"""Sector transmit antenna pattern and mobile-station receive gain."""
+"""Sector transmit antenna pattern (stations are isotropic, ``ms_gain_dbi`` dBi)."""
 
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ class AntennaPattern:
             raise ValueError("attenuation floors must be non-negative")
 
 
-DEFAULT_PATTERN = AntennaPattern()
-
-
 def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):
     """Gain in dBi toward (theta, phi).
 
@@ -63,8 +60,3 @@ def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):
     np.minimum(att, pattern.front_back_db, out=att)
     gain = np.subtract(pattern.g_max_dbi, att, out=att)
     return gain if gain.ndim else float(gain)
-
-
-def ms_gain(gain_dbi: float = 0.0) -> float:
-    """Receive gain of the single-element station antenna (isotropic by default)."""
-    return float(gain_dbi)

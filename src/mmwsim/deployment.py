@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,21 +35,6 @@ _HEX_AXES = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class Sector:
-    site_index: int
-    sector_id: int  # global id = site_index * 3 + local ordinal
-    boresight_azimuth_deg: float
-    downtilt_deg: float
-
-
-@dataclass(frozen=True)
-class Site:
-    position: tuple[float, float]
-    height_m: float
-    sectors: tuple[Sector, ...]
-
-
 class MobileDrop(NamedTuple):
     """Stations of one drop, one array entry per station."""
 
@@ -60,52 +44,28 @@ class MobileDrop(NamedTuple):
     floor: np.ndarray  # (n,) floor index; 1 for outdoor stations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare them with np.array_equal
 class Deployment:
-    sites: tuple[Site, ...]
+    """The 19-site cluster as arrays.
+
+    Site ``i`` sits at ``site_xy[i]`` and carries sectors ``3i``, ``3i + 1``
+    and ``3i + 2``, whose boresights are ``SECTOR_BORESIGHTS_DEG``.  Every
+    BS antenna stands ``bs_height_m`` high.  ``wrap_vectors`` are the six
+    wrap-around translations ``(6, 2)`` of the cluster, in metres.
+    """
+
+    site_xy: np.ndarray  # (n_sites, 2) site positions in metres
+    bs_height_m: float
     isd_m: float
-    wrap_vectors: tuple[tuple[float, float], ...]
+    wrap_vectors: np.ndarray
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return len(self.site_xy)
 
     @property
     def n_sectors(self) -> int:
-        return sum(len(s.sectors) for s in self.sites)
-
-    def site_positions(self) -> np.ndarray:
-        """Site coordinates as an (n_sites, 2) array in metres."""
-        return np.array([s.position for s in self.sites])
-
-    def all_sectors(self) -> list[Sector]:
-        """Sectors of all sites ordered by global sector_id."""
-        return [sec for site in self.sites for sec in site.sectors]
-
-    def to_dict(self) -> dict:
-        return {
-            "isd_m": self.isd_m,
-            "wrap_vectors": [list(v) for v in self.wrap_vectors],
-            "sites": [
-                {
-                    "position": list(site.position),
-                    "height_m": site.height_m,
-                    "sectors": [
-                        {
-                            "site_index": sec.site_index,
-                            "sector_id": sec.sector_id,
-                            "boresight_azimuth_deg": sec.boresight_azimuth_deg,
-                            "downtilt_deg": sec.downtilt_deg,
-                        }
-                        for sec in site.sectors
-                    ],
-                }
-                for site in self.sites
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        return 3 * self.n_sites
 
 
 def _lattice_xy(i: int, j: int, isd_m: float) -> tuple[float, float]:
@@ -113,8 +73,7 @@ def _lattice_xy(i: int, j: int, isd_m: float) -> tuple[float, float]:
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
-def generate_layout(isd_m: float, bs_height_m: float = 10.0,
-                    downtilt_deg: float = 102.0) -> Deployment:
+def generate_layout(isd_m: float, bs_height_m: float = 10.0) -> Deployment:
     """Build the 19-site hexagonal cluster with three sectors per site.
 
     Sites sit on a hex lattice with nearest-neighbour spacing ``isd_m``:
@@ -125,30 +84,30 @@ def generate_layout(isd_m: float, bs_height_m: float = 10.0,
     """
     if not isd_m > 0:
         raise ConfigError(f"isd_m must be positive, got {isd_m}")
-    sites = []
-    for idx, (i, j) in enumerate(_SITE_COORDS):
-        sectors = tuple(
-            Sector(site_index=idx, sector_id=3 * idx + k,
-                   boresight_azimuth_deg=SECTOR_BORESIGHTS_DEG[k],
-                   downtilt_deg=downtilt_deg)
-            for k in range(3)
-        )
-        sites.append(Site(position=_lattice_xy(i, j, isd_m),
-                          height_m=bs_height_m, sectors=sectors))
-    wrap = tuple(_lattice_xy(i, j, isd_m) for i, j in _WRAP_COORDS)
-    return Deployment(sites=tuple(sites), isd_m=isd_m, wrap_vectors=wrap)
+    sites = np.array([_lattice_xy(i, j, isd_m) for i, j in _SITE_COORDS])
+    wrap = np.array([_lattice_xy(i, j, isd_m) for i, j in _WRAP_COORDS])
+    return Deployment(site_xy=sites, bs_height_m=bs_height_m, isd_m=isd_m,
+                      wrap_vectors=wrap)
 
 
-def _nearest_images(sites: np.ndarray, ms_xy: np.ndarray, wrap_vectors):
-    """Minimum-norm displacements from ``sites`` (s, 2) and their wrap images
-    to the stations ``ms_xy`` (n, 2), as ``(disp (n, s, 2), d2d (n, s))``.
+def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
+    """Minimum-norm wrap-around displacements for all site/station pairs.
+
+    Parameters
+    ----------
+    ms_xy : (n, 2) array of station positions in metres.
+
+    Returns
+    -------
+    disp : (n, n_sites, 2) minimum-norm displacement vectors (site to station)
+    d2d : (n, n_sites) horizontal distances in metres, the norms of ``disp``
 
     The images are scanned in order (the site itself, then each wrap
     vector) keeping the running best; an image replaces it only when its
     distance is strictly smaller, so on ties the lowest image index wins.
     """
-    shifts = np.vstack([np.zeros((1, 2)), np.asarray(wrap_vectors, dtype=float)])
-    images = sites[None, :, :] + shifts[:, None, :]  # (7, s, 2)
+    shifts = np.vstack([np.zeros((1, 2)), deployment.wrap_vectors])
+    images = deployment.site_xy[None, :, :] + shifts[:, None, :]  # (7, s, 2)
     ms_x = ms_xy[:, 0, None]
     ms_y = ms_xy[:, 1, None]
     best_dx = ms_x - images[0, :, 0]
@@ -165,35 +124,10 @@ def _nearest_images(sites: np.ndarray, ms_xy: np.ndarray, wrap_vectors):
     return np.stack([best_dx, best_dy], axis=-1), best_d
 
 
-def wrap_displacement(site_pos, ms_pos, deployment: Deployment) -> np.ndarray:
-    """Minimum-norm displacement from a site (or one of its six wrap images) to a station."""
-    site = np.asarray(site_pos, dtype=float).reshape(1, 2)
-    ms = np.asarray(ms_pos, dtype=float).reshape(1, 2)
-    return _nearest_images(site, ms, deployment.wrap_vectors)[0][0, 0]
-
-
-def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
-    """Vectorised wrap_displacement for all site/station pairs.
-
-    Parameters
-    ----------
-    ms_xy : (n, 2) array of station positions in metres.
-
-    Returns
-    -------
-    disp : (n, n_sites, 2) minimum-norm displacement vectors (site to station)
-    d2d : (n, n_sites) horizontal distances in metres, the norms of ``disp``
-
-    Among the site and its six wrap images the nearest one is kept; on a
-    tie the lowest image index wins (the site itself before any image).
-    """
-    return _nearest_images(deployment.site_positions(), ms_xy, deployment.wrap_vectors)
-
-
 def in_footprint(points, deployment: Deployment) -> np.ndarray:
     """True for points inside the union of the 19 hexagonal cells."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - deployment.site_positions()[None, :, :]
+    diff = pts[:, None, :] - deployment.site_xy[None, :, :]
     proj = np.abs(diff @ _HEX_AXES.T)  # (n, s, 3)
     half = 0.5 * deployment.isd_m * (1.0 + 1e-12)
     return (proj <= half).all(axis=2).any(axis=1)
@@ -207,7 +141,7 @@ _MAX_SAMPLE_ROUNDS = 1000
 
 def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
                       rng: np.random.Generator) -> np.ndarray:
-    sites = deployment.site_positions()
+    sites = deployment.site_xy
     margin = deployment.isd_m / math.sqrt(3.0)  # hex circumradius
     lo = sites.min(axis=0) - margin
     hi = sites.max(axis=0) + margin

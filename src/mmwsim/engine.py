@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,13 +68,19 @@ class ScenarioConfig:
 
     def validate(self):
         dep = self.deployment
+        for obj, prefix in ((self, ""), (dep, "deployment."),
+                            (self.propagation, "propagation."), (self.antenna, "antenna.")):
+            for f in dataclasses.fields(obj):
+                rule, value = _FIELD_TYPES.get(f.type), getattr(obj, f.name)
+                if rule is not None and not rule[0](value):
+                    raise ConfigError(f"{prefix}{f.name} must be {rule[1]}, got {value!r}")
         # None leaves bandwidth_hz and tx_power_dbm to the carrier table
         for name, value in (("f_c_ghz", self.f_c_ghz),
                             ("bandwidth_hz", self.bandwidth_hz),
                             ("deployment.isd_m", dep.isd_m),
                             ("deployment.bs_height_m", dep.bs_height_m),
                             ("deployment.ms_height_m", dep.ms_height_m)):
-            if value is not None and not (np.isfinite(value) and value > 0):
+            if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.power_scheme not in ("scaled", "constant"):
             raise ConfigError(
@@ -84,15 +92,15 @@ class ScenarioConfig:
             raise ConfigError(f"n_drops must be >= 1, got {self.n_drops}")
         if self.ms_per_sector < 1:
             raise ConfigError(f"ms_per_sector must be >= 1, got {self.ms_per_sector}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("min_distance_m", "indoor_depth_max_m"):
             value = getattr(dep, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(
                     f"deployment.{name} must be non-negative and finite, got {value}")
         circumradius = dep.isd_m / np.sqrt(3.0)
@@ -129,18 +137,44 @@ class ScenarioConfig:
         if "deployment" in d and d["deployment"] is not None:
             d["deployment"] = _sub_from_dict(DeploymentParams, d["deployment"], "deployment")
         if "propagation" in d and d["propagation"] is not None:
-            sub = dict(d["propagation"])
-            for pair in ("glass_loss_db", "irr_glass_loss_db", "concrete_loss_db"):
-                if pair in sub:
-                    sub[pair] = tuple(float(v) for v in sub[pair])
-            if sub.get("oxygen_delta_db_per_km") is not None:
-                sub["oxygen_delta_db_per_km"] = {
-                    float(k): float(v)
-                    for k, v in sub["oxygen_delta_db_per_km"].items()}
-            d["propagation"] = _sub_from_dict(PropagationParams, sub, "propagation")
+            d["propagation"] = _sub_from_dict(
+                PropagationParams, _propagation_values(d["propagation"]), "propagation")
         if "antenna" in d and d["antenna"] is not None:
             d["antenna"] = _sub_from_dict(AntennaPattern, d["antenna"], "antenna")
         return cls(**d)
+
+
+def _is_real(value) -> bool:
+    """A float, or an int (not bool) in float range so math.isfinite takes it."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
+
+
+# int/float/bool field checks by annotation string; a bool passes only as bool
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_real, "a number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _propagation_values(data):
+    """A propagation block with its YAML lists and mappings as float pairs and dicts."""
+    if not isinstance(data, dict):
+        return data  # _sub_from_dict reports it
+    data = dict(data)
+    for name, value in list(data.items()):
+        try:
+            if name == "oxygen_delta_db_per_km":
+                data[name] = {float(k): float(v) for k, v in value.items()}
+            elif name in ("glass_loss_db", "irr_glass_loss_db", "concrete_loss_db"):
+                intercept, slope = map(float, value)
+                data[name] = (intercept, slope)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid propagation.{name}: {value!r} ({exc})") from exc
+    return data
 
 
 def _reject_unknown(cls, data: dict, prefix: str):
@@ -163,8 +197,11 @@ def _sub_from_dict(cls, data, prefix: str):
 
 def load_config(path) -> ScenarioConfig:
     """Read a YAML (or JSON) scenario file and validate it."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     cfg = ScenarioConfig.from_dict(data)
     cfg.validate()
     return cfg
@@ -230,41 +267,32 @@ def _resolved_propagation(config: ScenarioConfig) -> PropagationParams:
     return params
 
 
-def _wrap_angle_deg(x):
-    # wrap to (-180, 180]
-    return 180.0 - np.mod(180.0 - np.asarray(x, dtype=float), 360.0)
+def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
+                los_u, draws) -> dict:
+    """Every link-budget term of one drop: a pure function of the stations,
+    the ``(n, n_sites)`` LoS uniforms ``los_u`` and the shadow ``draws``.
 
-
-def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
-                   threshold_db: float, params: PropagationParams,
-                   drop_index: int, collect_links: bool) -> dict:
-    depcfg = config.deployment
-    count = config.ms_per_sector * dep.n_sectors
-    indoor = config.environment == "indoor"
+    A link is LoS where ``los_u`` is below ``los_probability`` of d_2D-out;
+    indoor links add O2I loss over the in-building depth clipped to d_2D;
+    CL = G_tx + G_rx - (PL + L_O2I + L_OA - G_sm).  Returns arrays keyed by
+    ``links.csv`` column: ``d_2d``, ``d_3d``, ``is_los``, ``pl``, ``l_o2i``,
+    ``l_oa`` per site ``(n, n_sites)``, ``g_tx`` ``(n, n_sites, 3)`` and
+    ``coupling_loss`` ``(n, n_sectors)``, whose column ``3i + k`` is sector
+    ``k`` of site ``i``.
+    """
     f_hz = config.f_c_ghz * 1e9
+    disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (n, s, 2), (n, s)
+    is_los = los_u < propagation.los_probability(
+        np.maximum(d2d - drop.indoor_depth_m[:, None], 0.0))
 
-    ms_xy, h_ms, d2din, _ = deployment_mod.drop_mobiles(
-        dep, config.environment, count, _stream(config.seed, drop_index, 0),
-        ms_height_m=depcfg.ms_height_m, min_distance_m=depcfg.min_distance_m,
-        indoor_depth_max_m=depcfg.indoor_depth_max_m,
-        floor_count_min=depcfg.floor_count_min,
-        floor_count_max=depcfg.floor_count_max)
-
-    disp, d2d = deployment_mod.wrap_displacements(dep, ms_xy)  # (n, s, 2), (n, s)
-    # LoS is drawn on the outdoor distance d_2D-out (TR 38.901 Table 7.4.2-1)
-    is_los = (_stream(config.seed, drop_index, 1).uniform(size=d2d.shape)
-              < propagation.los_probability(np.maximum(d2d - d2din[:, None], 0.0)))
-    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2),
-                                     d2d.shape, params)
-
-    dz = h_ms[:, None] - dep.sites[0].height_m
+    dz = drop.height_m[:, None] - dep.bs_height_m
     d3d = np.hypot(d2d, dz)
     pl = np.where(is_los,
                   propagation.pl_los_ci(f_hz, d3d, draws.x_los_db, params),
                   propagation.pl_nlos_abg(config.f_c_ghz, d3d, draws.x_nlos_db, params))
-    if indoor:
+    if config.environment == "indoor":
         # keep the in-building segment within the link's horizontal distance
-        d2din_link = np.minimum(d2din[:, None], d2d)
+        d2din_link = np.minimum(drop.indoor_depth_m[:, None], d2d)
         l_o2i = propagation.o2i_loss(config.f_c_ghz, d2din_link,
                                      draws.x_o2i_low_db, draws.x_o2i_high_db, params)
     else:
@@ -274,28 +302,42 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
     theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
     boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)
-    phi = _wrap_angle_deg(azimuth[:, :, None] - boresights[None, None, :])
+    # azimuth off each boresight, wrapped to (-180, 180]
+    phi = 180.0 - np.mod(180.0 - (azimuth[:, :, None] - boresights[None, None, :]), 360.0)
     g_tx = antenna_mod.sector_gain(config.antenna, theta[:, :, None], phi)  # (n, s, 3)
-    g_rx = antenna_mod.ms_gain(config.ms_gain_dbi)
+    cl = linkbudget.coupling_loss(g_tx, config.ms_gain_dbi, pl[:, :, None],
+                                  l_o2i[:, :, None], l_oa[:, :, None], config.g_sm_db)
+    return {"d_2d": d2d, "d_3d": d3d, "is_los": is_los, "pl": pl, "l_o2i": l_o2i,
+            "l_oa": l_oa, "g_tx": g_tx, "coupling_loss": cl.reshape(len(d2d), -1)}
 
-    # sector axis is site-major so flattening matches global sector ids
-    cl = linkbudget.coupling_loss(g_tx, g_rx, pl[:, :, None], l_o2i[:, :, None],
-                                  l_oa[:, :, None], config.g_sm_db)
-    cl = cl.reshape(count, -1)
+
+def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
+                   threshold_db: float, params: PropagationParams,
+                   drop_index: int, collect_links: bool) -> dict:
+    depcfg = config.deployment
+    count = config.ms_per_sector * dep.n_sectors
+    drop = deployment_mod.drop_mobiles(
+        dep, config.environment, count, _stream(config.seed, drop_index, 0),
+        ms_height_m=depcfg.ms_height_m, min_distance_m=depcfg.min_distance_m,
+        indoor_depth_max_m=depcfg.indoor_depth_max_m,
+        floor_count_min=depcfg.floor_count_min,
+        floor_count_max=depcfg.floor_count_max)
+    shape = (count, dep.n_sites)
+    los_u = _stream(config.seed, drop_index, 1).uniform(size=shape)
+    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params)
+    budget = link_budget(config, params, dep, drop, los_u, draws)
+
+    cl = budget["coupling_loss"]
     if not np.isfinite(cl).all():
         ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
         raise RuntimeError(
             f"non-finite coupling loss (drop {drop_index}, ms {ms_i}, sector {sec_i})")
-
     p_rx = alloc.p_tx_dbm + cl
-    serving = np.argmax(cl, axis=1)  # ties resolve to the lowest sector id
-    serving_cl = np.take_along_axis(cl, serving[:, None], axis=1)[:, 0]
-    gm = metrics.geometry_metric(p_rx, serving, noise_total_dbm)
+    serving, serving_cl, noise_limited = linkbudget.associate(cl, threshold_db)
     out = {
         "serving_cl": serving_cl,
-        "gm": gm,
-        "noise_limited": serving_cl < threshold_db,
-        "serving": serving,
+        "gm": metrics.geometry_metric(p_rx, serving, noise_total_dbm),
+        "noise_limited": noise_limited,
     }
     if collect_links:
         n_sec = cl.shape[1]
@@ -306,13 +348,9 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
         out["links"] = {
             "ms_id": np.repeat(drop_index * count + np.arange(count), n_sec),
             "sector_id": np.tile(np.arange(n_sec), count),
-            "d_2d": rep(d2d),
-            "d_3d": rep(d3d),
-            "is_los": rep(is_los).astype(int),
-            "pl": rep(pl),
-            "l_o2i": rep(l_o2i),
-            "l_oa": rep(l_oa),
-            "g_tx": g_tx.reshape(-1),
+            **{key: rep(budget[key]) for key in ("d_2d", "d_3d", "pl", "l_o2i", "l_oa")},
+            "is_los": rep(budget["is_los"]).astype(int),
+            "g_tx": budget["g_tx"].reshape(-1),
             "g_sm": np.full(count * n_sec, config.g_sm_db),
             "coupling_loss": cl.reshape(-1),
             "p_rx": p_rx.reshape(-1),
@@ -329,9 +367,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
     """
     config.validate()
     t0 = time.perf_counter()
-    dep = deployment_mod.generate_layout(
-        config.deployment.isd_m, config.deployment.bs_height_m,
-        config.antenna.downtilt_deg)
+    dep = deployment_mod.generate_layout(config.deployment.isd_m,
+                                         config.deployment.bs_height_m)
     alloc = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
                                         config.bandwidth_hz, config.tx_power_dbm)
     noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)

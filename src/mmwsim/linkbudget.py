@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,25 +26,6 @@ class PowerAllocation:
     f_c_ghz: float
     bandwidth_hz: float
     p_tx_dbm: float
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    """One sector-to-station link with every budget term in dB/dBm."""
-
-    ms_id: int
-    sector_id: int
-    d_2d_m: float
-    d_3d_m: float
-    is_los: bool
-    pl_db: float
-    l_o2i_db: float
-    l_oa_db: float
-    g_tx_dbi: float
-    g_rx_dbi: float
-    g_sm_db: float
-    coupling_loss_db: float
-    p_rx_dbm: float
 
 
 def power_allocation(scheme: str, f_c_ghz: float, bandwidth_hz: float | None = None,
@@ -103,15 +83,25 @@ def cl_snr0_threshold(p_tx_dbm: float, noise_total_dbm: float) -> float:
     return noise_total_dbm - p_tx_dbm
 
 
-def associate(links: Sequence[LinkRecord]) -> int:
-    """Serving sector for one station: maximum coupling loss, ties to the
-    lowest sector_id."""
-    if not links:
-        raise RuntimeError("associate called with an empty link set")
-    best = links[0]
-    for rec in links[1:]:
-        if rec.coupling_loss_db > best.coupling_loss_db or (
-                rec.coupling_loss_db == best.coupling_loss_db
-                and rec.sector_id < best.sector_id):
-            best = rec
-    return best.sector_id
+def associate(cl, threshold_db: float):
+    """Serving sector of every station from its coupling losses.
+
+    Parameters
+    ----------
+    cl : (n, n_sectors) coupling losses in dB, sector ids along axis 1.
+    threshold_db : the CL_SNR=0 threshold (see ``cl_snr0_threshold``).
+
+    Returns
+    -------
+    serving : (n,) sector of maximum CL; ties go to the lowest sector id.
+    serving_cl : (n,) the serving CL in dB.
+    noise_limited : (n,) True where the serving CL is strictly below the
+        threshold; at or above it the station is interference-limited.
+    """
+    cl = np.asarray(cl, dtype=float)
+    if cl.ndim != 2 or cl.shape[1] == 0:
+        raise RuntimeError(f"associate needs an (n, n_sectors >= 1) CL matrix, "
+                           f"got shape {cl.shape}")
+    serving = np.argmax(cl, axis=1)
+    serving_cl = np.take_along_axis(cl, serving[:, None], axis=1)[:, 0]
+    return serving, serving_cl, serving_cl < threshold_db

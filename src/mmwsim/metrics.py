@@ -12,25 +12,10 @@ INTERFERENCE_LIMITED = "interference_limited"
 
 
 @dataclass(frozen=True)
-class GeometryResult:
-    ms_id: int
-    gm_db: float
-    serving_sector: int
-    regime: str
-
-
-@dataclass(frozen=True)
 class CdfSeries:
     """Sorted empirical distribution with percentile and fraction queries."""
 
     samples: np.ndarray  # ascending, float64
-
-    @classmethod
-    def from_samples(cls, samples) -> "CdfSeries":
-        arr = np.sort(np.asarray(samples, dtype=float).ravel())
-        if arr.size == 0:
-            raise ValueError("empirical CDF needs at least one sample")
-        return cls(samples=arr)
 
     @property
     def n(self) -> int:
@@ -53,7 +38,10 @@ class CdfSeries:
 
 def empirical_cdf(samples) -> CdfSeries:
     """Build a CdfSeries from an iterable of dB values."""
-    return CdfSeries.from_samples(samples)
+    arr = np.sort(np.asarray(samples, dtype=float).ravel())
+    if arr.size == 0:
+        raise ValueError("empirical CDF needs at least one sample")
+    return CdfSeries(samples=arr)
 
 
 def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
@@ -86,9 +74,3 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
     if np.ndim(p_rx_dbm) == 1:
         return float(gm[0])
     return gm
-
-
-def classify_regime(coupling_loss_db: float, threshold_db: float) -> str:
-    """Noise-limited below the CL_SNR=0 threshold, interference-limited at
-    or above it."""
-    return NOISE_LIMITED if coupling_loss_db < threshold_db else INTERFERENCE_LIMITED

@@ -62,18 +62,6 @@ DEFAULT_PARAMS = PropagationParams()
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of one site-to-station link (fields may be arrays)."""
-
-    d_2d_m: float | np.ndarray
-    d_3d_m: float | np.ndarray  # includes height difference and indoor depth
-    f_c_hz: float
-    is_los: bool | np.ndarray
-    is_indoor: bool
-    d_2d_in_m: float | np.ndarray = 0.0
-
-
-@dataclass(frozen=True)
 class ShadowDraws:
     """Zero-mean Gaussian shadow terms in dB, one set per station-site pair."""
 
@@ -237,21 +225,3 @@ def oxygen_absorption(f_c_hz: float, d_m,
             break
     out = delta * d / 1000.0
     return out if out.ndim else float(out)
-
-
-def link_loss(geom: LinkGeometry, draws: ShadowDraws,
-              params: PropagationParams = DEFAULT_PARAMS, g_sm_db=0.0):
-    """Total link loss: path loss, plus O2I if indoor, plus oxygen, minus
-    the multipath gain hook ``g_sm_db`` (0 dB by default)."""
-    pl = np.where(
-        geom.is_los,
-        pl_los_ci(geom.f_c_hz, geom.d_3d_m, draws.x_los_db, params),
-        pl_nlos_abg(geom.f_c_hz / 1e9, geom.d_3d_m, draws.x_nlos_db, params),
-    )
-    total = pl + oxygen_absorption(geom.f_c_hz, geom.d_3d_m, params) - g_sm_db
-    if geom.is_indoor:
-        total = total + o2i_loss(geom.f_c_hz / 1e9, geom.d_2d_in_m,
-                                 draws.x_o2i_low_db, draws.x_o2i_high_db, params)
-    if total.ndim == 0:
-        return float(total)
-    return total

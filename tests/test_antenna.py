@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import AntennaPattern, ms_gain, sector_gain
+from mmwsim import AntennaPattern, ScenarioConfig, run_scenario, sector_gain
 
 PATTERN = AntennaPattern()
 
@@ -70,8 +70,15 @@ def test_angle_domain_errors():
 
 
 def test_ms_gain():
-    assert ms_gain() == 0.0
-    assert ms_gain(3.0) == 3.0
+    # the isotropic station gain adds to every link's CL
+    cfg = ScenarioConfig(f_c_ghz=30.0, n_drops=1, seed=3)
+    assert cfg.ms_gain_dbi == 0.0
+    base = run_scenario(cfg, collect_links=True)
+    gain = run_scenario(ScenarioConfig(f_c_ghz=30.0, n_drops=1, seed=3, ms_gain_dbi=3.0),
+                        collect_links=True)
+    assert_allclose(gain.links["coupling_loss"], base.links["coupling_loss"] + 3.0,
+                    atol=1e-9)
+    assert_allclose(gain.cl_cdf.samples, base.cl_cdf.samples + 3.0, atol=1e-9)
 
 
 def test_pattern_validation():

@@ -70,10 +70,30 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(deployment=dict(min_distance_m=150.0)), "min_distance_m"),
     (dict(ms_per_sector=100, deployment=dict(bs_height_m=1.6, ms_height_m=1.5,
                                              min_distance_m=0.0)), "min_distance_m"),
+    # values of the wrong type
+    (dict(n_drops="abc"), "n_drops"),
+    (dict(n_drops=1.5), "n_drops"),
+    (dict(ms_per_sector=2.5), "ms_per_sector"),
+    (dict(f_c_ghz="60"), "f_c_ghz"),
+    (dict(ms_gain_dbi="3"), "ms_gain_dbi"),
+    ("f_c_ghz: 30.0\nnoise_figure_db: 1e308\n", "noise_figure_db"),  # YAML 1.1: a string
+    (dict(propagation=dict(glass_loss_db=5)), "glass_loss_db"),
+    (dict(propagation=dict(oxygen_delta_db_per_km=[1, 2])), "oxygen_delta_db_per_km"),
+    (": : :\n", "YAML"),
+    (dict(environment="indoor", deployment=dict(floor_count_max=8.5)), "floor_count_max"),
+    (dict(seed=True), "seed"),
+    (dict(tx_power_dbm=10 ** 400), "tx_power_dbm"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
-        "ms_height_negative", "min_distance_infeasible", "d3d_below_1m"])
+        "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
+        "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
+        "noise_figure_1e308", "glass_loss_scalar", "oxygen_list", "malformed_yaml",
+        "floor_count_float", "seed_bool", "tx_int_beyond_float"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
-    cfg = write_config(tmp_path, **override)
+    if isinstance(override, str):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(override)
+    else:
+        cfg = write_config(tmp_path, **override)
     out = tmp_path / "out"
     assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
     assert field in capsys.readouterr().err

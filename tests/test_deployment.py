@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mmwsim import (ConfigError, drop_mobiles, generate_layout, in_footprint,
-                    wrap_displacement, wrap_displacements)
+from mmwsim import (AntennaPattern, ConfigError, MobileDrop, ScenarioConfig, ShadowDraws,
+                    coupling_loss, drop_mobiles, generate_layout, in_footprint,
+                    link_budget, wrap_displacements)
+from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
 ISD = 200.0
 
@@ -19,16 +21,17 @@ def dep():
 def test_layout_counts(dep):
     assert dep.n_sites == 19
     assert dep.n_sectors == 57
-    assert all(len(site.sectors) == 3 for site in dep.sites)
+    assert dep.site_xy.shape == (19, 2)
+    assert dep.n_sectors == 3 * dep.n_sites
 
 
 def test_center_site_at_origin(dep):
-    assert dep.sites[0].position == (0.0, 0.0)
+    assert tuple(dep.site_xy[0]) == (0.0, 0.0)
 
 
 def test_ring_distances(dep):
     center = np.zeros(2)
-    d = np.linalg.norm(dep.site_positions() - center, axis=1)
+    d = np.linalg.norm(dep.site_xy - center, axis=1)
     assert_allclose(np.sort(d[1:7]), np.full(6, ISD), atol=1e-9)
     ring2 = np.sort(d[7:])
     # ring 2 alternates sqrt(3)*ISD and 2*ISD
@@ -37,19 +40,29 @@ def test_ring_distances(dep):
 
 
 def test_nearest_neighbour_spacing_is_isd(dep):
-    pos = dep.site_positions()
+    pos = dep.site_xy
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     d[d == 0] = np.inf
     assert_allclose(d.min(), ISD, atol=1e-9)
 
 
 def test_boresights_and_downtilt(dep):
-    for site in dep.sites:
-        azs = [sec.boresight_azimuth_deg for sec in site.sectors]
-        assert azs == [30.0, 150.0, 270.0]
-        assert all(sec.downtilt_deg == 102.0 for sec in site.sectors)
-    ids = [sec.sector_id for sec in dep.all_sectors()]
-    assert ids == list(range(57))
+    assert SECTOR_BORESIGHTS_DEG == (30.0, 150.0, 270.0)
+    assert AntennaPattern().downtilt_deg == 102.0
+    # column 3i + k of the CL matrix is sector k of site i: a station 30 m
+    # out along boresight k of site 4 is served by sector 3 * 4 + k ...
+    cfg = ScenarioConfig(f_c_ghz=30.0)
+    az = np.radians(SECTOR_BORESIGHTS_DEG)
+    xy = dep.site_xy[4] + 30.0 * np.stack([np.cos(az), np.sin(az)], axis=1)
+    drop = MobileDrop(xy, np.full(3, 1.5), np.zeros(3), np.ones(3, dtype=int))
+    budget = link_budget(cfg, cfg.propagation, dep, drop, np.zeros((3, 19)), ShadowDraws())
+    cl = budget["coupling_loss"]
+    assert cl.shape == (3, 57)
+    assert list(np.argmax(cl, axis=1)) == [12, 13, 14]
+    # ... and every sector of site i carries site i's path loss
+    per_site = coupling_loss(budget["g_tx"], 0.0, budget["pl"][:, :, None],
+                             budget["l_o2i"][:, :, None], budget["l_oa"][:, :, None])
+    assert np.array_equal(cl, per_site.reshape(3, 57))
 
 
 def test_wrap_vector_magnitude(dep):
@@ -63,8 +76,9 @@ def test_wrap_vector_magnitude(dep):
 
 def test_layout_deterministic(dep):
     other = generate_layout(ISD)
-    assert_array_equal(other.site_positions(), dep.site_positions())
-    assert other == dep
+    assert_array_equal(other.site_xy, dep.site_xy)
+    assert_array_equal(other.wrap_vectors, dep.wrap_vectors)
+    assert (other.bs_height_m, other.isd_m) == (dep.bs_height_m, dep.isd_m)
 
 
 def test_invalid_isd():
@@ -74,23 +88,15 @@ def test_invalid_isd():
         generate_layout(-5.0)
 
 
-def test_layout_json_roundtrip(dep):
-    import json
-
-    data = json.loads(dep.to_json())
-    assert len(data["sites"]) == 19
-    assert data["isd_m"] == ISD
-
-
 def test_wrap_displacement_coincident(dep):
-    disp = wrap_displacement(dep.sites[3].position, dep.sites[3].position, dep)
-    assert_allclose(np.linalg.norm(disp), 0.0, atol=1e-12)
+    disp, _ = wrap_displacements(dep, dep.site_xy[3][None])
+    assert_allclose(np.linalg.norm(disp[0, 3]), 0.0, atol=1e-12)
 
 
 def test_wrap_displacement_close_point(dep):
     # 50 m < half the wrap distance, so no image is closer than the site itself
-    disp = wrap_displacement((0.0, 0.0), (50.0, 0.0), dep)
-    assert_allclose(disp, [50.0, 0.0], atol=1e-12)
+    disp, _ = wrap_displacements(dep, np.array([[50.0, 0.0]]))
+    assert_allclose(disp[0, 0], [50.0, 0.0], atol=1e-12)
 
 
 def test_wrap_shortens_far_links(dep):
@@ -98,7 +104,7 @@ def test_wrap_shortens_far_links(dep):
     v = np.asarray(dep.wrap_vectors[0])
     far = 0.62 * v
     direct = np.linalg.norm(far)
-    wrapped = np.linalg.norm(wrap_displacement((0.0, 0.0), far, dep))
+    wrapped = np.linalg.norm(wrap_displacements(dep, far[None])[0][0, 0])
     assert wrapped < direct
 
 
@@ -112,11 +118,11 @@ def _brute_force_displacement(site, ms, dep):
 
 def test_wrap_displacement_matches_brute_force(dep, rng):
     pts = rng.uniform(-600, 600, size=(200, 2))
-    sites = dep.site_positions()
+    sites = dep.site_xy
     for ms in pts:
-        site = sites[rng.integers(0, 19)]
-        got = wrap_displacement(site, ms, dep)
-        want = _brute_force_displacement(site, ms, dep)
+        s = rng.integers(0, 19)
+        got = wrap_displacements(dep, ms[None])[0][0, s]
+        want = _brute_force_displacement(sites[s], ms, dep)
         assert_allclose(np.hypot(*got), np.hypot(*want), atol=1e-9)
 
 
@@ -125,8 +131,11 @@ def test_wrap_displacements_vectorised_matches_scalar(dep, rng):
     disp, d2d = wrap_displacements(dep, ms)
     assert disp.shape == (50, 19, 2)
     for i in range(0, 50, 7):
+        one_disp, one_d2d = wrap_displacements(dep, ms[i][None])
+        assert np.array_equal(one_disp[0], disp[i])
+        assert np.array_equal(one_d2d[0], d2d[i])
         for s in range(0, 19, 5):
-            want = wrap_displacement(dep.sites[s].position, ms[i], dep)
+            want = _brute_force_displacement(dep.site_xy[s], ms[i], dep)
             assert_allclose(d2d[i, s], np.hypot(*want), atol=1e-9)
 
 
@@ -134,7 +143,7 @@ def test_wrapped_distance_never_exceeds_direct(dep, rng):
     ms = rng.uniform(-700, 700, size=(300, 2))
     _, d2d = wrap_displacements(dep, ms)
     direct = np.linalg.norm(
-        ms[:, None, :] - dep.site_positions()[None, :, :], axis=2)
+        ms[:, None, :] - dep.site_xy[None, :, :], axis=2)
     assert np.all(d2d <= direct + 1e-9)
 
 
@@ -142,7 +151,7 @@ def _argmin_wrap_displacements(dep, ms):
     # the reference rule: every (station, image, site) difference, their
     # norms, the argmin over images and take_along_axis
     shifts = np.vstack([np.zeros((1, 2)), np.asarray(dep.wrap_vectors, dtype=float)])
-    images = dep.site_positions()[None, :, :] + shifts[:, None, :]
+    images = dep.site_xy[None, :, :] + shifts[:, None, :]
     diff = ms[:, None, None, :] - images[None, :, :, :]
     norms = np.linalg.norm(diff, axis=3)
     best = norms.argmin(axis=1)
@@ -165,7 +174,7 @@ def test_wrap_displacements_bit_identical_to_argmin_rule(dep):
     outside = rng.uniform(-2000, 2000, size=(2000, 2))
     outside = outside[~in_footprint(outside, dep)]
     assert len(inside) > 1000 and len(outside) > 1000
-    for ms in (inside, outside, dep.site_positions()):
+    for ms in (inside, outside, dep.site_xy):
         _assert_wrap_bit_identical(dep, ms)
 
 
@@ -193,15 +202,15 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
     disp, _ = wrap_displacements(idep, ms)
     lower = np.minimum(np.arange(6), (np.arange(6) + 1) % 6)
     assert np.array_equal(disp[:, 0, :], ms - iv[lower])
-    # the scalar form runs the same loop
+    # one station at a time gives the same ties
     for k in range(6):
-        assert np.array_equal(wrap_displacement((0.0, 0.0), ms[k], idep),
+        assert np.array_equal(wrap_displacements(idep, ms[k][None])[0][0, 0],
                               ms[k] - iv[lower[k]])
 
 
 def _reference_sample_positions(dep, count, min_distance_m, rng):
     # the reference sampler measures the 19 site distances of every candidate
-    sites = dep.site_positions()
+    sites = dep.site_xy
     margin = dep.isd_m / math.sqrt(3.0)
     lo = sites.min(axis=0) - margin
     hi = sites.max(axis=0) + margin
@@ -282,7 +291,7 @@ def test_drop_uniformity_per_cell(dep):
     rng = np.random.default_rng(77)
     pts = drop_mobiles(dep, "outdoor", 100_000, rng).xy
     nearest = np.linalg.norm(
-        pts[:, None, :] - dep.site_positions()[None, :, :], axis=2).argmin(axis=1)
+        pts[:, None, :] - dep.site_xy[None, :, :], axis=2).argmin(axis=1)
     counts = np.bincount(nearest, minlength=19)
     p = 1.0 / 19.0
     sigma = math.sqrt(len(pts) * p * (1 - p))

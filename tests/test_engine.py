@@ -1,13 +1,17 @@
+import importlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from mmwsim import (ConfigError, ScenarioConfig, drop_mobiles, generate_layout,
-                    load_config, los_probability, run_scenario, run_sweep, save_results)
+import mmwsim
+from mmwsim import (AntennaPattern, ConfigError, PropagationParams, ScenarioConfig,
+                    drop_mobiles, generate_layout, load_config, los_probability,
+                    run_scenario, run_sweep, save_results)
 from mmwsim.engine import (_WRITE_BLOCK_ROWS, DeploymentParams, _stream, _write_table,
                            sweep_seed)
 from mmwsim.linkbudget import LINK_CSV_COLUMNS
@@ -42,6 +46,13 @@ def test_validation_messages():
          "min_distance_m"),
         (dict(environment="indoor", deployment=DeploymentParams(min_distance_m=0.8)),
          "min_distance_m"),
+        # each int, float and bool field holds its type, nested blocks included
+        (dict(oxygen_absorption="no"), "oxygen_absorption"),
+        (dict(n_drops=True), "n_drops"),
+        (dict(bandwidth_hz="1e9"), "bandwidth_hz"),
+        (dict(deployment=DeploymentParams(isd_m="200")), "deployment.isd_m"),
+        (dict(propagation=PropagationParams(ci_ple_coeff="21")), "propagation.ci_ple_coeff"),
+        (dict(antenna=AntennaPattern(g_max_dbi=True)), "antenna.g_max_dbi"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -279,6 +290,39 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch):
     monkeypatch.setattr(prop, "pl_nlos_abg", poisoned)
     with pytest.raises(RuntimeError, match=r"drop \d+, ms \d+, sector \d+"):
         run_scenario(small(n_drops=1))
+
+
+def test_every_benchmark_stage_is_called_through_its_module(monkeypatch):
+    # the benchmark's tracer times the stages by patching their module
+    # attributes, so the engine must reach each one through its module
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    stages = sorted({m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+                     if m["name"].count(".") == 2
+                     and m["name"].split(".")[0] not in ("engine", "trace")})
+    assert len(stages) == 13
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(stage, fn):
+        def wrapper(*args, **kwargs):
+            calls[stage] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for stage in stages:
+        module, name = stage.split(".")
+        module = importlib.import_module(f"mmwsim.{module}")
+        monkeypatch.setattr(module, name, counting(stage, getattr(module, name)))
+    run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=1))
+    assert [s for s, n in calls.items() if n == 0] == []
+
+
+def test_public_names_resolve_once():
+    assert len(mmwsim.__all__) == len(set(mmwsim.__all__))
+    for name in mmwsim.__all__:
+        assert getattr(mmwsim, name) is not None, name
+    for gone in ("link_loss", "LinkGeometry", "LinkRecord", "GeometryResult",
+                 "classify_regime", "wrap_displacement", "ms_gain", "Site", "Sector"):
+        assert not hasattr(mmwsim, gone), gone
 
 
 def test_sweep_degenerate_equals_run():

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import (ConfigError, LinkRecord, associate, cl_snr0_threshold,
-                    coupling_loss, noise_power, power_allocation)
+from mmwsim import (ConfigError, associate, cl_snr0_threshold, coupling_loss,
+                    noise_power, power_allocation)
 
 # Table values: (f_c GHz, bandwidth MHz, scaled P_Tx dBm)
 TABLE = [
@@ -81,46 +82,45 @@ def test_cl_snr0_threshold():
     assert cl_snr0_threshold(61.0, -81.0) == -142.0
 
 
-def _record(sector_id, cl):
-    return LinkRecord(ms_id=0, sector_id=sector_id, d_2d_m=100.0, d_3d_m=100.4,
-                      is_los=False, pl_db=120.0, l_o2i_db=0.0, l_oa_db=0.0,
-                      g_tx_dbi=10.0, g_rx_dbi=0.0, g_sm_db=0.0,
-                      coupling_loss_db=cl, p_rx_dbm=44.0 + cl)
-
-
 def test_associate_dominant():
-    links = [_record(i, -120.0) for i in range(57)]
-    links[13] = _record(13, -110.0)
-    assert associate(links) == 13
+    cl = np.full((1, 57), -120.0)
+    cl[0, 13] = -110.0
+    serving, serving_cl, _ = associate(cl, -130.0)
+    assert serving.tolist() == [13]
+    assert serving_cl.tolist() == [-110.0]
 
 
 def test_associate_tie_breaks_low_id():
-    links = [_record(i, -120.0) for i in range(57)]
-    links[20] = _record(20, -105.0)
-    links[41] = _record(41, -105.0)
-    assert associate(links) == 20
+    cl = np.full((1, 57), -120.0)
+    cl[0, [20, 41]] = -105.0
+    assert associate(cl, -130.0)[0].tolist() == [20]
 
 
 def test_associate_empty():
     with pytest.raises(RuntimeError):
-        associate([])
+        associate(np.empty((1, 0)), -130.0)
+    with pytest.raises(RuntimeError):
+        associate(np.empty((0, 0)), -130.0)
 
 
 def test_associate_matches_brute_force(rng):
-    for _ in range(1000):
-        cls = rng.uniform(-160.0, -60.0, size=57)
-        links = [_record(i, c) for i, c in enumerate(cls)]
-        got = associate(links)
+    cls = rng.uniform(-160.0, -60.0, size=(1000, 57))
+    cls[::7, 40] = cls[::7, 3] = cls[::7].max(axis=1)  # exact ties on every 7th row
+    serving, serving_cl, noise_limited = associate(cls, -110.0)
+    for row, got, got_cl, got_nl in zip(cls, serving, serving_cl, noise_limited):
         # oracle: exhaustive scan for the maximum, first index wins
         best = 0
         for i in range(57):
-            if cls[i] > cls[best]:
+            if row[i] > row[best]:
                 best = i
         assert got == best
+        assert got_cl == row[best]
+        assert got_nl == (row[best] < -110.0)
 
 
 def test_associate_shift_invariance(rng):
-    cls = rng.uniform(-160.0, -60.0, size=57)
-    links = [_record(i, c) for i, c in enumerate(cls)]
-    shifted = [_record(i, c + 23.4) for i, c in enumerate(cls)]
-    assert associate(links) == associate(shifted)
+    cls = rng.uniform(-160.0, -60.0, size=(100, 57))
+    a = associate(cls, -110.0)
+    b = associate(cls + 23.4, -110.0 + 23.4)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[2], b[2])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import GeometryResult, classify_regime, empirical_cdf, geometry_metric
-from mmwsim.metrics import INTERFERENCE_LIMITED, NOISE_LIMITED
+from mmwsim import associate, empirical_cdf, geometry_metric
 
 
 def test_geometry_metric_example():
@@ -119,14 +118,18 @@ def test_percentile_domain():
 
 
 def test_classify_regime():
-    assert classify_regime(-140.0, -135.99) == NOISE_LIMITED
-    assert classify_regime(-120.0, -135.99) == INTERFERENCE_LIMITED
+    cl = np.array([[-140.0, -150.0], [-120.0, -150.0], [-135.99, -150.0]])
+    serving, serving_cl, noise_limited = associate(cl, -135.99)
+    # noise-limited below the threshold, interference-limited above it
+    assert noise_limited.tolist()[:2] == [True, False]
     # boundary goes to interference-limited
-    assert classify_regime(-135.99, -135.99) == INTERFERENCE_LIMITED
+    assert not noise_limited[2]
 
 
-def test_geometry_result_record():
-    res = GeometryResult(ms_id=3, gm_db=-1.25, serving_sector=17,
-                         regime=classify_regime(-140.0, -135.99))
-    assert res.regime == NOISE_LIMITED
-    assert res.serving_sector == 17
+def test_associate_serving_record():
+    cl = np.full((1, 57), -150.0)
+    cl[0, 17] = -140.0
+    serving, serving_cl, noise_limited = associate(cl, -135.99)
+    assert serving[0] == 17
+    assert serving_cl[0] == -140.0
+    assert noise_limited[0]

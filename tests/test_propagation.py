@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import (FrequencyRangeWarning, LinkGeometry, PropagationParams,
-                    ShadowDraws, draw_shadows, fspl, link_loss,
-                    los_probability, material_loss, o2i_loss,
+from mmwsim import (FrequencyRangeWarning, MobileDrop, PropagationParams,
+                    ScenarioConfig, ShadowDraws, draw_shadows, fspl, generate_layout,
+                    link_budget, los_probability, material_loss, o2i_loss,
                     oxygen_absorption, pl_los_ci, pl_nlos_abg)
 
 # expected values frozen from an independent high-precision evaluation of the
@@ -168,29 +168,79 @@ def test_shadow_draw_statistics():
         assert abs(arr.std() - sigma) / sigma < 0.01
 
 
-def test_link_loss_composition():
-    geom = LinkGeometry(d_2d_m=99.6, d_3d_m=100.0, f_c_hz=30e9,
-                        is_los=True, is_indoor=False)
-    assert_allclose(link_loss(geom, ShadowDraws()), CI_30GHZ_100M, atol=1e-6)
-    assert_allclose(link_loss(geom, ShadowDraws(), g_sm_db=3.0),
-                    CI_30GHZ_100M - 3.0, atol=1e-6)
+DEP = generate_layout(200.0)
 
-    geom = LinkGeometry(d_2d_m=199.8, d_3d_m=200.0, f_c_hz=60e9,
-                        is_los=False, is_indoor=True, d_2d_in_m=0.0)
+
+def budget_at(cfg, xy, los_u, depth=0.0, draws=ShadowDraws()):
+    """link_budget of stations at ``xy`` (1.5 m high, floor 1, in-building
+    depth ``depth``) with LoS uniforms ``los_u``: 0 makes every link LoS,
+    1 every link NLoS."""
+    n = len(xy)
+    drop = MobileDrop(np.asarray(xy, dtype=float), np.full(n, 1.5),
+                      np.broadcast_to(np.asarray(depth, dtype=float), (n,)),
+                      np.ones(n, dtype=int))
+    return link_budget(cfg, cfg.propagation, DEP, drop,
+                       np.broadcast_to(np.asarray(los_u, dtype=float), (n, 19)), draws)
+
+
+def link_loss_db(budget):
+    # PL + L_O2I + L_OA - G_sm per station, site and sector: G_tx - CL at 0 dBi G_rx
+    n = len(budget["d_2d"])
+    return budget["g_tx"] - budget["coupling_loss"].reshape(n, 19, 3)
+
+
+def test_link_loss_composition():
+    # a station with d_3d = 100 m to the centre site (BS 10 m, station 1.5 m)
+    xy = [[math.sqrt(100.0 ** 2 - 8.5 ** 2), 0.0]]
+    cfg = ScenarioConfig(f_c_ghz=30.0)
+    b = budget_at(cfg, xy, 0.0)
+    assert_allclose(b["d_3d"][0, 0], 100.0, atol=1e-12)
+    assert_allclose(link_loss_db(b)[0, 0], CI_30GHZ_100M, atol=1e-6)
+    b = budget_at(ScenarioConfig(f_c_ghz=30.0, g_sm_db=3.0), xy, 0.0)
+    assert_allclose(link_loss_db(b)[0, 0], CI_30GHZ_100M - 3.0, atol=1e-6)
+
+    # indoor NLoS at 60 GHz, d_3d = 200 m, no in-building depth, 15 dB/km oxygen
+    xy = [[math.sqrt(200.0 ** 2 - 8.5 ** 2), 0.0]]
+    b = budget_at(ScenarioConfig(f_c_ghz=60.0, environment="indoor"), xy, 1.0)
     want = pl_nlos_abg(60.0, 200.0) + o2i_loss(60.0, 0.0) + 3.0
-    assert_allclose(link_loss(geom, ShadowDraws()), want, atol=1e-9)
+    assert_allclose(link_loss_db(b)[0, 0], want, atol=1e-9)
 
 
 def test_link_loss_selects_by_los_state(rng):
-    d = rng.uniform(10.0, 400.0, size=500)
-    is_los = rng.uniform(size=500) < 0.5
-    draws = draw_shadows(rng, 500)
-    geom = LinkGeometry(d_2d_m=d, d_3d_m=d, f_c_hz=30e9,
-                        is_los=is_los, is_indoor=False)
-    total = link_loss(geom, draws)
-    want = np.where(is_los, pl_los_ci(30e9, d, draws.x_los_db),
-                    pl_nlos_abg(30.0, d, draws.x_nlos_db))
-    assert_allclose(total, want, atol=1e-12)
+    xy = rng.uniform(-400.0, 400.0, size=(50, 2))
+    draws = draw_shadows(rng, (50, 19))
+    cfg = ScenarioConfig(f_c_ghz=30.0)
+    for los_u in (0.0, 1.0, rng.uniform(size=(50, 19))):
+        b = budget_at(cfg, xy, los_u, draws=draws)
+        assert np.array_equal(b["is_los"], los_u < los_probability(b["d_2d"]))
+        want = np.where(b["is_los"], pl_los_ci(30e9, b["d_3d"], draws.x_los_db),
+                        pl_nlos_abg(30.0, b["d_3d"], draws.x_nlos_db))
+        assert_allclose(b["pl"], want, atol=1e-12)
+        # outdoors at 30 GHz the path loss is the whole link loss
+        assert_allclose(link_loss_db(b), np.repeat(want[:, :, None], 3, axis=2), atol=1e-9)
+    assert np.all(budget_at(cfg, xy, 0.0)["is_los"])
+    assert not np.any(budget_at(cfg, xy, 1.0)["is_los"])
+
+
+def test_o2i_depth_is_clipped_to_d2d(rng):
+    # stations 20-60 m from the centre site, 100-300 m deep in their
+    # buildings: the depth exceeds d_2d on the links to the nearest sites
+    r = rng.uniform(20.0, 60.0, size=40)
+    a = rng.uniform(0.0, 2.0 * np.pi, size=40)
+    xy = np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+    depth = rng.uniform(100.0, 300.0, size=40)
+    draws = draw_shadows(rng, (40, 19))
+    cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor")
+    b = budget_at(cfg, xy, rng.uniform(size=(40, 19)), depth=depth, draws=draws)
+    clipped = o2i_loss(60.0, np.minimum(depth[:, None], b["d_2d"]),
+                       draws.x_o2i_low_db, draws.x_o2i_high_db, cfg.propagation)
+    assert np.array_equal(b["l_o2i"], clipped)
+    deep = depth[:, None] > b["d_2d"]
+    assert deep.sum() >= 40  # every station reaches past its nearest site
+    unclipped = o2i_loss(60.0, np.broadcast_to(depth[:, None], deep.shape),
+                         draws.x_o2i_low_db, draws.x_o2i_high_db, cfg.propagation)
+    assert np.all(b["l_o2i"][deep] < unclipped[deep])
+    assert np.array_equal(b["l_o2i"][~deep], unclipped[~deep])
 
 
 def test_params_validation():
