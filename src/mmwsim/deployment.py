@@ -25,15 +25,6 @@ _WRAP_COORDS = ((3, 2), (-2, 5), (-5, 3), (-3, -2), (2, -5), (5, -3))
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 
-# Unit normals of the three hexagon edge-pair directions (toward lattice
-# neighbours at 0, 60 and 120 degrees); a point is inside a cell iff all three
-# projections onto these axes stay within half the ISD.
-_HEX_AXES = np.array([
-    [1.0, 0.0],
-    [0.5, math.sqrt(3.0) / 2.0],
-    [-0.5, math.sqrt(3.0) / 2.0],
-])
-
 
 class MobileDrop(NamedTuple):
     """Stations of one drop, one array entry per station."""
@@ -68,8 +59,8 @@ class Deployment:
         return 3 * self.n_sites
 
 
-def _lattice_xy(i: int, j: int, isd_m: float) -> tuple[float, float]:
-    # basis a = isd * (1, 0), b = isd * (1/2, sqrt(3)/2)
+def _lattice_xy(i, j, isd_m: float):
+    # basis a = isd * (1, 0), b = isd * (1/2, sqrt(3)/2); i, j scalars or arrays
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
@@ -124,36 +115,72 @@ def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
     return np.stack([best_dx, best_dy], axis=-1), best_d
 
 
-def in_footprint(points, deployment: Deployment) -> np.ndarray:
-    """True for points inside the union of the 19 hexagonal cells."""
+def _axial_cells(points, isd_m: float):
+    """Axial ``(i, j)`` of the lattice site nearest each point, by cube rounding."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - deployment.site_xy[None, :, :]
-    proj = np.abs(diff @ _HEX_AXES.T)  # (n, s, 3)
-    half = 0.5 * deployment.isd_m * (1.0 + 1e-12)
-    return (proj <= half).all(axis=2).any(axis=1)
+    fj = pts[:, 1] / (isd_m * (math.sqrt(3.0) / 2.0))  # inverts _lattice_xy
+    fi = pts[:, 0] / isd_m - 0.5 * fj
+    i, j, k = np.rint(fi), np.rint(fj), np.rint(-fi - fj)
+    di, dj, dk = np.abs(i - fi), np.abs(j - fj), np.abs(k + fi + fj)
+    fix_i = (di > dj) & (di > dk)  # recompute the one that moved furthest
+    i = np.where(fix_i, -j - k, i)
+    return i, np.where(~fix_i & (dj > dk), -i - k, j)
 
 
-# Rejection-sampling rounds before a drop gives up.  Each round draws twice
-# the stations still missing, so feasible layouts finish within a few dozen
-# rounds; the budget only stops layouts that no point or almost none fits.
+def in_footprint(points, deployment: Deployment) -> np.ndarray:
+    """True for points inside the 19 cells: the cube-rounded cell ``(i, j)`` of
+    the nearest site has ``|i|, |j|, |i + j| <= 2``.  Points on an edge between
+    two of the cells are inside; points on the outer boundary may round either way."""
+    i, j = _axial_cells(points, deployment.isd_m)
+    return (np.abs(i) <= 2) & (np.abs(j) <= 2) & (np.abs(i + j) <= 2)
+
+
+# Rejection-sampling rounds before a drop gives up; see _expected_sample_rounds.
 _MAX_SAMPLE_ROUNDS = 1000
+
+
+def _expected_sample_rounds(isd_m: float, min_distance_m: float, ms_per_sector: int) -> int:
+    """Rounds ``_sample_positions`` needs for ``ms_per_sector`` stations per sector
+    when each round keeps its expected share, or ``_MAX_SAMPLE_ROUNDS + 1`` for more.
+
+    A candidate is kept with probability ``(footprint / box) * (1 - A / A_hex)``
+    where A is the part of a cell within ``r = min_distance_m`` of its site:
+    ``pi r^2`` up to the inradius ``a = isd/2``, less six circular segments
+    ``r^2 acos(a/r) - a sqrt(r^2 - a^2)`` beyond the cell edges above it.
+    Each round draws ``max(2 * missing, 64)`` candidates.  ``ScenarioConfig.validate``
+    refuses layouts that need more rounds than the budget.
+    """
+    n_sites, a, r = len(_SITE_COORDS), isd_m / 2.0, min_distance_m
+    hex_area = math.sqrt(3.0) / 2.0 * isd_m ** 2
+    near = math.pi * r * r
+    if r > a:
+        near -= 6.0 * (r * r * math.acos(a / r) - a * math.sqrt(r * r - a * a))
+    # the sampler's box: the sites span 4 isd by 2 sqrt(3) isd, plus the
+    # circumradius on every side
+    c = isd_m / math.sqrt(3.0)
+    keep = n_sites * (hex_area - near) / ((4.0 * isd_m + 2.0 * c)
+                                          * (2.0 * math.sqrt(3.0) * isd_m + 2.0 * c))
+    missing, rounds = float(3 * n_sites * ms_per_sector), 0
+    while missing > 0 and rounds <= _MAX_SAMPLE_ROUNDS:
+        missing -= keep * max(2.0 * missing, 64.0)
+        rounds += 1
+    return rounds
 
 
 def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
                       rng: np.random.Generator) -> np.ndarray:
-    sites = deployment.site_xy
     margin = deployment.isd_m / math.sqrt(3.0)  # hex circumradius
-    lo = sites.min(axis=0) - margin
-    hi = sites.max(axis=0) + margin
+    lo, hi = deployment.site_xy.min(axis=0) - margin, deployment.site_xy.max(axis=0) + margin
     out = np.empty((0, 2))
     for _ in range(_MAX_SAMPLE_ROUNDS):
         m = max(2 * (count - len(out)), 64)
         pts = rng.uniform(lo, hi, size=(m, 2))
         pts = pts[in_footprint(pts, deployment)]
-        # Inside the footprint the nearest of the 19 sites is also the nearest
-        # wrap image, so plain distances enforce the wrapped minimum too.
-        d = np.linalg.norm(pts[:, None, :] - sites[None, :, :], axis=2)
-        out = np.concatenate([out, pts[d.min(axis=1) >= min_distance_m]])
+        # the cell names the nearest site, in the footprint also the nearest wrap image
+        i, j = _axial_cells(pts, deployment.isd_m)
+        site_x, site_y = _lattice_xy(i, j, deployment.isd_m)  # same bits as site_xy
+        dx, dy = pts[:, 0] - site_x, pts[:, 1] - site_y
+        out = np.concatenate([out, pts[np.sqrt(dx * dx + dy * dy) >= min_distance_m]])
         if len(out) >= count:
             return out[:count]
     raise ConfigError(

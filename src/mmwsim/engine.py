@@ -94,10 +94,12 @@ class ScenarioConfig:
             raise ConfigError(f"ms_per_sector must be >= 1, got {self.ms_per_sector}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        for name, value in (("noise_figure_db", self.noise_figure_db),
+                            ("g_sm_db", self.g_sm_db), ("ms_gain_dbi", self.ms_gain_dbi),
+                            ("tx_power_dbm", self.tx_power_dbm),
+                            ("antenna.g_max_dbi", self.antenna.g_max_dbi)):
+            if value is not None and not abs(value) <= _DB_LIMIT:
+                raise ConfigError(f"{name} must lie within +-{_DB_LIMIT:g} dB, got {value}")
         for name in ("min_distance_m", "indoor_depth_max_m"):
             value = getattr(dep, name)
             if not (math.isfinite(value) and value >= 0):
@@ -108,6 +110,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"deployment.min_distance_m must be below the cell circumradius "
                 f"isd_m/sqrt(3) = {circumradius:g} m, got {dep.min_distance_m}")
+        budget = deployment_mod._MAX_SAMPLE_ROUNDS
+        if deployment_mod._expected_sample_rounds(
+                dep.isd_m, dep.min_distance_m, self.ms_per_sector) > budget:
+            raise ConfigError(
+                f"deployment.min_distance_m={dep.min_distance_m:g} at isd_m={dep.isd_m:g} "
+                f"leaves so little of the footprint that {self.ms_per_sector} stations "
+                f"per sector need more than {budget} sampling rounds per drop")
         if not 1 <= dep.floor_count_min <= dep.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy "
                               "1 <= min <= max")
@@ -142,6 +151,11 @@ class ScenarioConfig:
         if "antenna" in d and d["antenna"] is not None:
             d["antenna"] = _sub_from_dict(AntennaPattern, d["antenna"], "antenna")
         return cls(**d)
+
+
+# Bound on the dB settings that reach 10 ** (x / 10): far inside the float
+# range (overflow near 3,080 dB), far outside any physical setting.
+_DB_LIMIT = 1000.0
 
 
 def _is_real(value) -> bool:
@@ -302,8 +316,13 @@ def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
     theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
     boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)
-    # azimuth off each boresight, wrapped to (-180, 180]
-    phi = 180.0 - np.mod(180.0 - (azimuth[:, :, None] - boresights[None, None, :]), 360.0)
+    # azimuth off each boresight, wrapped to (-180, 180]: y = 180 - (azimuth -
+    # boresight) lies in [30, 630], where y - 360 is exact (Sterbenz) and
+    # equals np.mod(y, 360), so one in-place subtract stands in for the mod
+    y = np.subtract(azimuth[:, :, None], boresights)
+    np.subtract(180.0, y, out=y)
+    np.subtract(y, 360.0, out=y, where=y >= 360.0)
+    phi = np.subtract(180.0, y, out=y)
     g_tx = antenna_mod.sector_gain(config.antenna, theta[:, :, None], phi)  # (n, s, 3)
     cl = linkbudget.coupling_loss(g_tx, config.ms_gain_dbi, pl[:, :, None],
                                   l_o2i[:, :, None], l_oa[:, :, None], config.g_sm_db)
@@ -388,6 +407,12 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
 
     cl_samples = np.concatenate([r["serving_cl"] for r in per_drop])
     gm_samples = np.concatenate([r["gm"] for r in per_drop])
+    bad = np.flatnonzero(~np.isfinite(gm_samples))  # CL is checked per drop
+    if bad.size:
+        count = len(gm_samples) // config.n_drops
+        raise RuntimeError(
+            f"non-finite geometry metric (drop {bad[0] // count}, ms {bad[0] % count}): "
+            f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
     noise_limited = np.concatenate([r["noise_limited"] for r in per_drop])
     links = None
     if collect_links:

@@ -64,11 +64,11 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
     if p.shape[-1] < 2:
         raise RuntimeError("geometry metric needs at least 2 links per station")
     serv = np.asarray(serving, dtype=int).reshape(p.shape[:-1])
-    lin = 10.0 ** (p / 10.0)
-    onehot = np.zeros_like(lin)
-    np.put_along_axis(onehot, serv[..., None], 1.0, axis=-1)
+    lin = p / 10.0  # a fresh array, worked in place from here on
+    np.power(10.0, lin, out=lin)
     serving_lin = np.take_along_axis(lin, serv[..., None], axis=-1)[..., 0]
-    interference = (lin * (1.0 - onehot)).sum(axis=-1)
+    np.put_along_axis(lin, serv[..., None], 0.0, axis=-1)
+    interference = lin.sum(axis=-1)
     noise_lin = 10.0 ** (noise_total_dbm / 10.0)
     gm = 10.0 * np.log10(serving_lin / (noise_lin + interference))
     if np.ndim(p_rx_dbm) == 1:

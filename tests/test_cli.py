@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import yaml
@@ -83,11 +84,16 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(environment="indoor", deployment=dict(floor_count_max=8.5)), "floor_count_max"),
     (dict(seed=True), "seed"),
     (dict(tx_power_dbm=10 ** 400), "tx_power_dbm"),
+    (dict(tx_power_dbm=1.0e20), "tx_power_dbm"),
+    (dict(deployment=dict(min_distance_m=115.0)), "deployment.min_distance_m"),
+    (dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
+          antenna=dict(g_max_dbi=1000.0)), "geometry metric"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
         "noise_figure_1e308", "glass_loss_scalar", "oxygen_list", "malformed_yaml",
-        "floor_count_float", "seed_bool", "tx_int_beyond_float"])
+        "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
+        "min_distance_near_infeasible", "received_power_overflow"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"
@@ -95,9 +101,11 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     else:
         cfg = write_config(tmp_path, **override)
     out = tmp_path / "out"
+    t0 = time.perf_counter()
     assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert field in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

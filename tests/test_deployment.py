@@ -208,6 +208,74 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
                               ms[k] - iv[lower[k]])
 
 
+def _projection_in_footprint(pts, dep):
+    # the independent footprint rule: a point is in a site's cell when its
+    # offset projects to within isd/2 on the three lattice-neighbour
+    # directions (0, 60 and 120 degrees); the tolerance keeps shared edges in
+    half = 0.5 * dep.isd_m * (1.0 + 1e-12)
+    c = math.sqrt(3.0) / 2.0
+    inside = np.zeros(len(pts), dtype=bool)
+    for sx, sy in dep.site_xy:
+        dx, dy = pts[:, 0] - sx, pts[:, 1] - sy
+        inside |= ((np.abs(dx) <= half) & (np.abs(0.5 * dx + c * dy) <= half)
+                   & (np.abs(c * dy - 0.5 * dx) <= half))
+    return inside
+
+
+@pytest.mark.parametrize("isd", [200.0, 173.2])
+def test_in_footprint_matches_projection_rule(isd):
+    d = generate_layout(isd)
+    rng = np.random.default_rng(int(isd * 10))
+    pts = rng.uniform(-3.5 * isd, 3.5 * isd, size=(1_000_000, 2))
+    got = in_footprint(pts, d)
+    assert 0.3 < got.mean() < 0.7
+    assert np.array_equal(got, _projection_in_footprint(pts, d))
+
+
+def _cell_edges_and_vertices(d):
+    # every edge midpoint and vertex of every site's cell, with the centres
+    # of the other cells that meet there
+    def unit(a):
+        return np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    to_edge, to_vertex = unit(np.arange(6) * np.pi / 3), unit((np.arange(6) + 0.5) * np.pi / 3)
+    for s in d.site_xy:
+        for e in range(6):
+            across, nxt = s + d.isd_m * to_edge[e], s + d.isd_m * to_edge[(e + 1) % 6]
+            yield s + 0.5 * d.isd_m * to_edge[e], [across]
+            yield s + d.isd_m / math.sqrt(3.0) * to_vertex[e], [across, nxt]
+
+
+@pytest.mark.parametrize("isd", [200.0, 173.2])
+def test_in_footprint_edges_and_vertices(isd):
+    d = generate_layout(isd)
+    assert in_footprint(d.site_xy, d).all()
+
+    def is_site(xy):
+        return np.linalg.norm(d.site_xy - xy, axis=1).min() < 0.5 * isd
+
+    interior, outward = [], []
+    for point, others in _cell_edges_and_vertices(d):
+        beyond = [c for c in others if not is_site(c)]
+        if not beyond:
+            interior.append(point)  # every cell meeting here is a site
+        else:
+            # 1e-9 isd off the outer boundary toward the centre of a cell
+            # beyond it; a point exactly on it may round either way
+            step = beyond[0] - point
+            outward.append(point + 1e-9 * isd * step / np.linalg.norm(step))
+    interior, outward = np.array(interior), np.array(outward)
+    # each point is seen from every site cell it touches: 42 interior edges and
+    # 24 interior vertices; 30 outer edges, and 30 outer vertices of which 12
+    # touch two cells
+    assert len(interior) == 2 * 42 + 3 * 24
+    assert len(outward) == 30 + 18 + 2 * 12
+    assert in_footprint(interior, d).all()
+    assert _projection_in_footprint(interior, d).all()
+    assert not in_footprint(outward, d).any()
+    assert not _projection_in_footprint(outward, d).any()
+
+
 def _reference_sample_positions(dep, count, min_distance_m, rng):
     # the reference sampler measures the 19 site distances of every candidate
     sites = dep.site_xy
@@ -218,7 +286,7 @@ def _reference_sample_positions(dep, count, min_distance_m, rng):
     while len(out) < count:
         m = max(2 * (count - len(out)), 64)
         pts = rng.uniform(lo, hi, size=(m, 2))
-        keep = in_footprint(pts, dep)
+        keep = _projection_in_footprint(pts, dep)
         d = np.linalg.norm(pts[:, None, :] - sites[None, :, :], axis=2)
         keep &= d.min(axis=1) >= min_distance_m
         out = np.concatenate([out, pts[keep]])
@@ -226,7 +294,8 @@ def _reference_sample_positions(dep, count, min_distance_m, rng):
 
 
 @pytest.mark.parametrize("count, min_distance_m, seed", [
-    (5, 10.0, 0), (31, 0.0, 3), (57, 60.0, 1), (570, 10.0, 42), (1000, 100.0, 7)])
+    (5, 10.0, 0), (31, 0.0, 3), (57, 60.0, 1), (570, 10.0, 42), (1000, 100.0, 7),
+    (5700, 10.0, 5), (570, 110.0, 2)])
 def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     want = _reference_sample_positions(dep, count, min_distance_m, np.random.default_rng(seed))
     got = drop_mobiles(dep, "outdoor", count, np.random.default_rng(seed),

@@ -9,9 +9,11 @@ import yaml
 from numpy.testing import assert_allclose
 
 import mmwsim
-from mmwsim import (AntennaPattern, ConfigError, PropagationParams, ScenarioConfig,
-                    drop_mobiles, generate_layout, load_config, los_probability,
-                    run_scenario, run_sweep, save_results)
+from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
+                    ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
+                    link_budget, load_config, los_probability, run_scenario, run_sweep,
+                    save_results, sector_gain, wrap_displacements)
+from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expected_sample_rounds
 from mmwsim.engine import (_WRITE_BLOCK_ROWS, DeploymentParams, _stream, _write_table,
                            sweep_seed)
 from mmwsim.linkbudget import LINK_CSV_COLUMNS
@@ -53,6 +55,12 @@ def test_validation_messages():
         (dict(deployment=DeploymentParams(isd_m="200")), "deployment.isd_m"),
         (dict(propagation=PropagationParams(ci_ple_coeff="21")), "propagation.ci_ple_coeff"),
         (dict(antenna=AntennaPattern(g_max_dbi=True)), "antenna.g_max_dbi"),
+        # dB settings that reach 10 ** (x / 10) stay within +-1000 dB
+        (dict(tx_power_dbm=1.0e20), "tx_power_dbm"),
+        (dict(noise_figure_db=-1001.0), "noise_figure_db"),
+        (dict(g_sm_db=1.0e4), "g_sm_db"),
+        (dict(ms_gain_dbi=float("nan")), "ms_gain_dbi"),
+        (dict(antenna=AntennaPattern(g_max_dbi=1.0e300)), "antenna.g_max_dbi"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -290,6 +298,82 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch):
     monkeypatch.setattr(prop, "pl_nlos_abg", poisoned)
     with pytest.raises(RuntimeError, match=r"drop \d+, ms \d+, sector \d+"):
         run_scenario(small(n_drops=1))
+
+
+def test_validate_accepts_db_settings_up_to_the_bound():
+    small(tx_power_dbm=1000.0, noise_figure_db=-1000.0, g_sm_db=1000.0,
+          ms_gain_dbi=-1000.0, antenna=AntennaPattern(g_max_dbi=1000.0)).validate()
+
+
+def test_nonfinite_geometry_metric_aborts_before_any_output():
+    # every dB setting within its bound, yet the received powers overflow
+    cfg = small(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
+                antenna=AntennaPattern(g_max_dbi=1000.0))
+    cfg.validate()
+    with pytest.raises(RuntimeError, match=r"geometry metric \(drop 0, ms \d+\)"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_scenario(cfg)
+
+
+def test_sampling_acceptance_matches_closed_form():
+    # count the share of the sampler's box it keeps on uniform points, and run
+    # the sampler's average schedule on it, for 57 stations
+    dep = generate_layout(200.0)
+    margin = 200.0 / np.sqrt(3.0)
+    lo, hi = dep.site_xy.min(axis=0) - margin, dep.site_xy.max(axis=0) + margin
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(1_000_000, 2))
+    pts = pts[in_footprint(pts, dep)]
+    nearest = np.full(len(pts), np.inf)
+    for site in dep.site_xy:
+        np.minimum(nearest, np.hypot(*(pts - site).T), out=nearest)
+    for r in (10.0, 50.0, 100.0, 110.0):
+        keep = np.count_nonzero(nearest >= r) / 1_000_000
+        missing, rounds = 57.0, 0
+        while missing > 0:
+            missing -= keep * max(2.0 * missing, 64.0)
+            rounds += 1
+        assert abs(_expected_sample_rounds(200.0, r, 1) - rounds) <= max(1, 0.05 * rounds), r
+
+
+def test_near_infeasible_min_distance_is_refused_by_expected_rounds():
+    # at ISD 200 m the 570-station sampler needs ~751 rounds on average at
+    # 112 m and ~1,498 at 113 m, against a budget of 1,000 rounds
+    ok = small(n_drops=1, ms_per_sector=10, deployment=DeploymentParams(min_distance_m=112.0))
+    assert _expected_sample_rounds(200.0, 112.0, 10) <= _MAX_SAMPLE_ROUNDS
+    assert run_scenario(ok).cl_cdf.n == 570
+    for kw in (dict(ms_per_sector=10, deployment=DeploymentParams(min_distance_m=113.0)),
+               dict(ms_per_sector=100, deployment=DeploymentParams(min_distance_m=112.0))):
+        with pytest.raises(ConfigError, match="deployment.min_distance_m"):
+            small(**kw).validate()
+    assert _expected_sample_rounds(200.0, 113.0, 10) > _MAX_SAMPLE_ROUNDS
+
+
+def test_azimuth_wrap_matches_mod_rule():
+    cfg = small(f_c_ghz=60.0)
+    dep = generate_layout(200.0)
+    s = dep.site_xy[4]
+    # with y = 180 - (azimuth - boresight): due west of site 4 (y = 30 for
+    # the 30-degree sector), due north (y = 360 for 270), just south of due
+    # west (y -> 630 from below) and, -0.0 against the centre site's +0.0,
+    # exactly west of the centre site (y = 630)
+    edges = np.array([[s[0] - 40.0, s[1]], [s[0], s[1] + 40.0],
+                      [s[0] - 40.0, s[1] - 1e-9], [-40.0, -0.0]])
+    xy = np.vstack([edges, drop_mobiles(dep, "outdoor", 570, np.random.default_rng(3)).xy])
+    n = len(xy)
+    drop = MobileDrop(xy, np.full(n, 1.5), np.zeros(n), np.ones(n, dtype=int))
+
+    # the reference rule: phi = 180 - mod(180 - (azimuth - boresight), 360)
+    disp, d2d = wrap_displacements(dep, xy)
+    dz = drop.height_m[:, None] - dep.bs_height_m
+    theta = np.degrees(np.arccos(np.clip(dz / np.hypot(d2d, dz), -1.0, 1.0)))
+    azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
+    y = 180.0 - (azimuth[:, :, None] - np.asarray(SECTOR_BORESIGHTS_DEG))
+    assert (y[0, 4, 0], y[1, 4, 2], y[3, 0, 2]) == (30.0, 360.0, 630.0)
+    assert 629.0 < y[2, 4, 2] < 630.0
+    want = sector_gain(cfg.antenna, theta[:, :, None], 180.0 - np.mod(y, 360.0))
+
+    budget = link_budget(cfg, cfg.propagation, dep, drop, np.zeros((n, 19)), ShadowDraws())
+    assert np.array_equal(budget["g_tx"], want)
 
 
 def test_every_benchmark_stage_is_called_through_its_module(monkeypatch):

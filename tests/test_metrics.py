@@ -73,6 +73,37 @@ def test_geometry_metric_vectorised_matches_scalar(rng):
                         atol=1e-12)
 
 
+def _onehot_geometry_metric(p_rx_dbm, serving, noise_total_dbm):
+    # the reference rule: mask the serving power out of the sum with a one-hot
+    p = np.atleast_2d(np.asarray(p_rx_dbm, dtype=float))
+    serv = np.asarray(serving, dtype=int).reshape(p.shape[:-1])
+    lin = 10.0 ** (p / 10.0)
+    onehot = np.zeros_like(lin)
+    np.put_along_axis(onehot, serv[..., None], 1.0, axis=-1)
+    serving_lin = np.take_along_axis(lin, serv[..., None], axis=-1)[..., 0]
+    interference = (lin * (1.0 - onehot)).sum(axis=-1)
+    gm = 10.0 * np.log10(serving_lin / (10.0 ** (noise_total_dbm / 10.0) + interference))
+    return float(gm[0]) if np.ndim(p_rx_dbm) == 1 else gm
+
+
+def test_geometry_metric_bit_identical_to_onehot_rule(rng):
+    p = rng.uniform(-140.0, -40.0, size=(400, 57))
+    p[rng.uniform(size=p.shape) < 0.2] = -np.inf  # absent contributions
+    for serving in (np.argmax(p, axis=1), rng.integers(0, 57, size=400)):
+        serving[::50] = 3
+        p[::50, 3] = -60.0
+        p[::97] = -np.inf  # only the serving sector reaches these stations
+        p[::97, serving[::97]] = -70.0
+        for noise in (-95.0, -np.inf):
+            with np.errstate(divide="ignore"):
+                got = geometry_metric(p, serving, noise)
+                assert np.array_equal(got, _onehot_geometry_metric(p, serving, noise))
+                for i in range(0, 400, 13):  # the 1-D scalar path
+                    one = geometry_metric(p[i], int(serving[i]), noise)
+                    assert isinstance(one, float)
+                    assert one == _onehot_geometry_metric(p[i], int(serving[i]), noise)
+
+
 def test_empirical_cdf_counting():
     cdf = empirical_cdf([3.0, 1.0, 2.0])
     assert cdf.n == 3
