@@ -8,7 +8,9 @@ order.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -82,9 +84,16 @@ class ScenarioConfig:
                             ("deployment.ms_height_m", dep.ms_height_m)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("isd_m", "bs_height_m", "ms_height_m"):
+            if getattr(dep, name) > _LENGTH_LIMIT_M:
+                raise ConfigError(f"deployment.{name} must be at most "
+                                  f"{_LENGTH_LIMIT_M:g} m, got {getattr(dep, name)}")
         if self.power_scheme not in ("scaled", "constant"):
             raise ConfigError(
                 f"power_scheme must be 'scaled' or 'constant', got {self.power_scheme!r}")
+        # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
+        linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
+                                    self.tx_power_dbm)
         if self.environment not in ("outdoor", "indoor"):
             raise ConfigError(
                 f"environment must be 'outdoor' or 'indoor', got {self.environment!r}")
@@ -158,19 +167,30 @@ class ScenarioConfig:
 _DB_LIMIT = 1000.0
 
 
+# Bound on the layout lengths, far beyond any cell layout and far inside the
+# range where the sampler's squared lengths overflow (near 1.3e154 m).
+_LENGTH_LIMIT_M = 1.0e6
+
+
 def _is_real(value) -> bool:
-    """A float, or an int (not bool) in float range so math.isfinite takes it."""
-    return isinstance(value, float) or (
+    """A finite float, or an int (not bool) in float range."""
+    return (isinstance(value, float) and math.isfinite(value)) or (
         isinstance(value, int) and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max)
 
 
-# int/float/bool field checks by annotation string; a bool passes only as bool
+# field checks by annotation string; a bool passes only as bool, and every
+# number, also inside the loss pairs and the oxygen table, is finite
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_real, "a number"),
-    "float | None": (lambda v: v is None or _is_real(v), "a number or null"),
+    "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[float, float]": (lambda v: isinstance(v, tuple) and len(v) == 2
+                            and all(map(_is_real, v)), "a pair of finite numbers"),
+    "dict[float, float]": (lambda v: isinstance(v, dict)
+                           and all(map(_is_real, [*v, *v.values()])),
+                           "a mapping of finite numbers"),
 }
 
 
@@ -330,9 +350,30 @@ def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
             "l_oa": l_oa, "g_tx": g_tx, "coupling_loss": cl.reshape(len(d2d), -1)}
 
 
+# Cap on the stations `_simulate_drop` evaluates at once.  Its largest
+# temporaries are (block, 19, 3) and (block, 57) float64 arrays, 0.26 MB each
+# at 570 stations, so a block's working set stays within a 2 MB L2 cache
+# where a whole dense drop's (5,700 stations, 2.6 MB each) does not.  Chosen
+# by measurement (CHANGES.md); 570 stations, the default density, stay whole.
+_BLOCK_STATIONS = 600
+
+
 def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
                    threshold_db: float, params: PropagationParams,
                    drop_index: int, collect_links: bool) -> dict:
+    """Serving CL, GM and noise-limited flag of every station of one drop,
+    plus, with ``collect_links``, its ``links.csv`` columns as a list of
+    per-block dicts.
+
+    The stations, LoS uniforms and shadow terms are drawn for the whole
+    drop, each on its own substream.  The link budget, the finite-CL check,
+    association and GM then run on ``ceil(count / _BLOCK_STATIONS)``
+    near-equal contiguous blocks of stations, and the results are joined
+    in station order.  Each of those steps is elementwise per station-site
+    pair or reduces over one station's own row (the argmax of association,
+    the interference sum of GM), so every station gets the same bits in a
+    block as in a whole-drop call; blocking only bounds the working set.
+    """
     depcfg = config.deployment
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(
@@ -343,38 +384,83 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
         floor_count_max=depcfg.floor_count_max)
     shape = (count, dep.n_sites)
     los_u = _stream(config.seed, drop_index, 1).uniform(size=shape)
-    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params)
-    budget = link_budget(config, params, dep, drop, los_u, draws)
+    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params,
+                                     o2i=config.environment == "indoor")
 
-    cl = budget["coupling_loss"]
-    if not np.isfinite(cl).all():
-        ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
-        raise RuntimeError(
-            f"non-finite coupling loss (drop {drop_index}, ms {ms_i}, sector {sec_i})")
-    p_rx = alloc.p_tx_dbm + cl
-    serving, serving_cl, noise_limited = linkbudget.associate(cl, threshold_db)
-    out = {
-        "serving_cl": serving_cl,
-        "gm": metrics.geometry_metric(p_rx, serving, noise_total_dbm),
-        "noise_limited": noise_limited,
-    }
+    parts = {"serving_cl": [], "gm": [], "noise_limited": []}
+    links = []
+    n_blocks = -(-count // _BLOCK_STATIONS)
+    edges = [count * k // n_blocks for k in range(n_blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(lo, hi)  # basic slices: views, no copies
+        block_draws = replace(draws, **{name: value[rows] for name, value
+                                        in vars(draws).items() if np.ndim(value)})
+        budget = link_budget(config, params, dep,
+                             deployment_mod.MobileDrop(*(a[rows] for a in drop)),
+                             los_u[rows], block_draws)
+        cl = budget["coupling_loss"]
+        if not np.isfinite(cl).all():
+            ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
+            raise RuntimeError(f"non-finite coupling loss "
+                               f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
+        p_rx = alloc.p_tx_dbm + cl
+        serving, serving_cl, noise_limited = linkbudget.associate(cl, threshold_db)
+        parts["serving_cl"].append(serving_cl)
+        parts["gm"].append(metrics.geometry_metric(p_rx, serving, noise_total_dbm))
+        parts["noise_limited"].append(noise_limited)
+        if collect_links:
+            n_ms, n_sec = cl.shape
+
+            def rep(a):  # expand per-site columns to the 3 sectors of each site
+                return np.repeat(a, 3, axis=1).reshape(-1)
+
+            links.append({
+                "ms_id": np.repeat(drop_index * count + np.arange(lo, hi), n_sec),
+                "sector_id": np.tile(np.arange(n_sec), n_ms),
+                **{key: rep(budget[key]) for key in ("d_2d", "d_3d", "pl", "l_o2i", "l_oa")},
+                "is_los": rep(budget["is_los"]).astype(int),
+                "g_tx": budget["g_tx"].reshape(-1),
+                "g_sm": np.full(n_ms * n_sec, config.g_sm_db),
+                "coupling_loss": cl.reshape(-1),
+                "p_rx": p_rx.reshape(-1),
+            })
+    out = {key: np.concatenate(blocks) for key, blocks in parts.items()}
     if collect_links:
-        n_sec = cl.shape[1]
-
-        def rep(a):  # expand per-site columns to the 3 sectors of each site
-            return np.repeat(a, 3, axis=1).reshape(-1)
-
-        out["links"] = {
-            "ms_id": np.repeat(drop_index * count + np.arange(count), n_sec),
-            "sector_id": np.tile(np.arange(n_sec), count),
-            **{key: rep(budget[key]) for key in ("d_2d", "d_3d", "pl", "l_o2i", "l_oa")},
-            "is_los": rep(budget["is_los"]).astype(int),
-            "g_tx": budget["g_tx"].reshape(-1),
-            "g_sm": np.full(count * n_sec, config.g_sm_db),
-            "coupling_loss": cl.reshape(-1),
-            "p_rx": p_rx.reshape(-1),
-        }
+        out["links"] = links
     return out
+
+
+# glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process
+# keeps: every array of a block ((600, 57) float64 is 0.27 MB) and the
+# per-drop draws up to 6,900 stations ((n, 19) float64).  Larger ones, such
+# as the links.csv columns of long runs, are mapped and unmapped as before.
+# 64 MB is the highest trim threshold glibc's own dynamic rule sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 1 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@functools.cache
+def _pin_heap_thresholds() -> None:
+    """Keep the process heap across drops instead of trimming it.
+
+    glibc raises its mmap threshold to the largest block it has unmapped
+    so far and sets its trim threshold to twice that.  Under that rule,
+    whether the heap top freed at the end of a drop goes back to the OS,
+    and is faulted in again by the next drop, flips from call to call with
+    the heap's layout: repeats of one 3-drop run of 5,700-station drops
+    took about 0 or about 5,600 minor faults each.  Pinned thresholds make
+    every call keep its heap (0 to 100 faults).  A no-op where the C
+    library has no ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1,
@@ -385,6 +471,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
     bit-identical results.
     """
     config.validate()
+    _pin_heap_thresholds()
     t0 = time.perf_counter()
     dep = deployment_mod.generate_layout(config.deployment.isd_m,
                                          config.deployment.bs_height_m)
@@ -416,10 +503,9 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
     noise_limited = np.concatenate([r["noise_limited"] for r in per_drop])
     links = None
     if collect_links:
-        links = {
-            key: np.concatenate([r["links"][key] for r in per_drop])
-            for key in linkbudget.LINK_CSV_COLUMNS
-        }
+        blocks = [block for r in per_drop for block in r["links"]]
+        links = {key: np.concatenate([block[key] for block in blocks])
+                 for key in linkbudget.LINK_CSV_COLUMNS}
     frac_nl = float(noise_limited.mean())
     return RunResult(
         config=config,

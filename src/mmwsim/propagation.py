@@ -72,11 +72,21 @@ class ShadowDraws:
 
 
 def draw_shadows(rng: np.random.Generator, shape,
-                 params: PropagationParams = DEFAULT_PARAMS) -> ShadowDraws:
-    """Draw one full set of shadow terms; the draw order is fixed."""
+                 params: PropagationParams = DEFAULT_PARAMS,
+                 o2i: bool = True) -> ShadowDraws:
+    """Draw one set of shadow terms; the draw order is fixed.
+
+    The two O2I terms come last, so ``o2i=False`` (outdoor stations, which
+    have no O2I loss) skips them, leaves them 0.0 and draws the LoS and
+    NLoS terms bit for bit as a full draw does.
+    """
+    x_los_db = rng.normal(0.0, params.sigma_los_db, shape)
+    x_nlos_db = rng.normal(0.0, params.sigma_nlos_db, shape)
+    if not o2i:
+        return ShadowDraws(x_los_db=x_los_db, x_nlos_db=x_nlos_db)
     return ShadowDraws(
-        x_los_db=rng.normal(0.0, params.sigma_los_db, shape),
-        x_nlos_db=rng.normal(0.0, params.sigma_nlos_db, shape),
+        x_los_db=x_los_db,
+        x_nlos_db=x_nlos_db,
         x_o2i_low_db=rng.normal(0.0, params.sigma_o2i_low_db, shape),
         x_o2i_high_db=rng.normal(0.0, params.sigma_o2i_high_db, shape),
     )

@@ -88,12 +88,22 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(deployment=dict(min_distance_m=115.0)), "deployment.min_distance_m"),
     (dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
           antenna=dict(g_max_dbi=1000.0)), "geometry metric"),
+    # non-finite model constants ran to a traceback after writing the CDF files
+    (dict(n_drops=1, antenna=dict(hpbw_h_deg=float("inf"))), "antenna.hpbw_h_deg"),
+    (dict(n_drops=1, propagation=dict(concrete_loss_db=[float("nan"), 0.2])),
+     "propagation.concrete_loss_db"),
+    (dict(n_drops=1, propagation=dict(oxygen_delta_db_per_km={60.0: float("inf")})),
+     "propagation.oxygen_delta_db_per_km"),
+    (dict(n_drops=1, propagation=dict(sigma_los_db=float("nan"))), "propagation.sigma_los_db"),
+    (dict(deployment=dict(isd_m=1e300)), "deployment.isd_m"),
+    (dict(f_c_ghz=300.0), "bandwidth_hz"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
         "noise_figure_1e308", "glass_loss_scalar", "oxygen_list", "malformed_yaml",
         "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
-        "min_distance_near_infeasible", "received_power_overflow"])
+        "min_distance_near_infeasible", "received_power_overflow", "hpbw_inf",
+        "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"

@@ -1,5 +1,10 @@
 import importlib
 import json
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +14,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 import mmwsim
+import mmwsim.engine as engine
 from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
@@ -61,10 +67,35 @@ def test_validation_messages():
         (dict(g_sm_db=1.0e4), "g_sm_db"),
         (dict(ms_gain_dbi=float("nan")), "ms_gain_dbi"),
         (dict(antenna=AntennaPattern(g_max_dbi=1.0e300)), "antenna.g_max_dbi"),
+        # every number is finite, the loss pairs and oxygen table included
+        (dict(propagation=PropagationParams(sigma_nlos_db=float("nan"))),
+         "propagation.sigma_nlos_db"),
+        (dict(antenna=AntennaPattern(downtilt_deg=float("inf"))), "antenna.downtilt_deg"),
+        (dict(propagation=PropagationParams(glass_loss_db=(2.0, float("inf")))),
+         "propagation.glass_loss_db"),
+        (dict(propagation=PropagationParams(irr_glass_loss_db=[23.0, 0.3])),
+         "propagation.irr_glass_loss_db"),
+        (dict(propagation=PropagationParams(oxygen_delta_db_per_km={float("nan"): 1.0})),
+         "propagation.oxygen_delta_db_per_km"),
+        (dict(deployment=DeploymentParams(indoor_depth_max_m=float("inf"))),
+         "deployment.indoor_depth_max_m"),
+        # layout lengths stay within 1,000 km
+        (dict(deployment=DeploymentParams(isd_m=1.0e7, min_distance_m=0.0)), "deployment.isd_m"),
+        (dict(deployment=DeploymentParams(bs_height_m=2.0e6)), "deployment.bs_height_m"),
+        # a carrier off the table needs its bandwidth and, scaled, its power
+        (dict(f_c_ghz=73.0), "bandwidth_hz"),
+        (dict(f_c_ghz=73.0, bandwidth_hz=2e9), "tx_power_dbm"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
             small(**kw).validate()
+
+
+def test_validate_accepts_the_length_bound_and_carriers_off_the_table():
+    small(deployment=DeploymentParams(isd_m=1.0e6, bs_height_m=1.0e6)).validate()
+    small(deployment=DeploymentParams(ms_height_m=1.0e6)).validate()
+    small(f_c_ghz=73.0, bandwidth_hz=2e9, tx_power_dbm=50.0).validate()
+    small(f_c_ghz=73.0, bandwidth_hz=2e9, power_scheme="constant").validate()
 
 
 def test_validate_accepts_links_of_1m_and_more():
@@ -444,3 +475,136 @@ def test_sweep_requires_nonempty_lists():
 def test_run_rejects_invalid_config():
     with pytest.raises(ConfigError, match="n_drops"):
         run_scenario(small(n_drops=0))
+
+
+def _drops_by_cap(monkeypatch, cap, cfg, workers):
+    """Per-drop outputs of ``_simulate_drop`` in station order, and the run,
+    with blocks of at most ``cap`` stations."""
+    monkeypatch.setattr(engine, "_BLOCK_STATIONS", cap)
+    real, per_drop = engine._simulate_drop, {}
+
+    def recording(*args):
+        out = real(*args)
+        per_drop[args[6]] = out  # args[6] is the drop index
+        return out
+
+    monkeypatch.setattr(engine, "_simulate_drop", recording)
+    result = run_scenario(cfg, workers=workers, collect_links=True)
+    monkeypatch.setattr(engine, "_simulate_drop", real)
+    return per_drop, result
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_station_blocks_give_the_bits_of_whole_drops(monkeypatch, environment, workers):
+    # 171 stations per drop: a cap of 7 cuts each drop into 25 blocks of 6
+    # or 7 stations, a cap of 1,000 leaves it whole
+    cfg = small(f_c_ghz=60.0, environment=environment, n_drops=3, ms_per_sector=3)
+    whole, whole_run = _drops_by_cap(monkeypatch, 1000, cfg, workers)
+    blocked, blocked_run = _drops_by_cap(monkeypatch, 7, cfg, workers)
+    assert sorted(whole) == sorted(blocked) == [0, 1, 2]
+    for d in whole:
+        for key in ("serving_cl", "gm", "noise_limited"):
+            a, b = whole[d][key], blocked[d][key]
+            assert a.dtype == b.dtype and a.shape == (171,) and np.array_equal(a, b), key
+        assert len(whole[d]["links"]) == 1 and len(blocked[d]["links"]) == 25
+    for key in LINK_CSV_COLUMNS:
+        a, b = whole_run.links[key], blocked_run.links[key]
+        assert a.dtype == b.dtype and np.array_equal(a, b), key
+    assert np.array_equal(whole_run.links["ms_id"], np.repeat(np.arange(3 * 171), 57))
+    for series in ("cl_cdf", "gm_cdf"):
+        assert np.array_equal(getattr(whole_run, series).samples,
+                              getattr(blocked_run, series).samples)
+    assert whole_run.regime_fractions == blocked_run.regime_fractions
+
+
+def test_block_sizes_are_near_equal_and_cover_the_drop(monkeypatch):
+    sizes = []
+    real = engine.link_budget
+
+    def recording(config, params, dep, drop, los_u, draws):
+        sizes.append(len(drop.xy))
+        assert los_u.shape == draws.x_los_db.shape == (len(drop.xy), 19)
+        return real(config, params, dep, drop, los_u, draws)
+
+    monkeypatch.setattr(engine, "link_budget", recording)
+    cap = engine._BLOCK_STATIONS
+    for c, mps, want in ((7, 1, [6, 6, 7, 6, 6, 7, 6, 6, 7]), (57, 1, [57]),
+                         (1024, 100, [950] * 6),
+                         (cap, 10, [570])):  # the default density stays one block
+        monkeypatch.setattr(engine, "_BLOCK_STATIONS", c)
+        sizes.clear()
+        run_scenario(small(environment="indoor", n_drops=1, ms_per_sector=mps))
+        assert sizes == want, c
+    # the benchmark's dense drop: near-equal blocks under the module's cap
+    sizes.clear()
+    run_scenario(small(environment="indoor", n_drops=1, ms_per_sector=100))
+    assert sum(sizes) == 5700 and max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+
+def test_nonfinite_link_past_the_first_block_names_its_station(monkeypatch):
+    import mmwsim.propagation as prop
+
+    real = prop.draw_shadows
+
+    def poisoned(rng, shape, params=prop.DEFAULT_PARAMS, o2i=True):
+        draws = real(rng, shape, params, o2i)
+        draws.x_los_db[100, 5] = draws.x_nlos_db[100, 5] = np.nan
+        return draws
+
+    monkeypatch.setattr(prop, "draw_shadows", poisoned)
+    for cap in (7, 1000):  # station 100 lies in block 14 of 25, or in the only one
+        monkeypatch.setattr(engine, "_BLOCK_STATIONS", cap)
+        with pytest.raises(RuntimeError, match=r"drop 0, ms 100, sector 15\)"):
+            run_scenario(small(n_drops=1, ms_per_sector=3))
+
+
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_o2i_shadows_are_drawn_indoors_only(monkeypatch, environment):
+    import mmwsim.propagation as prop
+
+    real, seen = prop.draw_shadows, []
+
+    def recording(rng, shape, params=prop.DEFAULT_PARAMS, o2i=True):
+        seen.append(o2i)
+        return real(rng, shape, params, o2i)
+
+    monkeypatch.setattr(prop, "draw_shadows", recording)
+    run_scenario(small(environment=environment, n_drops=2))
+    assert seen == [environment == "indoor"] * 2
+
+
+def test_dense_drop_working_set_stays_bounded():
+    # one indoor 60 GHz drop of 5,700 stations: evaluated whole, its
+    # (5,700, 19, 3) and (5,700, 57) temporaries peaked at 24.7 MB
+    cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=1, ms_per_sector=100)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+
+
+_FAULTS_PER_RUN = """
+import resource, sys
+from mmwsim import ScenarioConfig, run_scenario
+cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=1, ms_per_sector=100)
+for _ in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc")
+def test_repeated_runs_keep_their_heap():
+    # a fresh process, so no earlier run has pinned the heap; under glibc's
+    # dynamic thresholds every repeat of this 5,700-station drop took about
+    # 1,800 minor faults, the heap freed by one run faulted in by the next
+    src = str(Path(mmwsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_RUN], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    faults = [int(line) for line in out.stdout.split()]
+    assert np.median(faults[2:]) < 100, faults

@@ -168,6 +168,15 @@ def test_shadow_draw_statistics():
         assert abs(arr.std() - sigma) / sigma < 0.01
 
 
+def test_outdoor_shadow_draw_skips_only_the_o2i_terms():
+    params = PropagationParams()
+    full = draw_shadows(np.random.default_rng(7), (570, 19), params)
+    outdoor = draw_shadows(np.random.default_rng(7), (570, 19), params, o2i=False)
+    assert np.array_equal(outdoor.x_los_db, full.x_los_db)
+    assert np.array_equal(outdoor.x_nlos_db, full.x_nlos_db)
+    assert outdoor.x_o2i_low_db == 0.0 and outdoor.x_o2i_high_db == 0.0
+
+
 DEP = generate_layout(200.0)
 
 
