@@ -20,6 +20,16 @@ def _parse_names(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwsim",
@@ -31,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-c", "--config", required=True, help="scenario YAML file")
     common.add_argument("-o", "--output", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_positive_int, default=1,
                         help="worker threads over drops (results are identical "
                              "for any count)")
 

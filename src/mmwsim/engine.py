@@ -8,11 +8,13 @@ order.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,12 +105,16 @@ class ScenarioConfig:
             raise ConfigError(f"ms_per_sector must be >= 1, got {self.ms_per_sector}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, value in (("noise_figure_db", self.noise_figure_db),
-                            ("g_sm_db", self.g_sm_db), ("ms_gain_dbi", self.ms_gain_dbi),
-                            ("tx_power_dbm", self.tx_power_dbm),
-                            ("antenna.g_max_dbi", self.antenna.g_max_dbi)):
-            if value is not None and not abs(value) <= _DB_LIMIT:
-                raise ConfigError(f"{name} must lie within +-{_DB_LIMIT:g} dB, got {value}")
+        for name, (low, high, open_low) in _RANGES.items():
+            value = self
+            for attr in name.split("."):
+                value = getattr(value, attr)
+            numbers = (value.values() if isinstance(value, dict)
+                       else value if isinstance(value, tuple) else (value,))
+            if not all(v is None or (low < v if open_low else low <= v) and v <= high
+                       for v in numbers):
+                raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
+                                  f"{low:g}, {high:g}], got {value!r}")
         for name in ("min_distance_m", "indoor_depth_max_m"):
             value = getattr(dep, name)
             if not (math.isfinite(value) and value >= 0):
@@ -165,6 +171,30 @@ class ScenarioConfig:
 # Bound on the dB settings that reach 10 ** (x / 10): far inside the float
 # range (overflow near 3,080 dB), far outside any physical setting.
 _DB_LIMIT = 1000.0
+
+# (low, high, low bound open) of every number in each bounded setting and
+# model constant, checked by validate so that an absurd magnitude is refused
+# before the run: dB values within +-_DB_LIMIT (spreads and attenuation
+# ceilings from 0), path-loss exponents and the ABG frequency slope up to 10
+# (ci_ple_coeff is 10 times its exponent), beamwidths within the circle and
+# the downtilt a zenith angle.  None leaves tx_power_dbm to the carrier table.
+_RANGES = {
+    **dict.fromkeys(("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm",
+                     "antenna.g_max_dbi", "propagation.abg_beta_db",
+                     "propagation.glass_loss_db", "propagation.irr_glass_loss_db",
+                     "propagation.concrete_loss_db",
+                     "propagation.indoor_loss_rate_db_per_m",
+                     "propagation.oxygen_delta_db_per_km"), (-_DB_LIMIT, _DB_LIMIT, False)),
+    **dict.fromkeys(("propagation.sigma_los_db", "propagation.sigma_nlos_db",
+                     "propagation.sigma_o2i_low_db", "propagation.sigma_o2i_high_db",
+                     "antenna.sla_v_db", "antenna.front_back_db"), (0.0, _DB_LIMIT, False)),
+    "propagation.ci_ple_coeff": (0.0, 100.0, False),
+    "propagation.abg_alpha": (0.0, 10.0, True),
+    "propagation.abg_gamma": (0.0, 10.0, True),
+    "antenna.hpbw_v_deg": (0.0, 360.0, True),
+    "antenna.hpbw_h_deg": (0.0, 360.0, True),
+    "antenna.downtilt_deg": (0.0, 180.0, False),
+}
 
 
 # Bound on the layout lengths, far beyond any cell layout and far inside the
@@ -552,29 +582,100 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
 _WRITE_BLOCK_ROWS = 4096
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file opened under a temporary name beside ``path`` and moved
+    onto ``path`` once written whole; on any error the temporary file is
+    removed and ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _run_groups(block) -> list:
+    """Adjacent columns of one block joined while their runs stay long.
+
+    Returns ``(columns, changed)`` per field of the block's row: ``changed``
+    is ``None`` for a column formatted row by row, else a bool per row, true
+    at row 0 and where any of the group's columns differs from the row
+    above.  Rows are compared by bit pattern, so ``0.0`` and ``-0.0`` differ
+    and a NaN matches the same NaN.
+    """
+    n_rows = len(block[0])
+    fields, cols, changed = [], [], None
+    for j, col in enumerate(block):
+        bits = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        diff = np.empty(n_rows, bool)
+        diff[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=diff[1:])
+        # a group pays one format per run head and one %s per row
+        if 2 * np.count_nonzero(diff) > n_rows:
+            diff = None
+        elif cols and 2 * np.count_nonzero(diff | changed) <= n_rows:
+            cols.append(j)
+            changed |= diff
+            continue
+        if cols:
+            fields.append((cols, changed))
+            cols = []
+        if diff is None:
+            fields.append(([j], None))
+        else:
+            cols, changed = [j], diff
+    if cols:
+        fields.append((cols, changed))
+    return fields
+
+
 def _write_table(path: Path, header, columns):
     """Write equal-length 1-D ``columns`` as CSV rows under a ``header`` line.
 
     Integer and bool columns print as ``%d`` and float columns as ``%.10g``.
     The rows go out a block at a time: the block's values are interleaved
     by row from ``ndarray.tolist()`` and formatted by one ``%`` call on the
-    row format repeated once per row.  The bytes equal those of formatting
-    each value alone with ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and
-    ``format`` share CPython's float-to-text conversion (``nan``, ``inf``
-    and ``-0`` included), and ``%d`` of a Python int or bool is its
-    decimal digits.
+    row format repeated once per row.  Within a block, adjacent columns
+    whose values repeat down the rows are joined into a group while the
+    group's rows change on at most half the block's rows (``_run_groups``).
+    A group's text is formatted once per run, from the run's first row
+    with the group's own ``%.10g``/``%d`` fields, split on newlines,
+    repeated over the run's rows and put into the row as one ``%s`` field.
+    Runs are found by bit pattern, so only rows that format alike share a
+    text, and each value is still formatted by its column's own field from
+    the same Python float or int; a formatted number holds no newline.
+    The bytes therefore equal those of formatting each value alone with
+    ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format`` share
+    CPython's float-to-text conversion (``nan``, ``inf`` and ``-0``
+    included), and ``%d`` of a Python int or bool is its decimal digits.
+    The file is written under a temporary name and moved into place whole.
     """
-    n_cols = len(columns)
-    row_fmt = ",".join("%.10g" if col.dtype.kind == "f" else "%d"
-                       for col in columns) + "\n"
-    with open(path, "w") as fh:
+    fmts = ["%.10g" if col.dtype.kind == "f" else "%d" for col in columns]
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [col[start:start + _WRITE_BLOCK_ROWS].tolist() for col in columns]
-            values = [None] * (len(block[0]) * n_cols)
-            for j, vals in enumerate(block):
-                values[j::n_cols] = vals
-            fh.write(row_fmt * len(block[0]) % tuple(values))
+            block = [col[start:start + _WRITE_BLOCK_ROWS] for col in columns]
+            n_rows = len(block[0])
+            fields = _run_groups(block)
+            n_fields = len(fields)
+            values = [None] * (n_rows * n_fields)
+            for k, (cols, changed) in enumerate(fields):
+                if changed is None:
+                    values[k::n_fields] = block[cols[0]].tolist()
+                    continue
+                heads = np.flatnonzero(changed)
+                head_vals = [None] * (len(heads) * len(cols))
+                for i, j in enumerate(cols):
+                    head_vals[i::len(cols)] = block[j][heads].tolist()
+                group_fmt = ",".join(fmts[j] for j in cols) + "\n"
+                texts = (group_fmt * len(heads) % tuple(head_vals)).split("\n")
+                values[k::n_fields] = [texts[i] for i in (np.cumsum(changed) - 1).tolist()]
+            row_fmt = ",".join(fmts[cols[0]] if changed is None else "%s"
+                               for cols, changed in fields) + "\n"
+            fh.write(row_fmt * n_rows % tuple(values))
 
 
 def save_results(result: RunResult, outdir) -> list[Path]:
@@ -606,8 +707,9 @@ def save_results(result: RunResult, outdir) -> list[Path]:
         "regime_fractions": result.regime_fractions,
     }
     path = outdir / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _replacing(path) as fh:
+        fh.write(text)
     written.append(path)
 
     if result.links is not None:

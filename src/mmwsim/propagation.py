@@ -78,17 +78,27 @@ def draw_shadows(rng: np.random.Generator, shape,
 
     The two O2I terms come last, so ``o2i=False`` (outdoor stations, which
     have no O2I loss) skips them, leaves them 0.0 and draws the LoS and
-    NLoS terms bit for bit as a full draw does.
+    NLoS terms bit for bit as a full draw does.  Each term is a standard
+    normal draw scaled in place: numpy's ``normal(0.0, sigma)`` computes
+    ``0.0 + sigma * z`` from the same draws, so the bits (``+0.0`` at
+    ``sigma == 0`` included) and the stream position are those of
+    ``rng.normal(0.0, sigma, shape)``.
     """
-    x_los_db = rng.normal(0.0, params.sigma_los_db, shape)
-    x_nlos_db = rng.normal(0.0, params.sigma_nlos_db, shape)
+    def normal(sigma):
+        z = rng.standard_normal(shape)
+        z *= sigma
+        z += 0.0
+        return z
+
+    x_los_db = normal(params.sigma_los_db)
+    x_nlos_db = normal(params.sigma_nlos_db)
     if not o2i:
         return ShadowDraws(x_los_db=x_los_db, x_nlos_db=x_nlos_db)
     return ShadowDraws(
         x_los_db=x_los_db,
         x_nlos_db=x_nlos_db,
-        x_o2i_low_db=rng.normal(0.0, params.sigma_o2i_low_db, shape),
-        x_o2i_high_db=rng.normal(0.0, params.sigma_o2i_high_db, shape),
+        x_o2i_low_db=normal(params.sigma_o2i_low_db),
+        x_o2i_high_db=normal(params.sigma_o2i_high_db),
     )
 
 

@@ -97,13 +97,16 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(n_drops=1, propagation=dict(sigma_los_db=float("nan"))), "propagation.sigma_los_db"),
     (dict(deployment=dict(isd_m=1e300)), "deployment.isd_m"),
     (dict(f_c_ghz=300.0), "bandwidth_hz"),
+    # a model constant in float range that overflowed the linear powers late
+    (dict(propagation=dict(abg_beta_db=-1.0e300)), "propagation.abg_beta_db"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
         "noise_figure_1e308", "glass_loss_scalar", "oxygen_list", "malformed_yaml",
         "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
         "min_distance_near_infeasible", "received_power_overflow", "hpbw_inf",
-        "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table"])
+        "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table",
+        "abg_beta_1e300"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"
@@ -115,6 +118,17 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_1_exit_2(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 

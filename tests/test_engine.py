@@ -85,6 +85,28 @@ def test_validation_messages():
         # a carrier off the table needs its bandwidth and, scaled, its power
         (dict(f_c_ghz=73.0), "bandwidth_hz"),
         (dict(f_c_ghz=73.0, bandwidth_hz=2e9), "tx_power_dbm"),
+        # each propagation and antenna constant lies in its physical range
+        (dict(propagation=PropagationParams(abg_beta_db=-1.0e300)), "propagation.abg_beta_db"),
+        (dict(propagation=PropagationParams(abg_alpha=1.0e300)), "propagation.abg_alpha"),
+        (dict(propagation=PropagationParams(abg_gamma=10.5)), "propagation.abg_gamma"),
+        (dict(propagation=PropagationParams(ci_ple_coeff=-5.0)), "propagation.ci_ple_coeff"),
+        (dict(propagation=PropagationParams(ci_ple_coeff=100.5)), "propagation.ci_ple_coeff"),
+        (dict(propagation=PropagationParams(sigma_nlos_db=1000.5)),
+         "propagation.sigma_nlos_db"),
+        (dict(propagation=PropagationParams(sigma_o2i_high_db=1.0e4)),
+         "propagation.sigma_o2i_high_db"),
+        (dict(propagation=PropagationParams(concrete_loss_db=(5.0, -1.0e4))),
+         "propagation.concrete_loss_db"),
+        (dict(propagation=PropagationParams(indoor_loss_rate_db_per_m=1.0e6)),
+         "propagation.indoor_loss_rate_db_per_m"),
+        (dict(propagation=PropagationParams(oxygen_delta_db_per_km={60.0: -1.0e4})),
+         "propagation.oxygen_delta_db_per_km"),
+        (dict(antenna=AntennaPattern(hpbw_v_deg=360.5)), "antenna.hpbw_v_deg"),
+        (dict(antenna=AntennaPattern(hpbw_h_deg=1.0e300)), "antenna.hpbw_h_deg"),
+        (dict(antenna=AntennaPattern(downtilt_deg=-10.0)), "antenna.downtilt_deg"),
+        (dict(antenna=AntennaPattern(downtilt_deg=270.0)), "antenna.downtilt_deg"),
+        (dict(antenna=AntennaPattern(sla_v_db=1.0e300)), "antenna.sla_v_db"),
+        (dict(antenna=AntennaPattern(front_back_db=1000.5)), "antenna.front_back_db"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -305,6 +327,89 @@ def test_write_table_matches_per_value_rule(tmp_path, n_rows):
     assert path.read_bytes() == reference_csv(header, columns)
 
 
+def test_write_table_formats_runs_like_single_values(tmp_path):
+    # 2.5 blocks of rows in runs of every length from 1 to 9, runs that
+    # cross the block edges, signed zeros, NaN, infinities and strides
+    n = 2 * _WRITE_BLOCK_ROWS + _WRITE_BLOCK_ROWS // 2
+    rng = np.random.default_rng(8)
+    run_of_row = np.repeat(np.arange(n), rng.integers(1, 10, n))[:n]
+    assert np.diff(run_of_row)[_WRITE_BLOCK_ROWS - 1] == 0  # a run crosses the edge
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5, 1 / 3])
+    site = specials[rng.integers(0, len(specials), n)][run_of_row]
+    site[:6] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]  # adjacent zeros of both signs
+    other = rng.normal(size=n)[run_of_row]
+    other[_WRITE_BLOCK_ROWS + 10:_WRITE_BLOCK_ROWS + 30] = np.nan  # a run of NaN
+    other[_WRITE_BLOCK_ROWS + 30:_WRITE_BLOCK_ROWS + 40] = -np.inf
+    wide = np.repeat(rng.normal(size=n), 2)  # strided, with runs of 1 every other row
+    # the last three join one group in which each changes where the others do not
+    columns = [np.repeat(np.arange(n // 57 + 1), 57)[:n], np.arange(n) % 57, site,
+               other, (run_of_row % 2).astype(bool), run_of_row % 3 - 1, wide[::2],
+               rng.normal(size=n), np.full(n, -7.25), run_of_row // 3,
+               (np.arange(n) // 7) * 0.5]
+    assert not columns[6].flags.c_contiguous
+    header = tuple("abcdefghijk")
+    for rows in (0, 1, 2, 3, n):
+        path = tmp_path / f"t{rows}.csv"
+        cols = [c[:rows] for c in columns]
+        _write_table(path, header, cols)
+        assert path.read_bytes() == reference_csv(header, cols), rows
+    # the block's columns form the groups the test means to exercise
+    fields = engine._run_groups([c[:_WRITE_BLOCK_ROWS] for c in columns])
+    assert [cols for cols, changed in fields] == [[0], [1], [2, 3, 4, 5], [6], [7],
+                                                  [8, 9, 10]]
+    assert [changed is None for cols, changed in fields] == [False, True, False, True,
+                                                             True, False]
+
+
+def test_write_table_replaces_files_whole(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    # formatting fails in the second block: %d of None
+    bad = np.arange(_WRITE_BLOCK_ROWS + 5, dtype=object)
+    bad[_WRITE_BLOCK_ROWS + 2] = None
+    with pytest.raises(TypeError):
+        _write_table(path, ("a", "b"), [np.zeros(len(bad)), bad])
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+    new = tmp_path / "new.csv"
+    with pytest.raises(TypeError):
+        _write_table(new, ("a", "b"), [np.zeros(len(bad)), bad])
+    assert os.listdir(tmp_path) == ["t.csv"]
+    _write_table(path, ("a",), [np.arange(3)])
+    assert path.read_text() == "a\n0\n1\n2\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path):
+    res = run_scenario(small(n_drops=1), collect_links=True)
+    res.links["ms_id"] = res.links["ms_id"].astype(object)
+    res.links["ms_id"][_WRITE_BLOCK_ROWS + 1] = None
+    with pytest.raises(TypeError):
+        save_results(res, tmp_path)
+    # the files before links.csv are complete, links.csv is absent
+    assert sorted(os.listdir(tmp_path)) == ["cl_cdf.csv", "gm_cdf.csv", "summary.json"]
+    assert json.loads((tmp_path / "summary.json").read_text())["n_samples"] == 570
+
+
+def test_links_write_memory_stays_per_block(tmp_path):
+    # 2 drops, 64,980 rows: the whole table's text is 6.8 MB
+    res = run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=2),
+                       collect_links=True)
+    columns = [res.links[c] for c in LINK_CSV_COLUMNS]
+    assert len(columns[0]) == 64_980
+    tracemalloc.start()
+    try:
+        _write_table(tmp_path / "links.csv", LINK_CSV_COLUMNS, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "links.csv").stat().st_size
+    assert size > 6e6
+    # one block of 4,096 rows is 0.43 MB of text; with its row format,
+    # Python values and run texts the writer peaks at 1.6 MB
+    assert peak < 2.5e6, peak
+
+
 def test_infeasible_min_distance_raises():
     # min_distance_m above the 115.5 m circumradius at ISD 200 m admits no
     # point: validation rejects it, and the sampler's round budget stops a
@@ -334,6 +439,21 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch):
 def test_validate_accepts_db_settings_up_to_the_bound():
     small(tx_power_dbm=1000.0, noise_figure_db=-1000.0, g_sm_db=1000.0,
           ms_gain_dbi=-1000.0, antenna=AntennaPattern(g_max_dbi=1000.0)).validate()
+
+
+def test_validate_accepts_model_constants_up_to_their_bounds():
+    for prop in (PropagationParams(abg_beta_db=-1000.0, abg_alpha=10.0, abg_gamma=10.0,
+                                   ci_ple_coeff=0.0, sigma_los_db=0.0,
+                                   sigma_nlos_db=1000.0, glass_loss_db=(-1000.0, 1000.0),
+                                   indoor_loss_rate_db_per_m=-1000.0,
+                                   oxygen_delta_db_per_km={60.0: 1000.0}),
+                 PropagationParams(abg_beta_db=1000.0, abg_alpha=1e-3, abg_gamma=1e-3,
+                                   ci_ple_coeff=100.0, oxygen_delta_db_per_km={})):
+        small(propagation=prop).validate()
+    for ant in (AntennaPattern(hpbw_v_deg=360.0, hpbw_h_deg=1e-3, downtilt_deg=0.0,
+                               sla_v_db=0.0, front_back_db=1000.0),
+                AntennaPattern(hpbw_h_deg=360.0, downtilt_deg=180.0, sla_v_db=1000.0)):
+        small(antenna=ant).validate()
 
 
 def test_nonfinite_geometry_metric_aborts_before_any_output():

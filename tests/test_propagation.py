@@ -168,6 +168,18 @@ def test_shadow_draw_statistics():
         assert abs(arr.std() - sigma) / sigma < 0.01
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-300, PropagationParams().sigma_nlos_db, 1000.0])
+def test_shadow_draw_has_the_bits_of_rng_normal(sigma):
+    params = PropagationParams(sigma_los_db=sigma, sigma_nlos_db=sigma,
+                               sigma_o2i_low_db=sigma, sigma_o2i_high_db=sigma)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = draw_shadows(rng, (570, 19), params)
+    for arr in (draws.x_los_db, draws.x_nlos_db, draws.x_o2i_low_db, draws.x_o2i_high_db):
+        expected = ref.normal(0.0, sigma, (570, 19))
+        assert np.array_equal(arr.view(np.int64), expected.view(np.int64))
+    assert rng.uniform() == ref.uniform()  # the same stream position after
+
+
 def test_outdoor_shadow_draw_skips_only_the_o2i_terms():
     params = PropagationParams()
     full = draw_shadows(np.random.default_rng(7), (570, 19), params)
