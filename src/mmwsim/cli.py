@@ -30,6 +30,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_tag(f_c_ghz: float, scheme: str) -> str:
+    """Name of the output directory of one sweep run."""
+    return f"f{f_c_ghz:g}ghz_{scheme}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwsim",
@@ -42,8 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker threads over drops (results are identical "
-                             "for any count)")
+                        help="worker threads over drops; a sweep schedules the "
+                             "drops of all its runs on one pool (results are "
+                             "identical for any count)")
 
     run_p = sub.add_parser("run", parents=[common], help="run one scenario")
     run_p.add_argument("--links", action="store_true",
@@ -84,11 +90,17 @@ def main(argv=None) -> int:
             return 0
 
         schemes = args.schemes or [config.power_scheme]
+        tags = [_sweep_tag(f, s) for f in args.frequencies for s in schemes]
+        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+        if shared:
+            raise ConfigError(f"sweep runs would share the output directory "
+                              f"{', '.join(shared)}: give each carrier (to 6 "
+                              f"significant digits) and scheme once")
         entries = run_sweep(config, args.frequencies, schemes,
                             workers=args.workers)
         failures = 0
         for entry in entries:
-            tag = f"f{entry.f_c_ghz:g}ghz_{entry.scheme}"
+            tag = _sweep_tag(entry.f_c_ghz, entry.scheme)
             if entry.error is not None:
                 failures += 1
                 print(f"sweep {tag}: FAILED: {entry.error}", file=sys.stderr)

@@ -8,6 +8,7 @@ order.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -20,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -273,7 +275,13 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass
 class RunResult:
-    """Everything produced by one scenario run."""
+    """Everything produced by one scenario run.
+
+    ``runtime_s`` is the wall time from the start of the run's setup to the
+    end of its finish.  In a sweep on more than one worker that span
+    overlaps the drops of other runs, so the entries' times add up to more
+    than the sweep's wall time.
+    """
 
     config: ScenarioConfig
     cl_cdf: CdfSeries
@@ -493,35 +501,44 @@ def _pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1,
-                 collect_links: bool = False) -> RunResult:
-    """Run all drops of one scenario and aggregate CL and GM CDFs.
+class _Run(NamedTuple):
+    """What every drop of one run shares, fixed by ``_setup_run``."""
 
-    ``workers`` parallelises over drops; any worker count yields
-    bit-identical results.
-    """
+    config: ScenarioConfig
+    t0: float  # perf_counter() at the start of setup
+    dep: deployment_mod.Deployment
+    alloc: linkbudget.PowerAllocation
+    noise_total_dbm: float
+    threshold_db: float
+    params: PropagationParams
+
+
+def _setup_run(config: ScenarioConfig) -> _Run:
+    """Validate ``config`` and fix the layout, power, noise and threshold
+    that all its drops share."""
+    t0 = time.perf_counter()
     config.validate()
     _pin_heap_thresholds()
-    t0 = time.perf_counter()
     dep = deployment_mod.generate_layout(config.deployment.isd_m,
                                          config.deployment.bs_height_m)
     alloc = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
                                         config.bandwidth_hz, config.tx_power_dbm)
     noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)
     threshold = linkbudget.cl_snr0_threshold(alloc.p_tx_dbm, noise_total)
-    params = _resolved_propagation(config)
+    return _Run(config, t0, dep, alloc, noise_total, threshold,
+                _resolved_propagation(config))
 
-    def one(drop_index):
-        return _simulate_drop(config, dep, alloc, noise_total, threshold,
-                              params, drop_index, collect_links)
 
-    drop_ids = range(config.n_drops)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_drop = list(pool.map(one, drop_ids))
-    else:
-        per_drop = [one(d) for d in drop_ids]
+def _run_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
+    # _simulate_drop is looked up at call time, on the thread that runs the drop
+    return _simulate_drop(run.config, run.dep, run.alloc, run.noise_total_dbm,
+                          run.threshold_db, run.params, drop_index, collect_links)
 
+
+def _finish_run(run: _Run, drop_outputs, collect_links: bool) -> RunResult:
+    """Join the per-drop outputs, in drop order, into the run's result."""
+    config = run.config
+    per_drop = list(drop_outputs)
     cl_samples = np.concatenate([r["serving_cl"] for r in per_drop])
     gm_samples = np.concatenate([r["gm"] for r in per_drop])
     bad = np.flatnonzero(~np.isfinite(gm_samples))  # CL is checked per drop
@@ -541,15 +558,44 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
         config=config,
         cl_cdf=metrics.empirical_cdf(cl_samples),
         gm_cdf=metrics.empirical_cdf(gm_samples),
-        drop_seeds=[drop_seed_id(config.seed, d) for d in drop_ids],
+        drop_seeds=[drop_seed_id(config.seed, d) for d in range(config.n_drops)],
         regime_fractions={NOISE_LIMITED: frac_nl,
                           INTERFERENCE_LIMITED: 1.0 - frac_nl},
-        power=alloc,
-        noise_total_dbm=float(noise_total),
-        cl_snr0_threshold_db=float(threshold),
-        runtime_s=time.perf_counter() - t0,
+        power=run.alloc,
+        noise_total_dbm=float(run.noise_total_dbm),
+        cl_snr0_threshold_db=float(run.threshold_db),
+        runtime_s=time.perf_counter() - run.t0,
         links=links,
     )
+
+
+def run_scenario(config: ScenarioConfig, workers: int = 1,
+                 collect_links: bool = False) -> RunResult:
+    """Run all drops of one scenario and aggregate CL and GM CDFs.
+
+    ``workers`` parallelises over drops; any worker count yields
+    bit-identical results.
+    """
+    run = _setup_run(config)
+
+    def one(drop_index):
+        return _run_drop(run, drop_index, collect_links)
+
+    drop_ids = range(config.n_drops)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_drop = list(pool.map(one, drop_ids))
+    else:
+        per_drop = [one(d) for d in drop_ids]
+    return _finish_run(run, per_drop, collect_links)
+
+
+def _outcome(fn, *args) -> tuple:
+    """``(fn(*args), None)``, or ``(None, error text)`` when it raises."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # keep sweeping, report per run
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
@@ -557,24 +603,54 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     """Cartesian product of scenario runs over carriers and power schemes.
 
     Each run's seed derives from (base seed, carrier); a failing run is
-    recorded in its entry and the sweep continues.
+    recorded in its entry and the sweep continues.  With ``workers == 1``
+    the runs go one after another through ``run_scenario``.  With more,
+    the sweep schedules the drops of all its runs on one pool of
+    ``workers`` threads: it sets up each run and submits its drops in
+    (carrier, scheme, drop) order, then finishes the runs in that order
+    while the workers go on with the drops of later runs.  A run that
+    fails in setup submits no drop; a run whose drop fails cancels the
+    rest of its drops.  The entries, their results and their errors are
+    the same at any worker count.  If anything escapes, such as a
+    ``KeyboardInterrupt`` from a drop, the drops not yet started are
+    cancelled and the pool's threads are joined before it propagates.
     """
-    frequencies = list(frequencies)
+    frequencies = [float(f_c) for f_c in frequencies]
     schemes = list(schemes)
     if not frequencies or not schemes:
         raise ConfigError("frequencies and schemes must be non-empty")
-    entries = []
-    for f_c in frequencies:
-        for scheme in schemes:
-            cfg = replace(base_config, f_c_ghz=float(f_c), power_scheme=scheme,
-                          seed=sweep_seed(base_config.seed, float(f_c)))
-            try:
-                entries.append(SweepEntry(float(f_c), scheme,
-                                          run_scenario(cfg, workers=workers), None))
-            except Exception as exc:  # keep sweeping, report per run
-                entries.append(SweepEntry(float(f_c), scheme, None,
-                                          f"{type(exc).__name__}: {exc}"))
-    return entries
+    if not all(math.isfinite(f_c) and f_c > 0 for f_c in frequencies):
+        raise ConfigError(f"frequencies must be positive and finite, got {frequencies}")
+    keys = [(f_c, scheme) for f_c in frequencies for scheme in schemes]
+    configs = [replace(base_config, f_c_ghz=f_c, power_scheme=scheme,
+                       seed=sweep_seed(base_config.seed, f_c)) for f_c, scheme in keys]
+    if workers <= 1:
+        return [SweepEntry(*key, *_outcome(run_scenario, cfg))
+                for key, cfg in zip(keys, configs)]
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        started = collections.deque()  # (run or None, setup error, drop futures)
+        for cfg in configs:
+            run, error = _outcome(_setup_run, cfg)
+            futures = [] if run is None else [pool.submit(_run_drop, run, d, False)
+                                              for d in range(cfg.n_drops)]
+            started.append((run, error, futures))
+        entries = []
+        for key in keys:
+            # popped, so each run's drop outputs are freed once it is finished
+            run, error, futures = started.popleft()
+            result = None
+            if run is not None:
+                result, error = _outcome(_finish_run, run,
+                                         (f.result() for f in futures), False)
+            if error is not None:  # a failed run's drops not yet started
+                for f in futures:
+                    f.cancel()
+            entries.append(SweepEntry(*key, result, error))
+        return entries
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # Rows per formatting call of _write_table: large enough that the per-call

@@ -158,3 +158,45 @@ def test_sweep_reports_failures(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
     assert (out / "f2ghz_scaled" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("frequencies, schemes, tag", [
+    ("2,2", "scaled", "f2ghz_scaled"),
+    # two different carriers that print alike at %g
+    ("28.00001,28", "scaled,constant", "f28ghz_constant"),
+    ("30", "constant,constant", "f30ghz_constant"),
+])
+def test_sweep_refuses_runs_that_share_a_directory(tmp_path, capsys, frequencies,
+                                                   schemes, tag):
+    cfg = write_config(tmp_path, n_drops=1, bandwidth_hz=1e9, tx_power_dbm=30.0)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", frequencies,
+                 "--schemes", schemes])
+    assert code == 2
+    assert tag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frequencies", ["nan", "inf", "-4", "2,0"])
+def test_sweep_refuses_carriers_that_are_not_positive_and_finite(tmp_path, capsys,
+                                                                 frequencies):
+    cfg = write_config(tmp_path, n_drops=1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out),
+                 "--frequencies", frequencies]) == 2
+    assert "frequencies must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_worker_counts_write_identical_directories(tmp_path):
+    # 7 GHz has no overrides: its runs fail and the others are still written
+    cfg = write_config(tmp_path, n_drops=3, ms_per_sector=1)
+    trees = []
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", "2,7,60",
+                     "--schemes", "scaled,constant", "--workers", str(workers)]) == 3
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 12
+    assert trees[0] == trees[1] == trees[2]

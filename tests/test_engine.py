@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +26,7 @@ from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expect
 from mmwsim.engine import (_WRITE_BLOCK_ROWS, DeploymentParams, _stream, _write_table,
                            sweep_seed)
 from mmwsim.linkbudget import LINK_CSV_COLUMNS
+from mmwsim.metrics import CdfSeries
 
 
 def small(**kw):
@@ -590,6 +594,105 @@ def test_sweep_continues_past_failure():
 def test_sweep_requires_nonempty_lists():
     with pytest.raises(ConfigError):
         run_sweep(small(), [], ["scaled"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0])
+def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
+    # nan, inf and -4 used to end in a traceback from sweep_seed
+    with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
+        run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
+
+
+def _assert_same_run(a, b):
+    """Every field of two RunResults equal, arrays bit for bit, but runtime_s."""
+    for f in dataclasses.fields(engine.RunResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, CdfSeries):
+            x, y = x.samples, y.samples
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif f.name != "runtime_s":
+            assert x == y, f.name
+
+
+def test_sweep_gives_the_same_bits_at_any_worker_count(monkeypatch):
+    import mmwsim.propagation as prop
+
+    base = small(n_drops=3, ms_per_sector=1)
+    schemes = ["scaled", "constant"]
+    clean = run_sweep(base, [2.0, 30.0], schemes, workers=2)
+    # 7 GHz has no overrides and fails in setup; 60 GHz gets NaN shadows
+    # in drops 1 and 2 of 3 and fails inside a drop, reported for drop 1
+    real, poisoned_seed = prop.draw_shadows, sweep_seed(base.seed, 60.0)
+
+    def poisoned(rng, shape, params=prop.DEFAULT_PARAMS, o2i=True):
+        draws = real(rng, shape, params, o2i)
+        seq = rng.bit_generator.seed_seq
+        if seq.entropy == poisoned_seed and seq.spawn_key[0] >= 1:
+            draws.x_los_db[5, 3] = draws.x_nlos_db[5, 3] = np.nan
+        return draws
+
+    monkeypatch.setattr(prop, "draw_shadows", poisoned)
+    sweeps = {w: run_sweep(base, [2.0, 7.0, 30.0, 60.0], schemes, workers=w)
+              for w in (1, 2, 3)}
+    serial = sweeps[1]
+    assert [e.key for e in serial] == [(f, s) for f in (2.0, 7.0, 30.0, 60.0)
+                                       for s in schemes]
+    for e in serial[2:4]:
+        assert e.result is None and e.error.startswith("ConfigError: f_c_ghz=7")
+    for e in serial[6:]:
+        assert e.result is None and e.error.startswith(
+            "RuntimeError: non-finite coupling loss (drop 1, ms 5, ")
+    for entries in sweeps.values():
+        assert [(e.key, e.error) for e in entries] == [(e.key, e.error) for e in serial]
+        ok = [e for e in entries if e.error is None]
+        assert [e.key for e in ok] == [e.key for e in clean]
+        for e, want, c in zip(ok, [e for e in serial if e.error is None], clean):
+            _assert_same_run(e.result, want.result)
+            _assert_same_run(e.result, c.result)
+
+
+def test_sweep_schedules_all_its_drops_on_one_pool(monkeypatch):
+    pools = []
+
+    class Counting(engine.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Counting)
+    base = small(n_drops=3, ms_per_sector=1)
+    for workers, want in ((1, 0), (2, 1), (3, 1)):
+        pools.clear()
+        run_sweep(base, [2.0, 30.0, 60.0], ["scaled", "constant"], workers=workers)
+        assert len(pools) == want and all(p._max_workers == workers for p in pools)
+    for workers, want in ((1, 0), (2, 1), (4, 1)):
+        pools.clear()
+        run_scenario(base, workers=workers)
+        assert len(pools) == want
+
+
+def test_sweep_interrupt_cancels_queued_drops_and_joins_the_pool(monkeypatch):
+    real, calls, threads = engine._simulate_drop, [], set()
+
+    def interrupted(*args):
+        config, drop_index = args[0], args[6]
+        calls.append((config.f_c_ghz, config.power_scheme, drop_index))
+        threads.add(threading.current_thread())
+        if calls[-1] == (2.0, "scaled", 0):  # the sweep's first drop
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_simulate_drop", interrupted)
+    workers = 2
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(small(n_drops=3, ms_per_sector=1), [2.0, 10.0, 30.0, 60.0, 100.0],
+                  ["scaled", "constant"], workers=workers)
+    assert 1 <= len(threads) <= workers
+    assert not any(t.is_alive() for t in threads)
+    # of the sweep's 30 drops, only those a worker took before the
+    # interrupt reached the sweep ran; the queued ones were cancelled
+    assert len(calls) <= 1 + 2 * workers, calls
 
 
 def test_run_rejects_invalid_config():
