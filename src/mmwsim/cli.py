@@ -89,7 +89,8 @@ def main(argv=None) -> int:
                 print(f"  wrote {path}")
             return 0
 
-        schemes = args.schemes or [config.power_scheme]
+        # only an absent --schemes falls back; an empty list is refused
+        schemes = [config.power_scheme] if args.schemes is None else args.schemes
         tags = [_sweep_tag(f, s) for f in args.frequencies for s in schemes]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:

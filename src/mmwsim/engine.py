@@ -80,33 +80,6 @@ class ScenarioConfig:
                 rule, value = _FIELD_TYPES.get(f.type), getattr(obj, f.name)
                 if rule is not None and not rule[0](value):
                     raise ConfigError(f"{prefix}{f.name} must be {rule[1]}, got {value!r}")
-        # None leaves bandwidth_hz and tx_power_dbm to the carrier table
-        for name, value in (("f_c_ghz", self.f_c_ghz),
-                            ("bandwidth_hz", self.bandwidth_hz),
-                            ("deployment.isd_m", dep.isd_m),
-                            ("deployment.bs_height_m", dep.bs_height_m),
-                            ("deployment.ms_height_m", dep.ms_height_m)):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("isd_m", "bs_height_m", "ms_height_m"):
-            if getattr(dep, name) > _LENGTH_LIMIT_M:
-                raise ConfigError(f"deployment.{name} must be at most "
-                                  f"{_LENGTH_LIMIT_M:g} m, got {getattr(dep, name)}")
-        if self.power_scheme not in ("scaled", "constant"):
-            raise ConfigError(
-                f"power_scheme must be 'scaled' or 'constant', got {self.power_scheme!r}")
-        # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
-        linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
-                                    self.tx_power_dbm)
-        if self.environment not in ("outdoor", "indoor"):
-            raise ConfigError(
-                f"environment must be 'outdoor' or 'indoor', got {self.environment!r}")
-        if self.n_drops < 1:
-            raise ConfigError(f"n_drops must be >= 1, got {self.n_drops}")
-        if self.ms_per_sector < 1:
-            raise ConfigError(f"ms_per_sector must be >= 1, got {self.ms_per_sector}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name, (low, high, open_low) in _RANGES.items():
             value = self
             for attr in name.split("."):
@@ -116,12 +89,14 @@ class ScenarioConfig:
             if not all(v is None or (low < v if open_low else low <= v) and v <= high
                        for v in numbers):
                 raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
-                                  f"{low:g}, {high:g}], got {value!r}")
-        for name in ("min_distance_m", "indoor_depth_max_m"):
-            value = getattr(dep, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(
-                    f"deployment.{name} must be non-negative and finite, got {value}")
+                                  f"{low:g}, {high:g}{']' if high < math.inf else ')'}, "
+                                  f"got {value!r}")
+        # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
+        linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
+                                    self.tx_power_dbm)
+        if self.environment not in ("outdoor", "indoor"):
+            raise ConfigError(
+                f"environment must be 'outdoor' or 'indoor', got {self.environment!r}")
         circumradius = dep.isd_m / np.sqrt(3.0)
         if dep.min_distance_m >= circumradius:
             raise ConfigError(
@@ -160,13 +135,10 @@ class ScenarioConfig:
             raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
         d = dict(data)
         _reject_unknown(cls, d, "")
-        if "deployment" in d and d["deployment"] is not None:
-            d["deployment"] = _sub_from_dict(DeploymentParams, d["deployment"], "deployment")
-        if "propagation" in d and d["propagation"] is not None:
-            d["propagation"] = _sub_from_dict(
-                PropagationParams, _propagation_values(d["propagation"]), "propagation")
-        if "antenna" in d and d["antenna"] is not None:
-            d["antenna"] = _sub_from_dict(AntennaPattern, d["antenna"], "antenna")
+        for name, sub in (("deployment", DeploymentParams),
+                          ("propagation", PropagationParams), ("antenna", AntennaPattern)):
+            if name in d:
+                d[name] = _sub_from_dict(sub, d[name], name)
         return cls(**d)
 
 
@@ -176,11 +148,24 @@ _DB_LIMIT = 1000.0
 
 # (low, high, low bound open) of every number in each bounded setting and
 # model constant, checked by validate so that an absurd magnitude is refused
-# before the run: dB values within +-_DB_LIMIT (spreads and attenuation
+# before the run: carrier and bandwidth positive, layout lengths positive and
+# at most 1,000 km (far beyond any cell layout, far inside the range where the
+# sampler's squared lengths overflow, near 1.3e154 m), counts from 1, the seed
+# and clearances from 0, dB values within +-_DB_LIMIT (spreads and attenuation
 # ceilings from 0), path-loss exponents and the ABG frequency slope up to 10
-# (ci_ple_coeff is 10 times its exponent), beamwidths within the circle and
-# the downtilt a zenith angle.  None leaves tx_power_dbm to the carrier table.
+# (ci_ple_coeff is 10 times its exponent), beamwidths within the circle and the
+# downtilt a zenith angle.  None leaves bandwidth_hz and tx_power_dbm to the
+# carrier table.
 _RANGES = {
+    "f_c_ghz": (0.0, math.inf, True),
+    "bandwidth_hz": (0.0, math.inf, True),
+    **dict.fromkeys(("deployment.isd_m", "deployment.bs_height_m",
+                     "deployment.ms_height_m"), (0.0, 1.0e6, True)),
+    "n_drops": (1, math.inf, False),
+    "ms_per_sector": (1, math.inf, False),
+    "seed": (0, math.inf, False),
+    **dict.fromkeys(("deployment.min_distance_m", "deployment.indoor_depth_max_m"),
+                    (0.0, math.inf, False)),
     **dict.fromkeys(("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm",
                      "antenna.g_max_dbi", "propagation.abg_beta_db",
                      "propagation.glass_loss_db", "propagation.irr_glass_loss_db",
@@ -197,11 +182,6 @@ _RANGES = {
     "antenna.hpbw_h_deg": (0.0, 360.0, True),
     "antenna.downtilt_deg": (0.0, 180.0, False),
 }
-
-
-# Bound on the layout lengths, far beyond any cell layout and far inside the
-# range where the sampler's squared lengths overflow (near 1.3e154 m).
-_LENGTH_LIMIT_M = 1.0e6
 
 
 def _is_real(value) -> bool:
@@ -226,10 +206,8 @@ _FIELD_TYPES = {
 }
 
 
-def _propagation_values(data):
+def _propagation_values(data: dict) -> dict:
     """A propagation block with its YAML lists and mappings as float pairs and dicts."""
-    if not isinstance(data, dict):
-        return data  # _sub_from_dict reports it
     data = dict(data)
     for name, value in list(data.items()):
         try:
@@ -252,8 +230,12 @@ def _reject_unknown(cls, data: dict, prefix: str):
 
 
 def _sub_from_dict(cls, data, prefix: str):
+    if data is None:  # a YAML block whose children are all commented out
+        data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix} must be a mapping, got {type(data).__name__}")
+    if cls is PropagationParams:
+        data = _propagation_values(data)
     _reject_unknown(cls, data, prefix)
     try:
         return cls(**data)
@@ -278,9 +260,9 @@ class RunResult:
     """Everything produced by one scenario run.
 
     ``runtime_s`` is the wall time from the start of the run's setup to the
-    end of its finish.  In a sweep on more than one worker that span
-    overlaps the drops of other runs, so the entries' times add up to more
-    than the sweep's wall time.
+    end of its finish.  A sweep sets up every run at its start, so there an
+    entry's ``runtime_s`` runs from the sweep's start to that run's finish,
+    at any worker count.
     """
 
     config: ScenarioConfig
@@ -396,12 +378,10 @@ def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
 _BLOCK_STATIONS = 600
 
 
-def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
-                   threshold_db: float, params: PropagationParams,
-                   drop_index: int, collect_links: bool) -> dict:
-    """Serving CL, GM and noise-limited flag of every station of one drop,
-    plus, with ``collect_links``, its ``links.csv`` columns as a list of
-    per-block dicts.
+def _simulate_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
+    """Serving CL, GM and noise-limited flag of every station of one drop of
+    ``run``, plus, with ``collect_links``, its ``links.csv`` columns as a
+    list of per-block dicts.
 
     The stations, LoS uniforms and shadow terms are drawn for the whole
     drop, each on its own substream.  The link budget, the finite-CL check,
@@ -412,6 +392,7 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
     the interference sum of GM), so every station gets the same bits in a
     block as in a whole-drop call; blocking only bounds the working set.
     """
+    config, dep, params = run.config, run.dep, run.params
     depcfg = config.deployment
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(
@@ -441,10 +422,10 @@ def _simulate_drop(config: ScenarioConfig, dep, alloc, noise_total_dbm: float,
             ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
             raise RuntimeError(f"non-finite coupling loss "
                                f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
-        p_rx = alloc.p_tx_dbm + cl
-        serving, serving_cl, noise_limited = linkbudget.associate(cl, threshold_db)
+        p_rx = run.alloc.p_tx_dbm + cl
+        serving, serving_cl, noise_limited = linkbudget.associate(cl, run.threshold_db)
         parts["serving_cl"].append(serving_cl)
-        parts["gm"].append(metrics.geometry_metric(p_rx, serving, noise_total_dbm))
+        parts["gm"].append(metrics.geometry_metric(p_rx, serving, run.noise_total_dbm))
         parts["noise_limited"].append(noise_limited)
         if collect_links:
             n_ms, n_sec = cl.shape
@@ -529,12 +510,6 @@ def _setup_run(config: ScenarioConfig) -> _Run:
                 _resolved_propagation(config))
 
 
-def _run_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
-    # _simulate_drop is looked up at call time, on the thread that runs the drop
-    return _simulate_drop(run.config, run.dep, run.alloc, run.noise_total_dbm,
-                          run.threshold_db, run.params, drop_index, collect_links)
-
-
 def _finish_run(run: _Run, drop_outputs, collect_links: bool) -> RunResult:
     """Join the per-drop outputs, in drop order, into the run's result."""
     config = run.config
@@ -569,51 +544,79 @@ def _finish_run(run: _Run, drop_outputs, collect_links: bool) -> RunResult:
     )
 
 
+def _run_all(configs, workers: int, collect_links: bool) -> list[tuple]:
+    """Run each config as one scenario; ``(RunResult, None)`` or ``(None,
+    exception)`` per config, in order.
+
+    Every run is set up first.  With ``workers > 1`` the drops of all runs
+    then go, in (run, drop) order, to one pool of ``workers`` threads, and
+    the runs are finished in order while the workers go on with later
+    drops; with one worker no pool is made and each run's drops are
+    simulated as it is finished.  An exception in a run's setup, drops or
+    finish fails that run only and cancels its drops not yet started.
+    Each drop draws from its own substreams, so results and errors are the
+    same at any worker count.  Anything else that escapes, such as a
+    ``KeyboardInterrupt``, cancels the queued drops and joins the pool's
+    threads before it propagates.
+    """
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        started = collections.deque()  # (run or setup error, drop futures)
+        for config in configs:
+            try:
+                run = _setup_run(config)
+            except Exception as exc:  # reported per run
+                started.append((exc, []))
+                continue
+            # _simulate_drop is looked up at submit or call time
+            started.append((run, [] if pool is None else
+                            [pool.submit(_simulate_drop, run, d, collect_links)
+                             for d in range(config.n_drops)]))
+        outcomes = []
+        while started:
+            # popped, so each run's drop outputs are freed once it is finished
+            run, futures = started.popleft()
+            if isinstance(run, Exception):
+                outcomes.append((None, run))
+                continue
+            drops = ((f.result() for f in futures) if pool is not None else
+                     (_simulate_drop(run, d, collect_links)
+                      for d in range(run.config.n_drops)))
+            try:
+                outcomes.append((_finish_run(run, drops, collect_links), None))
+            except Exception as exc:  # reported per run
+                for f in futures:
+                    f.cancel()
+                outcomes.append((None, exc))
+        return outcomes
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def run_scenario(config: ScenarioConfig, workers: int = 1,
                  collect_links: bool = False) -> RunResult:
     """Run all drops of one scenario and aggregate CL and GM CDFs.
 
-    ``workers`` parallelises over drops; any worker count yields
-    bit-identical results.
+    ``workers`` threads simulate the drops (``_run_all``); any worker count
+    yields bit-identical results.  Raises what the run raised.
     """
-    run = _setup_run(config)
-
-    def one(drop_index):
-        return _run_drop(run, drop_index, collect_links)
-
-    drop_ids = range(config.n_drops)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_drop = list(pool.map(one, drop_ids))
-    else:
-        per_drop = [one(d) for d in drop_ids]
-    return _finish_run(run, per_drop, collect_links)
-
-
-def _outcome(fn, *args) -> tuple:
-    """``(fn(*args), None)``, or ``(None, error text)`` when it raises."""
-    try:
-        return fn(*args), None
-    except Exception as exc:  # keep sweeping, report per run
-        return None, f"{type(exc).__name__}: {exc}"
+    [(result, error)] = _run_all([config], workers, collect_links)
+    if error is not None:
+        raise error
+    return result
 
 
 def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
               workers: int = 1) -> list[SweepEntry]:
     """Cartesian product of scenario runs over carriers and power schemes.
 
-    Each run's seed derives from (base seed, carrier); a failing run is
-    recorded in its entry and the sweep continues.  With ``workers == 1``
-    the runs go one after another through ``run_scenario``.  With more,
-    the sweep schedules the drops of all its runs on one pool of
-    ``workers`` threads: it sets up each run and submits its drops in
-    (carrier, scheme, drop) order, then finishes the runs in that order
-    while the workers go on with the drops of later runs.  A run that
-    fails in setup submits no drop; a run whose drop fails cancels the
-    rest of its drops.  The entries, their results and their errors are
-    the same at any worker count.  If anything escapes, such as a
-    ``KeyboardInterrupt`` from a drop, the drops not yet started are
-    cancelled and the pool's threads are joined before it propagates.
+    Each run's seed derives from (base seed, carrier).  The runs go, in
+    (carrier, scheme) order, through the same scheduler as ``run_scenario``
+    (``_run_all``), so at more than one worker the drops of all runs share
+    one pool.  A failing run is recorded in its entry as
+    ``"ExceptionType: message"`` and the sweep continues; the entries,
+    their results and their errors are the same at any worker count.
     """
     frequencies = [float(f_c) for f_c in frequencies]
     schemes = list(schemes)
@@ -624,33 +627,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     keys = [(f_c, scheme) for f_c in frequencies for scheme in schemes]
     configs = [replace(base_config, f_c_ghz=f_c, power_scheme=scheme,
                        seed=sweep_seed(base_config.seed, f_c)) for f_c, scheme in keys]
-    if workers <= 1:
-        return [SweepEntry(*key, *_outcome(run_scenario, cfg))
-                for key, cfg in zip(keys, configs)]
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        started = collections.deque()  # (run or None, setup error, drop futures)
-        for cfg in configs:
-            run, error = _outcome(_setup_run, cfg)
-            futures = [] if run is None else [pool.submit(_run_drop, run, d, False)
-                                              for d in range(cfg.n_drops)]
-            started.append((run, error, futures))
-        entries = []
-        for key in keys:
-            # popped, so each run's drop outputs are freed once it is finished
-            run, error, futures = started.popleft()
-            result = None
-            if run is not None:
-                result, error = _outcome(_finish_run, run,
-                                         (f.result() for f in futures), False)
-            if error is not None:  # a failed run's drops not yet started
-                for f in futures:
-                    f.cancel()
-            entries.append(SweepEntry(*key, result, error))
-        return entries
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return [SweepEntry(*key, result,
+                       None if exc is None else f"{type(exc).__name__}: {exc}")
+            for key, (result, exc) in zip(keys, _run_all(configs, workers, False))]
 
 
 # Rows per formatting call of _write_table: large enough that the per-call

@@ -200,3 +200,28 @@ def test_sweep_worker_counts_write_identical_directories(tmp_path):
                       for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(trees[0]) == 12
     assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("block", ["deployment", "propagation", "antenna"])
+def test_empty_config_block_reads_as_its_defaults(tmp_path, block):
+    # a block whose children are all commented out loads as null; it used
+    # to end in a raw TypeError from validate
+    summaries = []
+    for name, body in (("absent", ""), ("null", f"{block}:\n  # isd_m: 200.0\n"),
+                       ("empty", f"{block}: {{}}\n")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text("f_c_ghz: 30.0\nn_drops: 1\n" + body)
+        out = tmp_path / name
+        assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0, name
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
+def test_sweep_refuses_an_empty_scheme_list(tmp_path, capsys):
+    # "," parses to no scheme; it used to run the config's scheme and exit 0
+    cfg = write_config(tmp_path, n_drops=1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", "2",
+                 "--schemes", ","]) == 2
+    assert "must be non-empty" in capsys.readouterr().err
+    assert not out.exists()

@@ -49,6 +49,10 @@ def test_validation_messages():
         (dict(bandwidth_hz=0.0), "bandwidth_hz"),
         (dict(deployment=DeploymentParams(ms_height_m=0.0)), "ms_height_m"),
         (dict(deployment=DeploymentParams(min_distance_m=115.5)), "min_distance_m"),
+        (dict(deployment=DeploymentParams(min_distance_m=-1.0)),
+         r"deployment.min_distance_m must lie in \[0, inf\)"),
+        (dict(deployment=DeploymentParams(indoor_depth_max_m=-0.5)),
+         r"deployment.indoor_depth_max_m must lie in \[0, inf\)"),
         # links below the 1 m close-in reference distance: d_3d = 0.1 m, a
         # station on floor 4 level with a 10.5 m BS, and 0.943 m indoors
         (dict(deployment=DeploymentParams(bs_height_m=1.6, ms_height_m=1.5,
@@ -425,7 +429,8 @@ def test_infeasible_min_distance_raises():
                      min_distance_m=150.0)
 
 
-def test_nonfinite_link_aborts_with_provenance(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_link_aborts_with_provenance(monkeypatch, workers):
     import mmwsim.propagation as prop
 
     real = prop.pl_nlos_abg
@@ -436,8 +441,9 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch):
         return out
 
     monkeypatch.setattr(prop, "pl_nlos_abg", poisoned)
-    with pytest.raises(RuntimeError, match=r"drop \d+, ms \d+, sector \d+"):
-        run_scenario(small(n_drops=1))
+    with pytest.raises(RuntimeError,
+                       match=r"^non-finite coupling loss \(drop 0, ms 0, sector 0\)$"):
+        run_scenario(small(n_drops=1), workers=workers)
 
 
 def test_validate_accepts_db_settings_up_to_the_bound():
@@ -675,7 +681,7 @@ def test_sweep_interrupt_cancels_queued_drops_and_joins_the_pool(monkeypatch):
     real, calls, threads = engine._simulate_drop, [], set()
 
     def interrupted(*args):
-        config, drop_index = args[0], args[6]
+        config, drop_index = args[0].config, args[1]
         calls.append((config.f_c_ghz, config.power_scheme, drop_index))
         threads.add(threading.current_thread())
         if calls[-1] == (2.0, "scaled", 0):  # the sweep's first drop
@@ -695,9 +701,32 @@ def test_sweep_interrupt_cancels_queued_drops_and_joins_the_pool(monkeypatch):
     assert len(calls) <= 1 + 2 * workers, calls
 
 
-def test_run_rejects_invalid_config():
-    with pytest.raises(ConfigError, match="n_drops"):
-        run_scenario(small(n_drops=0))
+def test_sweep_run_that_fails_cancels_its_queued_drops(monkeypatch):
+    real, calls = engine._simulate_drop, []
+
+    def failing(run, drop_index, collect_links):
+        calls.append((run.config.power_scheme, drop_index))
+        if run.config.power_scheme == "scaled":
+            if drop_index == 0:
+                raise RuntimeError("drop 0 failed")
+            time.sleep(0.1)
+        return real(run, drop_index, collect_links)
+
+    monkeypatch.setattr(engine, "_simulate_drop", failing)
+    workers = 2
+    failed, ok = run_sweep(small(n_drops=8, ms_per_sector=1), [2.0], ["scaled", "constant"],
+                           workers=workers)
+    assert failed.error == "RuntimeError: drop 0 failed" and ok.error is None
+    assert sorted(d for scheme, d in calls if scheme == "constant") == list(range(8))
+    # of the failed run's 8 drops, only those a worker took before the
+    # failure reached the sweep ran; the queued ones were cancelled
+    assert len([d for scheme, d in calls if scheme == "scaled"]) <= 1 + 2 * workers, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_rejects_invalid_config(workers):
+    with pytest.raises(ConfigError, match=r"^n_drops must lie in \[1, inf\), got 0$"):
+        run_scenario(small(n_drops=0), workers=workers)
 
 
 def _drops_by_cap(monkeypatch, cap, cfg, workers):
@@ -708,7 +737,7 @@ def _drops_by_cap(monkeypatch, cap, cfg, workers):
 
     def recording(*args):
         out = real(*args)
-        per_drop[args[6]] = out  # args[6] is the drop index
+        per_drop[args[1]] = out  # args[0] is the run, args[1] the drop index
         return out
 
     monkeypatch.setattr(engine, "_simulate_drop", recording)
