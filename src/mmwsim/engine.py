@@ -262,7 +262,9 @@ class RunResult:
     ``runtime_s`` is the wall time from the start of the run's setup to the
     end of its finish.  A sweep sets up every run at its start, so there an
     entry's ``runtime_s`` runs from the sweep's start to that run's finish,
-    at any worker count.
+    at any worker count.  ``links``, when collected, holds the ``links.csv``
+    columns in file order, one entry per (station, sector) link: the arrays
+    the drops wrote into, not copies.
     """
 
     config: ScenarioConfig
@@ -378,19 +380,21 @@ def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
 _BLOCK_STATIONS = 600
 
 
-def _simulate_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
-    """Serving CL, GM and noise-limited flag of every station of one drop of
-    ``run``, plus, with ``collect_links``, its ``links.csv`` columns as a
-    list of per-block dicts.
+def _simulate_drop(run: _Run, drop_index: int) -> None:
+    """Write one drop of ``run`` into the run's arrays: the serving CL, GM
+    and noise-limited flag of each station and, if the run collects them,
+    its ``links.csv`` rows.
 
     The stations, LoS uniforms and shadow terms are drawn for the whole
-    drop, each on its own substream.  The link budget, the finite-CL check,
-    association and GM then run on ``ceil(count / _BLOCK_STATIONS)``
-    near-equal contiguous blocks of stations, and the results are joined
-    in station order.  Each of those steps is elementwise per station-site
-    pair or reduces over one station's own row (the argmax of association,
-    the interference sum of GM), so every station gets the same bits in a
-    block as in a whole-drop call; blocking only bounds the working set.
+    drop, each on its own substream.  The link budget, association, GM and
+    the finite checks of CL and GM then run on ``ceil(count /
+    _BLOCK_STATIONS)`` near-equal contiguous blocks of stations, each
+    writing its own rows.  Each of those steps is elementwise per
+    station-site pair or reduces over one station's own row (the argmax of
+    association, the interference sum of GM), so every station gets the
+    same bits in a block as in a whole-drop call; blocking only bounds the
+    working set.  A block raises on its first non-finite CL, then GM, so a
+    run's error is that of its first failing drop in drop order.
     """
     config, dep, params = run.config, run.dep, run.params
     depcfg = config.deployment
@@ -406,8 +410,6 @@ def _simulate_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
     draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params,
                                      o2i=config.environment == "indoor")
 
-    parts = {"serving_cl": [], "gm": [], "noise_limited": []}
-    links = []
     n_blocks = -(-count // _BLOCK_STATIONS)
     edges = [count * k // n_blocks for k in range(n_blocks + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -423,30 +425,25 @@ def _simulate_drop(run: _Run, drop_index: int, collect_links: bool) -> dict:
             raise RuntimeError(f"non-finite coupling loss "
                                f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
         p_rx = run.alloc.p_tx_dbm + cl
-        serving, serving_cl, noise_limited = linkbudget.associate(cl, run.threshold_db)
-        parts["serving_cl"].append(serving_cl)
-        parts["gm"].append(metrics.geometry_metric(p_rx, serving, run.noise_total_dbm))
-        parts["noise_limited"].append(noise_limited)
-        if collect_links:
-            n_ms, n_sec = cl.shape
-
-            def rep(a):  # expand per-site columns to the 3 sectors of each site
-                return np.repeat(a, 3, axis=1).reshape(-1)
-
-            links.append({
-                "ms_id": np.repeat(drop_index * count + np.arange(lo, hi), n_sec),
-                "sector_id": np.tile(np.arange(n_sec), n_ms),
-                **{key: rep(budget[key]) for key in ("d_2d", "d_3d", "pl", "l_o2i", "l_oa")},
-                "is_los": rep(budget["is_los"]).astype(int),
-                "g_tx": budget["g_tx"].reshape(-1),
-                "g_sm": np.full(n_ms * n_sec, config.g_sm_db),
-                "coupling_loss": cl.reshape(-1),
-                "p_rx": p_rx.reshape(-1),
-            })
-    out = {key: np.concatenate(blocks) for key, blocks in parts.items()}
-    if collect_links:
-        out["links"] = links
-    return out
+        first, last = drop_index * count + lo, drop_index * count + hi
+        serving, run.serving_cl[first:last], run.noise_limited[first:last] = (
+            linkbudget.associate(cl, run.threshold_db))
+        gm = run.gm[first:last] = metrics.geometry_metric(p_rx, serving, run.noise_total_dbm)
+        bad = np.flatnonzero(~np.isfinite(gm))
+        if bad.size:
+            raise RuntimeError(
+                f"non-finite geometry metric (drop {drop_index}, ms {lo + bad[0]}): "
+                f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
+        if run.links is not None:
+            # each column as (station, site, sector); per-site terms span the sectors
+            block = (hi - lo, dep.n_sites, 3)
+            values = {"ms_id": np.arange(first, last)[:, None, None],
+                      "sector_id": np.arange(dep.n_sectors).reshape(block[1:]),
+                      "g_sm": config.g_sm_db, "p_rx": p_rx.reshape(block)}
+            values.update((key, budget[key].reshape(hi - lo, dep.n_sites, -1))
+                          for key in budget)
+            for key, value in values.items():
+                run.links[key].reshape(-1, *block[1:])[first:last] = value
 
 
 # glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process
@@ -483,7 +480,11 @@ def _pin_heap_thresholds() -> None:
 
 
 class _Run(NamedTuple):
-    """What every drop of one run shares, fixed by ``_setup_run``."""
+    """What every drop of one run shares, fixed by ``_setup_run``, and the
+    arrays its drops fill in drop-major station order: ``serving_cl``,
+    ``gm``, ``noise_limited`` and, unless ``None``, the ``links`` columns,
+    one entry per link.  Each drop writes only its own rows, so the worker
+    threads need no lock."""
 
     config: ScenarioConfig
     t0: float  # perf_counter() at the start of setup
@@ -492,11 +493,15 @@ class _Run(NamedTuple):
     noise_total_dbm: float
     threshold_db: float
     params: PropagationParams
+    serving_cl: np.ndarray
+    gm: np.ndarray
+    noise_limited: np.ndarray
+    links: dict[str, np.ndarray] | None
 
 
-def _setup_run(config: ScenarioConfig) -> _Run:
-    """Validate ``config`` and fix the layout, power, noise and threshold
-    that all its drops share."""
+def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
+    """Validate ``config``, fix the layout, power, noise and threshold that
+    all its drops share, and allocate the arrays they fill."""
     t0 = time.perf_counter()
     config.validate()
     _pin_heap_thresholds()
@@ -506,33 +511,25 @@ def _setup_run(config: ScenarioConfig) -> _Run:
                                         config.bandwidth_hz, config.tx_power_dbm)
     noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)
     threshold = linkbudget.cl_snr0_threshold(alloc.p_tx_dbm, noise_total)
+    n_ms = config.n_drops * config.ms_per_sector * dep.n_sectors
+    links = {key: np.empty(n_ms * dep.n_sectors,
+                           int if key in ("ms_id", "sector_id", "is_los") else float)
+             for key in linkbudget.LINK_CSV_COLUMNS} if collect_links else None
     return _Run(config, t0, dep, alloc, noise_total, threshold,
-                _resolved_propagation(config))
+                _resolved_propagation(config), np.empty(n_ms), np.empty(n_ms),
+                np.empty(n_ms, bool), links)
 
 
-def _finish_run(run: _Run, drop_outputs, collect_links: bool) -> RunResult:
-    """Join the per-drop outputs, in drop order, into the run's result."""
+def _finish_run(run: _Run, drops) -> RunResult:
+    """Wait for ``drops``, the run's drops in drop order, and build the
+    run's result from the arrays they filled."""
+    collections.deque(drops, maxlen=0)
     config = run.config
-    per_drop = list(drop_outputs)
-    cl_samples = np.concatenate([r["serving_cl"] for r in per_drop])
-    gm_samples = np.concatenate([r["gm"] for r in per_drop])
-    bad = np.flatnonzero(~np.isfinite(gm_samples))  # CL is checked per drop
-    if bad.size:
-        count = len(gm_samples) // config.n_drops
-        raise RuntimeError(
-            f"non-finite geometry metric (drop {bad[0] // count}, ms {bad[0] % count}): "
-            f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
-    noise_limited = np.concatenate([r["noise_limited"] for r in per_drop])
-    links = None
-    if collect_links:
-        blocks = [block for r in per_drop for block in r["links"]]
-        links = {key: np.concatenate([block[key] for block in blocks])
-                 for key in linkbudget.LINK_CSV_COLUMNS}
-    frac_nl = float(noise_limited.mean())
+    frac_nl = float(run.noise_limited.mean())
     return RunResult(
         config=config,
-        cl_cdf=metrics.empirical_cdf(cl_samples),
-        gm_cdf=metrics.empirical_cdf(gm_samples),
+        cl_cdf=metrics.empirical_cdf(run.serving_cl),
+        gm_cdf=metrics.empirical_cdf(run.gm),
         drop_seeds=[drop_seed_id(config.seed, d) for d in range(config.n_drops)],
         regime_fractions={NOISE_LIMITED: frac_nl,
                           INTERFERENCE_LIMITED: 1.0 - frac_nl},
@@ -540,7 +537,7 @@ def _finish_run(run: _Run, drop_outputs, collect_links: bool) -> RunResult:
         noise_total_dbm=float(run.noise_total_dbm),
         cl_snr0_threshold_db=float(run.threshold_db),
         runtime_s=time.perf_counter() - run.t0,
-        links=links,
+        links=run.links,
     )
 
 
@@ -564,26 +561,25 @@ def _run_all(configs, workers: int, collect_links: bool) -> list[tuple]:
         started = collections.deque()  # (run or setup error, drop futures)
         for config in configs:
             try:
-                run = _setup_run(config)
+                run = _setup_run(config, collect_links)
             except Exception as exc:  # reported per run
                 started.append((exc, []))
                 continue
             # _simulate_drop is looked up at submit or call time
             started.append((run, [] if pool is None else
-                            [pool.submit(_simulate_drop, run, d, collect_links)
+                            [pool.submit(_simulate_drop, run, d)
                              for d in range(config.n_drops)]))
         outcomes = []
         while started:
-            # popped, so each run's drop outputs are freed once it is finished
+            # popped, so each run's _Run and futures are freed once it is finished
             run, futures = started.popleft()
             if isinstance(run, Exception):
                 outcomes.append((None, run))
                 continue
             drops = ((f.result() for f in futures) if pool is not None else
-                     (_simulate_drop(run, d, collect_links)
-                      for d in range(run.config.n_drops)))
+                     (_simulate_drop(run, d) for d in range(run.config.n_drops)))
             try:
-                outcomes.append((_finish_run(run, drops, collect_links), None))
+                outcomes.append((_finish_run(run, drops), None))
             except Exception as exc:  # reported per run
                 for f in futures:
                     f.cancel()

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mmwsim import (AntennaPattern, ConfigError, MobileDrop, ScenarioConfig, ShadowDraws,
-                    coupling_loss, drop_mobiles, generate_layout, in_footprint,
-                    link_budget, wrap_displacements)
+from mmwsim import (AntennaPattern, ConfigError, DeploymentParams, MobileDrop,
+                    ScenarioConfig, ShadowDraws, coupling_loss, drop_mobiles,
+                    generate_layout, in_footprint, link_budget, wrap_displacements)
 from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
 ISD = 200.0
@@ -379,3 +380,15 @@ def test_drop_errors(dep, rng):
         drop_mobiles(dep, "outdoor", 0, rng)
     with pytest.raises(ConfigError):
         drop_mobiles(dep, "underwater", 10, rng)
+
+
+def test_keyword_defaults_match_deployment_params():
+    # the defaults live both in DeploymentParams and in the signatures of the
+    # functions that take its fields one by one
+    params = DeploymentParams()
+    drop_kw = inspect.signature(drop_mobiles).parameters
+    for name in ("ms_height_m", "min_distance_m", "indoor_depth_max_m",
+                 "floor_count_min", "floor_count_max"):
+        assert drop_kw[name].default == getattr(params, name), name
+    assert inspect.signature(generate_layout).parameters["bs_height_m"].default \
+        == params.bs_height_m

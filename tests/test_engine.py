@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import json
@@ -466,14 +467,46 @@ def test_validate_accepts_model_constants_up_to_their_bounds():
         small(antenna=ant).validate()
 
 
-def test_nonfinite_geometry_metric_aborts_before_any_output():
+# np.errstate does not reach the pool's threads
+_OVERFLOW_WARNINGS = ("ignore:overflow encountered:RuntimeWarning",
+                      "ignore:invalid value encountered:RuntimeWarning")
+
+
+@pytest.mark.filterwarnings(*_OVERFLOW_WARNINGS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_geometry_metric_aborts_before_any_output(workers):
     # every dB setting within its bound, yet the received powers overflow
     cfg = small(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
                 antenna=AntennaPattern(g_max_dbi=1000.0))
     cfg.validate()
-    with pytest.raises(RuntimeError, match=r"geometry metric \(drop 0, ms \d+\)"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        run_scenario(cfg)
+    with pytest.raises(RuntimeError, match=r"^non-finite geometry metric \(drop 0, ms 0\): "
+                       r"the linear powers overflow; lower tx_power_dbm or the antenna "
+                       r"gains$"):
+        run_scenario(cfg, workers=workers)
+
+
+@pytest.mark.filterwarnings(*_OVERFLOW_WARNINGS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_drop_decides_the_error(monkeypatch, workers):
+    import mmwsim.propagation as prop
+
+    # GM overflows in every drop and CL turns NaN from drop 1 on: drop 0
+    # fails first, on its GM
+    real = prop.draw_shadows
+
+    def poisoned(rng, shape, params=prop.DEFAULT_PARAMS, o2i=True):
+        draws = real(rng, shape, params, o2i)
+        if rng.bit_generator.seed_seq.spawn_key[0] >= 1:
+            draws.x_los_db[5, 3] = draws.x_nlos_db[5, 3] = np.nan
+        return draws
+
+    monkeypatch.setattr(prop, "draw_shadows", poisoned)
+    cfg = small(n_drops=3, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
+                antenna=AntennaPattern(g_max_dbi=1000.0))
+    with pytest.raises(RuntimeError, match=r"^non-finite geometry metric \(drop 0, ms 0\)"):
+        run_scenario(cfg, workers=workers)
+    with pytest.raises(RuntimeError, match=r"^non-finite coupling loss \(drop 1, ms 5, "):
+        run_scenario(small(n_drops=3), workers=workers)
 
 
 def test_sampling_acceptance_matches_closed_form():
@@ -704,13 +737,13 @@ def test_sweep_interrupt_cancels_queued_drops_and_joins_the_pool(monkeypatch):
 def test_sweep_run_that_fails_cancels_its_queued_drops(monkeypatch):
     real, calls = engine._simulate_drop, []
 
-    def failing(run, drop_index, collect_links):
+    def failing(run, drop_index):
         calls.append((run.config.power_scheme, drop_index))
         if run.config.power_scheme == "scaled":
             if drop_index == 0:
                 raise RuntimeError("drop 0 failed")
             time.sleep(0.1)
-        return real(run, drop_index, collect_links)
+        return real(run, drop_index)
 
     monkeypatch.setattr(engine, "_simulate_drop", failing)
     workers = 2
@@ -730,20 +763,29 @@ def test_run_rejects_invalid_config(workers):
 
 
 def _drops_by_cap(monkeypatch, cap, cfg, workers):
-    """Per-drop outputs of ``_simulate_drop`` in station order, and the run,
-    with blocks of at most ``cap`` stations."""
+    """The ``_Run`` every ``_simulate_drop`` call wrote into, the number of
+    ``link_budget`` calls of each drop, and the result, with blocks of at
+    most ``cap`` stations."""
     monkeypatch.setattr(engine, "_BLOCK_STATIONS", cap)
-    real, per_drop = engine._simulate_drop, {}
+    real_drop, real_budget = engine._simulate_drop, engine.link_budget
+    runs, budget_drops, current = [], [], threading.local()
 
-    def recording(*args):
-        out = real(*args)
-        per_drop[args[1]] = out  # args[0] is the run, args[1] the drop index
-        return out
+    def recording(run, drop_index):
+        runs.append(run)
+        current.drop = drop_index
+        return real_drop(run, drop_index)
+
+    def counting(*args):
+        budget_drops.append(current.drop)
+        return real_budget(*args)
 
     monkeypatch.setattr(engine, "_simulate_drop", recording)
+    monkeypatch.setattr(engine, "link_budget", counting)
     result = run_scenario(cfg, workers=workers, collect_links=True)
-    monkeypatch.setattr(engine, "_simulate_drop", real)
-    return per_drop, result
+    monkeypatch.setattr(engine, "_simulate_drop", real_drop)
+    monkeypatch.setattr(engine, "link_budget", real_budget)
+    assert len(runs) == cfg.n_drops and all(run is runs[0] for run in runs)
+    return runs[0], collections.Counter(budget_drops), result
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -752,14 +794,12 @@ def test_station_blocks_give_the_bits_of_whole_drops(monkeypatch, environment, w
     # 171 stations per drop: a cap of 7 cuts each drop into 25 blocks of 6
     # or 7 stations, a cap of 1,000 leaves it whole
     cfg = small(f_c_ghz=60.0, environment=environment, n_drops=3, ms_per_sector=3)
-    whole, whole_run = _drops_by_cap(monkeypatch, 1000, cfg, workers)
-    blocked, blocked_run = _drops_by_cap(monkeypatch, 7, cfg, workers)
-    assert sorted(whole) == sorted(blocked) == [0, 1, 2]
-    for d in whole:
-        for key in ("serving_cl", "gm", "noise_limited"):
-            a, b = whole[d][key], blocked[d][key]
-            assert a.dtype == b.dtype and a.shape == (171,) and np.array_equal(a, b), key
-        assert len(whole[d]["links"]) == 1 and len(blocked[d]["links"]) == 25
+    whole, whole_blocks, whole_run = _drops_by_cap(monkeypatch, 1000, cfg, workers)
+    blocked, blocked_blocks, blocked_run = _drops_by_cap(monkeypatch, 7, cfg, workers)
+    assert whole_blocks == {0: 1, 1: 1, 2: 1} and blocked_blocks == {0: 25, 1: 25, 2: 25}
+    for key in ("serving_cl", "gm", "noise_limited"):
+        a, b = getattr(whole, key), getattr(blocked, key)
+        assert a.dtype == b.dtype and a.shape == (3 * 171,) and a.tobytes() == b.tobytes(), key
     for key in LINK_CSV_COLUMNS:
         a, b = whole_run.links[key], blocked_run.links[key]
         assert a.dtype == b.dtype and np.array_equal(a, b), key
@@ -837,6 +877,21 @@ def test_dense_drop_working_set_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12e6, peak
+
+
+def test_links_run_holds_its_table_once():
+    # 4 indoor 60 GHz drops of 570 stations: a 12.5 MB links table, written
+    # in place by the drops; joined from per-block copies it peaked at 2.01x
+    cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=4, ms_per_sector=10)
+    tracemalloc.start()
+    try:
+        res = run_scenario(cfg, collect_links=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = sum(a.nbytes for a in res.links.values())
+    assert table == 12 * 4 * 570 * 57 * 8
+    assert peak < 1.4 * table, peak / table
 
 
 _FAULTS_PER_RUN = """
