@@ -26,6 +26,19 @@ _WRAP_COORDS = ((3, 2), (-2, 5), (-5, 3), (-3, -2), (2, -5), (5, -3))
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 
 
+@dataclass(frozen=True)
+class DeploymentParams:
+    """Layout and drop geometry knobs."""
+
+    isd_m: float = 200.0
+    bs_height_m: float = 10.0
+    ms_height_m: float = 1.5
+    min_distance_m: float = 10.0
+    indoor_depth_max_m: float = 25.0
+    floor_count_min: int = 4
+    floor_count_max: int = 8
+
+
 class MobileDrop(NamedTuple):
     """Stations of one drop, one array entry per station."""
 
@@ -64,7 +77,8 @@ def _lattice_xy(i, j, isd_m: float):
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
-def generate_layout(isd_m: float, bs_height_m: float = 10.0) -> Deployment:
+def generate_layout(isd_m: float,
+                    bs_height_m: float = DeploymentParams.bs_height_m) -> Deployment:
     """Build the 19-site hexagonal cluster with three sectors per site.
 
     Sites sit on a hex lattice with nearest-neighbour spacing ``isd_m``:
@@ -190,13 +204,14 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
 
 
 def drop_mobiles(deployment: Deployment, environment: str, count: int,
-                 rng: np.random.Generator, ms_height_m: float = 1.5,
-                 min_distance_m: float = 10.0, indoor_depth_max_m: float = 25.0,
-                 floor_count_min: int = 4, floor_count_max: int = 8) -> MobileDrop:
+                 rng: np.random.Generator,
+                 params: DeploymentParams = DeploymentParams()) -> MobileDrop:
     """Drop stations uniformly over the cluster footprint.
 
-    Positions are rejection-sampled over the union of the 19 cells, keeping
-    at least ``min_distance_m`` horizontal clearance from every site.  For
+    ``params`` gives the drop geometry; its ``isd_m`` and ``bs_height_m``
+    are not read, as ``deployment`` fixes the layout.  Positions are
+    rejection-sampled over the union of the 19 cells, keeping at least
+    ``min_distance_m`` horizontal clearance from every site.  For
     ``environment="indoor"`` each station draws a building floor count
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on
@@ -211,12 +226,12 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
 
-    xy = _sample_positions(deployment, count, min_distance_m, rng)
+    xy = _sample_positions(deployment, count, params.min_distance_m, rng)
     if environment == "outdoor":
-        return MobileDrop(xy, np.full(count, ms_height_m, dtype=float),
+        return MobileDrop(xy, np.full(count, params.ms_height_m, dtype=float),
                           np.zeros(count), np.ones(count, dtype=np.int64))
 
-    n_floors = rng.integers(floor_count_min, floor_count_max + 1, size=count)
+    n_floors = rng.integers(params.floor_count_min, params.floor_count_max + 1, size=count)
     floor = rng.integers(1, n_floors + 1)
-    depth = rng.uniform(0.0, indoor_depth_max_m, size=count)
-    return MobileDrop(xy, 3.0 * (floor - 1) + ms_height_m, depth, floor)
+    depth = rng.uniform(0.0, params.indoor_depth_max_m, size=count)
+    return MobileDrop(xy, 3.0 * (floor - 1) + params.ms_height_m, depth, floor)

@@ -30,25 +30,13 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
+from .deployment import DeploymentParams
 from .errors import ConfigError
 from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
 from .propagation import PropagationParams
 
 STANDARD_FREQS_GHZ = (2.0, 10.0, 30.0, 60.0, 100.0)
 SUMMARY_PERCENTILES = (5, 20, 35, 48, 50, 75, 90, 95)
-
-
-@dataclass(frozen=True)
-class DeploymentParams:
-    """Layout and drop geometry knobs."""
-
-    isd_m: float = 200.0
-    bs_height_m: float = 10.0
-    ms_height_m: float = 1.5
-    min_distance_m: float = 10.0
-    indoor_depth_max_m: float = 25.0
-    floor_count_min: int = 4
-    floor_count_max: int = 8
 
 
 @dataclass(frozen=True)
@@ -76,21 +64,7 @@ class ScenarioConfig:
         dep = self.deployment
         for obj, prefix in ((self, ""), (dep, "deployment."),
                             (self.propagation, "propagation."), (self.antenna, "antenna.")):
-            for f in dataclasses.fields(obj):
-                rule, value = _FIELD_TYPES.get(f.type), getattr(obj, f.name)
-                if rule is not None and not rule[0](value):
-                    raise ConfigError(f"{prefix}{f.name} must be {rule[1]}, got {value!r}")
-        for name, (low, high, open_low) in _RANGES.items():
-            value = self
-            for attr in name.split("."):
-                value = getattr(value, attr)
-            numbers = (value.values() if isinstance(value, dict)
-                       else value if isinstance(value, tuple) else (value,))
-            if not all(v is None or (low < v if open_low else low <= v) and v <= high
-                       for v in numbers):
-                raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
-                                  f"{low:g}, {high:g}{']' if high < math.inf else ')'}, "
-                                  f"got {value!r}")
+            _check_fields(type(obj), vars(obj), prefix)
         # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
         linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
                                     self.tx_power_dbm)
@@ -131,15 +105,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
-        d = dict(data)
-        _reject_unknown(cls, d, "")
-        for name, sub in (("deployment", DeploymentParams),
-                          ("propagation", PropagationParams), ("antenna", AntennaPattern)):
-            if name in d:
-                d[name] = _sub_from_dict(sub, d[name], name)
-        return cls(**d)
+        """The config of a parsed YAML mapping (``_read_block``)."""
+        return _read_block(cls, data, "")
 
 
 # Bound on the dB settings that reach 10 ** (x / 10): far inside the float
@@ -147,15 +114,15 @@ class ScenarioConfig:
 _DB_LIMIT = 1000.0
 
 # (low, high, low bound open) of every number in each bounded setting and
-# model constant, checked by validate so that an absurd magnitude is refused
-# before the run: carrier and bandwidth positive, layout lengths positive and
-# at most 1,000 km (far beyond any cell layout, far inside the range where the
-# sampler's squared lengths overflow, near 1.3e154 m), counts from 1, the seed
-# and clearances from 0, dB values within +-_DB_LIMIT (spreads and attenuation
-# ceilings from 0), path-loss exponents and the ABG frequency slope up to 10
-# (ci_ple_coeff is 10 times its exponent), beamwidths within the circle and the
-# downtilt a zenith angle.  None leaves bandwidth_hz and tx_power_dbm to the
-# carrier table.
+# model constant, checked as a config is read and again by validate, so that
+# an absurd magnitude is refused before the run: carrier and bandwidth
+# positive, layout lengths positive and at most 1,000 km (far beyond any cell
+# layout, far inside the range where the sampler's squared lengths overflow,
+# near 1.3e154 m), counts from 1, the seed and clearances from 0, dB values
+# within +-_DB_LIMIT (spreads and attenuation ceilings from 0), path-loss
+# exponents and the ABG frequency slope up to 10 (ci_ple_coeff is 10 times its
+# exponent), beamwidths within the circle and the downtilt a zenith angle.
+# None leaves bandwidth_hz and tx_power_dbm to the carrier table.
 _RANGES = {
     "f_c_ghz": (0.0, math.inf, True),
     "bandwidth_hz": (0.0, math.inf, True),
@@ -193,54 +160,72 @@ def _is_real(value) -> bool:
 
 # field checks by annotation string; a bool passes only as bool, and every
 # number, also inside the loss pairs and the oxygen table, is finite
+_PAIR, _TABLE = "tuple[float, float]", "dict[float, float]"
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple[float, float]": (lambda v: isinstance(v, tuple) and len(v) == 2
-                            and all(map(_is_real, v)), "a pair of finite numbers"),
-    "dict[float, float]": (lambda v: isinstance(v, dict)
-                           and all(map(_is_real, [*v, *v.values()])),
-                           "a mapping of finite numbers"),
+    _PAIR: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
+            "a pair of finite numbers"),
+    _TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
+             "a mapping of finite numbers"),
 }
 
-
-def _propagation_values(data: dict) -> dict:
-    """A propagation block with its YAML lists and mappings as float pairs and dicts."""
-    data = dict(data)
-    for name, value in list(data.items()):
-        try:
-            if name == "oxygen_delta_db_per_km":
-                data[name] = {float(k): float(v) for k, v in value.items()}
-            elif name in ("glass_loss_db", "irr_glass_loss_db", "concrete_loss_db"):
-                intercept, slope = map(float, value)
-                data[name] = (intercept, slope)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid propagation.{name}: {value!r} ({exc})") from exc
-    return data
+# the blocks of ScenarioConfig, by annotation string
+_BLOCKS = {cls.__name__: cls for cls in (DeploymentParams, PropagationParams, AntennaPattern)}
 
 
-def _reject_unknown(cls, data: dict, prefix: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        where = f"{prefix}." if prefix else ""
-        raise ConfigError(f"unknown config field(s): {[where + u for u in unknown]}")
+def _check_fields(cls, values: dict, prefix: str):
+    """Check each entry of ``values`` that names a field of ``cls`` against
+    its ``_FIELD_TYPES`` rule, then its ``_RANGES`` row, in field order.
+    ``prefix`` is the block's dotted path: empty, or ending in a dot."""
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        name, value, rule = prefix + f.name, values[f.name], _FIELD_TYPES.get(f.type)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+        if name not in _RANGES:
+            continue
+        low, high, open_low = _RANGES[name]
+        numbers = (value.values() if isinstance(value, dict)
+                   else value if isinstance(value, tuple) else (value,))
+        if not all(v is None or (low < v if open_low else low <= v) and v <= high
+                   for v in numbers):
+            raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
+                              f"{low:g}, {high:g}{']' if high < math.inf else ')'}, "
+                              f"got {value!r}")
 
 
-def _sub_from_dict(cls, data, prefix: str):
-    if data is None:  # a YAML block whose children are all commented out
-        data = {}
+def _read_block(cls, data, prefix: str):
+    """``cls`` built from the mapping ``data`` read from a config file.
+
+    Every value is checked by ``_check_fields`` before ``cls`` sees it, and a
+    field whose type is a block is read the same way, a null one (a YAML
+    block whose children are all commented out) as its defaults.  A YAML
+    list stands for a loss pair; the numbers of the loss pairs and of the
+    oxygen table become floats once checked, the scalars keep their type.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{prefix} must be a mapping, got {type(data).__name__}")
-    if cls is PropagationParams:
-        data = _propagation_values(data)
-    _reject_unknown(cls, data, prefix)
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {prefix} config: {exc}") from exc
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a mapping, "
+                          f"got {type(data).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(f"{prefix}{name}" for name in data.keys() - types.keys())
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {unknown}")
+    values = {name: tuple(data[name]) if kind == _PAIR and isinstance(data[name], list)
+              else data[name] for name, kind in types.items() if name in data}
+    _check_fields(cls, values, prefix)
+    for name, value in values.items():
+        if types[name] in _BLOCKS:
+            values[name] = _read_block(_BLOCKS[types[name]], {} if value is None else value,
+                                       f"{prefix}{name}.")
+        elif types[name] == _PAIR:
+            values[name] = tuple(map(float, value))
+        elif types[name] == _TABLE:
+            values[name] = {float(k): float(v) for k, v in value.items()}
+    return cls(**values)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -397,14 +382,9 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
     run's error is that of its first failing drop in drop order.
     """
     config, dep, params = run.config, run.dep, run.params
-    depcfg = config.deployment
     count = config.ms_per_sector * dep.n_sectors
-    drop = deployment_mod.drop_mobiles(
-        dep, config.environment, count, _stream(config.seed, drop_index, 0),
-        ms_height_m=depcfg.ms_height_m, min_distance_m=depcfg.min_distance_m,
-        indoor_depth_max_m=depcfg.indoor_depth_max_m,
-        floor_count_min=depcfg.floor_count_min,
-        floor_count_max=depcfg.floor_count_max)
+    drop = deployment_mod.drop_mobiles(dep, config.environment, count,
+                                       _stream(config.seed, drop_index, 0), config.deployment)
     shape = (count, dep.n_sites)
     los_u = _stream(config.seed, drop_index, 1).uniform(size=shape)
     draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params,
@@ -428,7 +408,11 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
         first, last = drop_index * count + lo, drop_index * count + hi
         serving, run.serving_cl[first:last], run.noise_limited[first:last] = (
             linkbudget.associate(cl, run.threshold_db))
-        gm = run.gm[first:last] = metrics.geometry_metric(p_rx, serving, run.noise_total_dbm)
+        # errstate is per thread, so it sits here, on the drop's thread: the
+        # finite check below is the one report of an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            gm = run.gm[first:last] = metrics.geometry_metric(p_rx, serving,
+                                                               run.noise_total_dbm)
         bad = np.flatnonzero(~np.isfinite(gm))
         if bad.size:
             raise RuntimeError(

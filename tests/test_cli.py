@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 import yaml
@@ -14,6 +15,11 @@ def write_config(tmp_path, **kw):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+# every dB setting within its bound, yet the linear received powers overflow
+OVERFLOW = dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
+                antenna=dict(g_max_dbi=1000.0))
 
 
 def test_run_command(tmp_path, capsys):
@@ -86,8 +92,7 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(tx_power_dbm=10 ** 400), "tx_power_dbm"),
     (dict(tx_power_dbm=1.0e20), "tx_power_dbm"),
     (dict(deployment=dict(min_distance_m=115.0)), "deployment.min_distance_m"),
-    (dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
-          antenna=dict(g_max_dbi=1000.0)), "geometry metric"),
+    (OVERFLOW, "geometry metric"),
     # non-finite model constants ran to a traceback after writing the CDF files
     (dict(n_drops=1, antenna=dict(hpbw_h_deg=float("inf"))), "antenna.hpbw_h_deg"),
     (dict(n_drops=1, propagation=dict(concrete_loss_db=[float("nan"), 0.2])),
@@ -99,6 +104,16 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(f_c_ghz=300.0), "bandwidth_hz"),
     # a model constant in float range that overflowed the linear powers late
     (dict(propagation=dict(abg_beta_db=-1.0e300)), "propagation.abg_beta_db"),
+    # each value is typed and bounded as it is read, and named by its dotted path
+    (dict(propagation=dict(sigma_los_db="abc")), "propagation.sigma_los_db"),
+    (dict(propagation=dict(sigma_los_db=-1)), "propagation.sigma_los_db"),
+    (dict(antenna=dict(g_max_dbi=None)), "antenna.g_max_dbi"),
+    (dict(antenna=dict(hpbw_v_deg=0)), "antenna.hpbw_v_deg"),
+    # the loss pairs and the oxygen table take numbers only
+    (dict(propagation=dict(glass_loss_db=["2", 0.2])), "propagation.glass_loss_db"),
+    (dict(propagation=dict(glass_loss_db=[True, 0.2])), "propagation.glass_loss_db"),
+    (dict(propagation=dict(oxygen_delta_db_per_km={60: "15"})),
+     "propagation.oxygen_delta_db_per_km"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
@@ -106,7 +121,8 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
         "min_distance_near_infeasible", "received_power_overflow", "hpbw_inf",
         "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table",
-        "abg_beta_1e300"])
+        "abg_beta_1e300", "sigma_str", "sigma_negative", "g_max_null", "hpbw_zero",
+        "loss_pair_str", "loss_pair_bool", "oxygen_str"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"
@@ -119,6 +135,33 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     assert time.perf_counter() - t0 < 1.0
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overflow_is_reported_once_without_numpy_warnings(tmp_path, capsys, workers):
+    # the finite-GM check is the one report, at any worker count
+    cfg = write_config(tmp_path, **OVERFLOW)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers]) == 2
+    assert "non-finite geometry metric" in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
+def test_summary_echoes_the_config_as_read(tmp_path):
+    # scalars keep their YAML type; loss pairs and oxygen tables hold floats
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text("f_c_ghz: 30.0\nn_drops: 1\ndeployment:\n  isd_m: 200\n"
+                   "propagation:\n  glass_loss_db: [2, 0]\n"
+                   "  oxygen_delta_db_per_km: {60: 15}\n")
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert json.dumps(echo["deployment"]["isd_m"]) == "200"
+    assert json.dumps(echo["propagation"]["glass_loss_db"]) == "[2.0, 0.0]"
+    assert json.dumps(echo["propagation"]["oxygen_delta_db_per_km"]) == '{"60.0": 15.0}'
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])

@@ -1,4 +1,3 @@
-import inspect
 import math
 from dataclasses import replace
 
@@ -299,8 +298,8 @@ def _reference_sample_positions(dep, count, min_distance_m, rng):
     (5700, 10.0, 5), (570, 110.0, 2)])
 def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     want = _reference_sample_positions(dep, count, min_distance_m, np.random.default_rng(seed))
-    got = drop_mobiles(dep, "outdoor", count, np.random.default_rng(seed),
-                       min_distance_m=min_distance_m)
+    params = DeploymentParams(min_distance_m=min_distance_m)
+    got = drop_mobiles(dep, "outdoor", count, np.random.default_rng(seed), params)
     assert np.array_equal(got.xy, want)
     # indoor draws follow the positions on the same generator
     rng = np.random.default_rng(seed)
@@ -308,8 +307,7 @@ def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     n_floors = rng.integers(4, 9, size=count)
     floor = rng.integers(1, n_floors + 1)
     depth = rng.uniform(0.0, 25.0, size=count)
-    got = drop_mobiles(dep, "indoor", count, np.random.default_rng(seed),
-                       min_distance_m=min_distance_m)
+    got = drop_mobiles(dep, "indoor", count, np.random.default_rng(seed), params)
     assert np.array_equal(got.xy, want)
     assert np.array_equal(got.floor, floor)
     assert np.array_equal(got.indoor_depth_m, depth)
@@ -380,15 +378,3 @@ def test_drop_errors(dep, rng):
         drop_mobiles(dep, "outdoor", 0, rng)
     with pytest.raises(ConfigError):
         drop_mobiles(dep, "underwater", 10, rng)
-
-
-def test_keyword_defaults_match_deployment_params():
-    # the defaults live both in DeploymentParams and in the signatures of the
-    # functions that take its fields one by one
-    params = DeploymentParams()
-    drop_kw = inspect.signature(drop_mobiles).parameters
-    for name in ("ms_height_m", "min_distance_m", "indoor_depth_max_m",
-                 "floor_count_min", "floor_count_max"):
-        assert drop_kw[name].default == getattr(params, name), name
-    assert inspect.signature(generate_layout).parameters["bs_height_m"].default \
-        == params.bs_height_m

@@ -148,6 +148,9 @@ def test_from_dict_rejects_unknown_fields():
         ScenarioConfig.from_dict({"carrier": 2.0})
     with pytest.raises(ConfigError, match="antenna.tilt"):
         ScenarioConfig.from_dict({"antenna": {"tilt": 90.0}})
+    # YAML keys need not be strings; they used to end in a raw TypeError
+    with pytest.raises(ConfigError, match=r"\['1', 'carrier'\]"):
+        ScenarioConfig.from_dict({1: 2.0, "carrier": 2.0})
 
 
 def test_config_yaml_roundtrip(tmp_path):
@@ -165,6 +168,35 @@ def test_partial_config_file(tmp_path):
     assert cfg.f_c_ghz == 10.0
     assert cfg.environment == "indoor"
     assert cfg.n_drops == 20  # default
+
+
+def test_documented_configs_load(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme[readme.index("## Running scenarios"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    example = tmp_path / "readme.yaml"
+    example.write_text(section[start:section.index("```", start)])
+    configs = sorted((root / "configs").glob("*.yaml"))
+    assert configs
+    for path in [*configs, example]:
+        load_config(path)
+
+
+def test_every_config_field_has_a_rule_and_every_range_a_field():
+    # _check_fields looks each range up by dotted name, so a misspelt
+    # _RANGES key would leave its field unbounded without any error
+    blocks = [("", ScenarioConfig)] + [(f"{f.name}.", engine._BLOCKS[f.type])
+                                       for f in dataclasses.fields(ScenarioConfig)
+                                       if f.type in engine._BLOCKS]
+    assert [prefix for prefix, _ in blocks] == ["", "deployment.", "propagation.",
+                                                "antenna."]
+    names = {prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)}
+    assert set(engine._RANGES) <= names, set(engine._RANGES) - names
+    # validate checks the two str fields itself
+    unruled = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
+               if f.type not in engine._FIELD_TYPES and f.type not in engine._BLOCKS]
+    assert unruled == ["power_scheme", "environment"]
 
 
 def test_sample_counts():
@@ -427,7 +459,7 @@ def test_infeasible_min_distance_raises():
         run_scenario(small(deployment=DeploymentParams(min_distance_m=150.0)))
     with pytest.raises(ConfigError, match="min_distance_m"):
         drop_mobiles(generate_layout(200.0), "outdoor", 57, np.random.default_rng(0),
-                     min_distance_m=150.0)
+                     DeploymentParams(min_distance_m=150.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -467,12 +499,6 @@ def test_validate_accepts_model_constants_up_to_their_bounds():
         small(antenna=ant).validate()
 
 
-# np.errstate does not reach the pool's threads
-_OVERFLOW_WARNINGS = ("ignore:overflow encountered:RuntimeWarning",
-                      "ignore:invalid value encountered:RuntimeWarning")
-
-
-@pytest.mark.filterwarnings(*_OVERFLOW_WARNINGS)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_geometry_metric_aborts_before_any_output(workers):
     # every dB setting within its bound, yet the received powers overflow
@@ -485,7 +511,6 @@ def test_nonfinite_geometry_metric_aborts_before_any_output(workers):
         run_scenario(cfg, workers=workers)
 
 
-@pytest.mark.filterwarnings(*_OVERFLOW_WARNINGS)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_failing_drop_decides_the_error(monkeypatch, workers):
     import mmwsim.propagation as prop
