@@ -7,9 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import (STANDARD_FREQS_GHZ, load_config, run_scenario, run_sweep,
-                     save_results)
+from .engine import load_config, run_scenario, run_sweep, save_results
 from .errors import ConfigError
+from .linkbudget import BANDWIDTH_HZ
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", parents=[common],
                              help="run a carrier x power-scheme sweep")
     sweep_p.add_argument("--frequencies", type=_parse_floats,
-                         default=list(STANDARD_FREQS_GHZ),
+                         default=list(BANDWIDTH_HZ),
                          help="comma-separated carriers in GHz "
                               "(default: 2,10,30,60,100)")
     sweep_p.add_argument("--schemes", type=_parse_names, default=None,
@@ -71,9 +71,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
+        if args.seed is not None:  # checked by run_scenario and run_sweep
             config = replace(config, seed=args.seed)
-            config.validate()
         outdir = Path(args.output)
 
         if args.command == "run":

@@ -53,13 +53,13 @@ class Deployment:
     """The 19-site cluster as arrays.
 
     Site ``i`` sits at ``site_xy[i]`` and carries sectors ``3i``, ``3i + 1``
-    and ``3i + 2``, whose boresights are ``SECTOR_BORESIGHTS_DEG``.  Every
-    BS antenna stands ``bs_height_m`` high.  ``wrap_vectors`` are the six
-    wrap-around translations ``(6, 2)`` of the cluster, in metres.
+    and ``3i + 2``, whose boresights are ``SECTOR_BORESIGHTS_DEG``.
+    ``wrap_vectors`` are the six wrap-around translations ``(6, 2)`` of the
+    cluster, in metres.  It holds the lattice only: ``link_budget`` reads
+    the BS height from the run's config.
     """
 
     site_xy: np.ndarray  # (n_sites, 2) site positions in metres
-    bs_height_m: float
     isd_m: float
     wrap_vectors: np.ndarray
 
@@ -77,22 +77,21 @@ def _lattice_xy(i, j, isd_m: float):
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
-def generate_layout(isd_m: float,
-                    bs_height_m: float = DeploymentParams.bs_height_m) -> Deployment:
+def generate_layout(isd_m: float) -> Deployment:
     """Build the 19-site hexagonal cluster with three sectors per site.
 
     Sites sit on a hex lattice with nearest-neighbour spacing ``isd_m``:
     the centre site at the origin, six ring-1 sites at ``isd_m`` and twelve
     ring-2 sites at ``sqrt(3) * isd_m`` and ``2 * isd_m``.  Sector boresights
     point at 30, 150 and 270 degrees.  The six wrap-around translation
-    vectors tile the plane with copies of the cluster.
+    vectors tile the plane with copies of the cluster.  The BS height is no
+    part of the layout: ``link_budget`` reads ``config.deployment.bs_height_m``.
     """
     if not isd_m > 0:
         raise ConfigError(f"isd_m must be positive, got {isd_m}")
     sites = np.array([_lattice_xy(i, j, isd_m) for i, j in _SITE_COORDS])
     wrap = np.array([_lattice_xy(i, j, isd_m) for i, j in _WRAP_COORDS])
-    return Deployment(site_xy=sites, bs_height_m=bs_height_m, isd_m=isd_m,
-                      wrap_vectors=wrap)
+    return Deployment(site_xy=sites, isd_m=isd_m, wrap_vectors=wrap)
 
 
 def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
@@ -209,9 +208,10 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     """Drop stations uniformly over the cluster footprint.
 
     ``params`` gives the drop geometry; its ``isd_m`` and ``bs_height_m``
-    are not read, as ``deployment`` fixes the layout.  Positions are
-    rejection-sampled over the union of the 19 cells, keeping at least
-    ``min_distance_m`` horizontal clearance from every site.  For
+    are not read, as ``deployment`` fixes the layout and ``link_budget``
+    reads the BS height.  Positions are rejection-sampled over the union
+    of the 19 cells, keeping at least ``min_distance_m`` horizontal
+    clearance from every site.  For
     ``environment="indoor"`` each station draws a building floor count
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on

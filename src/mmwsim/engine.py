@@ -35,7 +35,6 @@ from .errors import ConfigError
 from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
 from .propagation import PropagationParams
 
-STANDARD_FREQS_GHZ = (2.0, 10.0, 30.0, 60.0, 100.0)
 SUMMARY_PERCENTILES = (5, 20, 35, 48, 50, 75, 90, 95)
 
 
@@ -49,13 +48,11 @@ class ScenarioConfig:
     n_drops: int = 20
     ms_per_sector: int = 10
     seed: int = 1
-    oxygen_absorption: bool = True
     noise_figure_db: float = 9.0
     g_sm_db: float = 0.0
     ms_gain_dbi: float = 0.0
     bandwidth_hz: float | None = None  # required for non-standard carriers
     tx_power_dbm: float | None = None
-    o2i_sigma_as_stddev: bool = False  # read the O2I spreads 3/5 as sigmas, not variances
     deployment: DeploymentParams = field(default_factory=DeploymentParams)
     propagation: PropagationParams = field(default_factory=PropagationParams)
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
@@ -158,14 +155,13 @@ def _is_real(value) -> bool:
         and abs(value) <= sys.float_info.max)
 
 
-# field checks by annotation string; a bool passes only as bool, and every
-# number, also inside the loss pairs and the oxygen table, is finite
+# field checks by annotation string; every number, also inside the loss
+# pairs and the oxygen table, is finite
 _PAIR, _TABLE = "tuple[float, float]", "dict[float, float]"
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     _PAIR: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
             "a pair of finite numbers"),
     _TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
@@ -299,19 +295,12 @@ def sweep_seed(seed: int, f_c_ghz: float) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _resolved_propagation(config: ScenarioConfig) -> PropagationParams:
-    params = config.propagation
-    if config.o2i_sigma_as_stddev:
-        params = replace(params, sigma_o2i_low_db=3.0, sigma_o2i_high_db=5.0)
-    if not config.oxygen_absorption:
-        params = replace(params, oxygen_delta_db_per_km={})
-    return params
-
-
-def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
-                los_u, draws) -> dict:
+def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     """Every link-budget term of one drop: a pure function of the stations,
     the ``(n, n_sites)`` LoS uniforms ``los_u`` and the shadow ``draws``.
+
+    ``dep`` gives only the site lattice; every setting, the BS height and
+    the propagation constants included, is read from ``config``.
 
     A link is LoS where ``los_u`` is below ``los_probability`` of d_2D-out;
     indoor links add O2I loss over the in-building depth clipped to d_2D;
@@ -321,12 +310,12 @@ def link_budget(config: ScenarioConfig, params: PropagationParams, dep, drop,
     ``coupling_loss`` ``(n, n_sectors)``, whose column ``3i + k`` is sector
     ``k`` of site ``i``.
     """
-    f_hz = config.f_c_ghz * 1e9
+    f_hz, params = config.f_c_ghz * 1e9, config.propagation
     disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (n, s, 2), (n, s)
     is_los = los_u < propagation.los_probability(
         np.maximum(d2d - drop.indoor_depth_m[:, None], 0.0))
 
-    dz = drop.height_m[:, None] - dep.bs_height_m
+    dz = drop.height_m[:, None] - config.deployment.bs_height_m
     d3d = np.hypot(d2d, dz)
     pl = np.where(is_los,
                   propagation.pl_los_ci(f_hz, d3d, draws.x_los_db, params),
@@ -381,14 +370,14 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
     working set.  A block raises on its first non-finite CL, then GM, so a
     run's error is that of its first failing drop in drop order.
     """
-    config, dep, params = run.config, run.dep, run.params
+    config, dep = run.config, run.dep
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(dep, config.environment, count,
                                        _stream(config.seed, drop_index, 0), config.deployment)
     shape = (count, dep.n_sites)
     los_u = _stream(config.seed, drop_index, 1).uniform(size=shape)
-    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape, params,
-                                     o2i=config.environment == "indoor")
+    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape,
+                                     config.propagation, o2i=config.environment == "indoor")
 
     n_blocks = -(-count // _BLOCK_STATIONS)
     edges = [count * k // n_blocks for k in range(n_blocks + 1)]
@@ -396,8 +385,7 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
         rows = slice(lo, hi)  # basic slices: views, no copies
         block_draws = replace(draws, **{name: value[rows] for name, value
                                         in vars(draws).items() if np.ndim(value)})
-        budget = link_budget(config, params, dep,
-                             deployment_mod.MobileDrop(*(a[rows] for a in drop)),
+        budget = link_budget(config, dep, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
                              los_u[rows], block_draws)
         cl = budget["coupling_loss"]
         if not np.isfinite(cl).all():
@@ -476,7 +464,6 @@ class _Run(NamedTuple):
     alloc: linkbudget.PowerAllocation
     noise_total_dbm: float
     threshold_db: float
-    params: PropagationParams
     serving_cl: np.ndarray
     gm: np.ndarray
     noise_limited: np.ndarray
@@ -489,8 +476,7 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
     t0 = time.perf_counter()
     config.validate()
     _pin_heap_thresholds()
-    dep = deployment_mod.generate_layout(config.deployment.isd_m,
-                                         config.deployment.bs_height_m)
+    dep = deployment_mod.generate_layout(config.deployment.isd_m)
     alloc = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
                                         config.bandwidth_hz, config.tx_power_dbm)
     noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)
@@ -499,9 +485,8 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
     links = {key: np.empty(n_ms * dep.n_sectors,
                            int if key in ("ms_id", "sector_id", "is_los") else float)
              for key in linkbudget.LINK_CSV_COLUMNS} if collect_links else None
-    return _Run(config, t0, dep, alloc, noise_total, threshold,
-                _resolved_propagation(config), np.empty(n_ms), np.empty(n_ms),
-                np.empty(n_ms, bool), links)
+    return _Run(config, t0, dep, alloc, noise_total, threshold, np.empty(n_ms),
+                np.empty(n_ms), np.empty(n_ms, bool), links)
 
 
 def _finish_run(run: _Run, drops) -> RunResult:
@@ -598,6 +583,7 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     ``"ExceptionType: message"`` and the sweep continues; the entries,
     their results and their errors are the same at any worker count.
     """
+    _check_fields(ScenarioConfig, {"seed": base_config.seed}, "")  # sweep_seed reads it
     frequencies = [float(f_c) for f_c in frequencies]
     schemes = list(schemes)
     if not frequencies or not schemes:

@@ -31,7 +31,9 @@ class PropagationParams:
 
     Material losses are linear in frequency, ``intercept + slope * f_GHz``
     dB.  ``sigma_o2i_low_db`` / ``sigma_o2i_high_db`` default to the
-    variance reading of the in-building shadow spread (variances 3 and 5).
+    variance reading of the in-building shadow spread (variances 3 and 5);
+    the standard-deviation reading sets them to 3.0 and 5.0.  An empty
+    ``oxygen_delta_db_per_km`` switches oxygen absorption off.
     """
 
     ci_ple_coeff: float = 21.0  # 10 * path-loss exponent of the LoS model

@@ -137,6 +137,15 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_override_exits_2_without_output(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "-c", str(cfg), "-o", str(out), "--seed", "-1"]) == 2
+    assert "seed must lie in [0, inf), got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_overflow_is_reported_once_without_numpy_warnings(tmp_path, capsys, workers):
     # the finite-GM check is the one report, at any worker count

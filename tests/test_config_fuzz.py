@@ -57,14 +57,12 @@ FIELDS = {
     ("ms_per_sector",): (_choice(1), (0, -3, 2.5, False, "1")),
     ("seed",): (lambda rng: int(rng.integers(0, 2**31)),
                 (0, 2**64, 2**100, -1, True, 1.5, "7", None)),
-    ("oxygen_absorption",): (_choice(True, False), ("no", 0, 1, None)),
     ("noise_figure_db",): (_uniform(0.0, 20.0), DB_EDGES),
     ("g_sm_db",): (_uniform(-20.0, 20.0), DB_EDGES),
     ("ms_gain_dbi",): (_uniform(-10.0, 30.0), DB_EDGES),
     ("bandwidth_hz",): (lambda rng: float(10.0 ** rng.uniform(3.0, 10.0)),
                         (None, 0.0, -1.0, 1e-300, 1e300, NAN, INF, "1e9")),
     ("tx_power_dbm",): (_uniform(-30.0, 70.0), (None, 1e20, 10**400) + DB_EDGES),
-    ("o2i_sigma_as_stddev",): (_choice(True, False), ("yes", 1)),
     ("deployment", "isd_m"): (_uniform(20.0, 2000.0), LENGTH_EDGES),
     ("deployment", "bs_height_m"): (_uniform(1.0, 50.0), LENGTH_EDGES),
     ("deployment", "ms_height_m"): (_uniform(1.0, 3.0), LENGTH_EDGES),

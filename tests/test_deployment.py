@@ -55,7 +55,7 @@ def test_boresights_and_downtilt(dep):
     az = np.radians(SECTOR_BORESIGHTS_DEG)
     xy = dep.site_xy[4] + 30.0 * np.stack([np.cos(az), np.sin(az)], axis=1)
     drop = MobileDrop(xy, np.full(3, 1.5), np.zeros(3), np.ones(3, dtype=int))
-    budget = link_budget(cfg, cfg.propagation, dep, drop, np.zeros((3, 19)), ShadowDraws())
+    budget = link_budget(cfg, dep, drop, np.zeros((3, 19)), ShadowDraws())
     cl = budget["coupling_loss"]
     assert cl.shape == (3, 57)
     assert list(np.argmax(cl, axis=1)) == [12, 13, 14]
@@ -78,7 +78,7 @@ def test_layout_deterministic(dep):
     other = generate_layout(ISD)
     assert_array_equal(other.site_xy, dep.site_xy)
     assert_array_equal(other.wrap_vectors, dep.wrap_vectors)
-    assert (other.bs_height_m, other.isd_m) == (dep.bs_height_m, dep.isd_m)
+    assert other.isd_m == dep.isd_m
 
 
 def test_invalid_isd():

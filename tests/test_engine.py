@@ -63,8 +63,7 @@ def test_validation_messages():
          "min_distance_m"),
         (dict(environment="indoor", deployment=DeploymentParams(min_distance_m=0.8)),
          "min_distance_m"),
-        # each int, float and bool field holds its type, nested blocks included
-        (dict(oxygen_absorption="no"), "oxygen_absorption"),
+        # each int and float field holds its type, nested blocks included
         (dict(n_drops=True), "n_drops"),
         (dict(bandwidth_hz="1e9"), "bandwidth_hz"),
         (dict(deployment=DeploymentParams(isd_m="200")), "deployment.isd_m"),
@@ -153,9 +152,18 @@ def test_from_dict_rejects_unknown_fields():
         ScenarioConfig.from_dict({1: 2.0, "carrier": 2.0})
 
 
+@pytest.mark.parametrize("key, value", [("oxygen_absorption", False),
+                                        ("o2i_sigma_as_stddev", True)])
+def test_from_dict_refuses_the_removed_propagation_switches(key, value):
+    # oxygen off and the stddev reading of the O2I spreads are block fields
+    with pytest.raises(ConfigError, match=rf"unknown config field\(s\): \['{key}'\]"):
+        ScenarioConfig.from_dict({key: value})
+
+
 def test_config_yaml_roundtrip(tmp_path):
     cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", seed=77,
-                         o2i_sigma_as_stddev=True)
+                         propagation=PropagationParams(sigma_o2i_low_db=3.0,
+                                                       sigma_o2i_high_db=5.0))
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg.to_dict()))
     assert load_config(path) == cfg
@@ -197,6 +205,9 @@ def test_every_config_field_has_a_rule_and_every_range_a_field():
     unruled = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
                if f.type not in engine._FIELD_TYPES and f.type not in engine._BLOCKS]
     assert unruled == ["power_scheme", "environment"]
+    # and every rule is some field's: a rule left behind by a deleted field is dead
+    used = {f.type for _, cls in blocks for f in dataclasses.fields(cls)}
+    assert set(engine._FIELD_TYPES) <= used, set(engine._FIELD_TYPES) - used
 
 
 def test_sample_counts():
@@ -250,20 +261,23 @@ def test_received_power_shifts_by_tx_power_between_schemes():
 
 
 def test_oxygen_toggle_shifts_cl_down():
-    on = run_scenario(small(f_c_ghz=60.0, oxygen_absorption=True))
-    off = run_scenario(small(f_c_ghz=60.0, oxygen_absorption=False))
+    on = run_scenario(small(f_c_ghz=60.0))
+    off = run_scenario(small(f_c_ghz=60.0,
+                             propagation=PropagationParams(oxygen_delta_db_per_km={})))
     assert on.cl_cdf.median() < off.cl_cdf.median()
     # same geometry and draws: every sample is weaker with absorption on
     assert np.all(on.cl_cdf.samples <= off.cl_cdf.samples + 1e-12)
 
 
 def test_o2i_sigma_reading_switch():
+    # the stddev reading of the O2I spreads 3 and 5 against the default variances
+    stddev = PropagationParams(sigma_o2i_low_db=3.0, sigma_o2i_high_db=5.0)
     a = run_scenario(small(environment="indoor"))
-    b = run_scenario(small(environment="indoor", o2i_sigma_as_stddev=True))
+    b = run_scenario(small(environment="indoor", propagation=stddev))
     assert not np.array_equal(a.cl_cdf.samples, b.cl_cdf.samples)
     # outdoors the O2I spread never enters
     c = run_scenario(small(environment="outdoor"))
-    d = run_scenario(small(environment="outdoor", o2i_sigma_as_stddev=True))
+    d = run_scenario(small(environment="outdoor", propagation=stddev))
     assert np.array_equal(c.cl_cdf.samples, d.cl_cdf.samples)
 
 
@@ -583,7 +597,7 @@ def test_azimuth_wrap_matches_mod_rule():
 
     # the reference rule: phi = 180 - mod(180 - (azimuth - boresight), 360)
     disp, d2d = wrap_displacements(dep, xy)
-    dz = drop.height_m[:, None] - dep.bs_height_m
+    dz = drop.height_m[:, None] - cfg.deployment.bs_height_m
     theta = np.degrees(np.arccos(np.clip(dz / np.hypot(d2d, dz), -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
     y = 180.0 - (azimuth[:, :, None] - np.asarray(SECTOR_BORESIGHTS_DEG))
@@ -591,7 +605,7 @@ def test_azimuth_wrap_matches_mod_rule():
     assert 629.0 < y[2, 4, 2] < 630.0
     want = sector_gain(cfg.antenna, theta[:, :, None], 180.0 - np.mod(y, 360.0))
 
-    budget = link_budget(cfg, cfg.propagation, dep, drop, np.zeros((n, 19)), ShadowDraws())
+    budget = link_budget(cfg, dep, drop, np.zeros((n, 19)), ShadowDraws())
     assert np.array_equal(budget["g_tx"], want)
 
 
@@ -665,6 +679,14 @@ def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
     # nan, inf and -4 used to end in a traceback from sweep_seed
     with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_sweep_checks_the_base_seed(seed):
+    # sweep_seed reads the base seed before any run's validate sees it: -1
+    # and 1.5 must not reach numpy, and True must not pass as 1
+    with pytest.raises(ConfigError, match="^seed must "):
+        run_sweep(small(n_drops=1, seed=seed), [2.0], ["scaled"])
 
 
 def _assert_same_run(a, b):
@@ -839,10 +861,10 @@ def test_block_sizes_are_near_equal_and_cover_the_drop(monkeypatch):
     sizes = []
     real = engine.link_budget
 
-    def recording(config, params, dep, drop, los_u, draws):
+    def recording(config, dep, drop, los_u, draws):
         sizes.append(len(drop.xy))
         assert los_u.shape == draws.x_los_db.shape == (len(drop.xy), 19)
-        return real(config, params, dep, drop, los_u, draws)
+        return real(config, dep, drop, los_u, draws)
 
     monkeypatch.setattr(engine, "link_budget", recording)
     cap = engine._BLOCK_STATIONS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import (FrequencyRangeWarning, MobileDrop, PropagationParams,
+from mmwsim import (DeploymentParams, FrequencyRangeWarning, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, draw_shadows, fspl, generate_layout,
                     link_budget, los_probability, material_loss, o2i_loss,
                     oxygen_absorption, pl_los_ci, pl_nlos_abg)
@@ -200,8 +200,15 @@ def budget_at(cfg, xy, los_u, depth=0.0, draws=ShadowDraws()):
     drop = MobileDrop(np.asarray(xy, dtype=float), np.full(n, 1.5),
                       np.broadcast_to(np.asarray(depth, dtype=float), (n,)),
                       np.ones(n, dtype=int))
-    return link_budget(cfg, cfg.propagation, DEP, drop,
+    return link_budget(cfg, DEP, drop,
                        np.broadcast_to(np.asarray(los_u, dtype=float), (n, 19)), draws)
+
+
+def test_bs_height_is_read_from_the_config():
+    # the layout holds no height: a 25 m BS gives a 23.5 m vertical offset
+    cfg = ScenarioConfig(f_c_ghz=30.0, deployment=DeploymentParams(bs_height_m=25.0))
+    budget = budget_at(cfg, [[50.0, 20.0], [-130.0, 75.0]], 0.0)
+    assert np.array_equal(budget["d_3d"], np.hypot(budget["d_2d"], 23.5))
 
 
 def link_loss_db(budget):
