@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import check_fields
 from .errors import ConfigError
 
 # Axial (i, j) lattice coordinates of the 19-site cluster: centre, ring 1, ring 2.
@@ -86,9 +87,9 @@ def generate_layout(isd_m: float) -> Deployment:
     point at 30, 150 and 270 degrees.  The six wrap-around translation
     vectors tile the plane with copies of the cluster.  The BS height is no
     part of the layout: ``link_budget`` reads ``config.deployment.bs_height_m``.
+    ``isd_m`` is checked as a config's ``deployment.isd_m`` is.
     """
-    if not isd_m > 0:
-        raise ConfigError(f"isd_m must be positive, got {isd_m}")
+    check_fields(DeploymentParams, {"isd_m": isd_m}, "deployment.")
     sites = np.array([_lattice_xy(i, j, isd_m) for i, j in _SITE_COORDS])
     wrap = np.array([_lattice_xy(i, j, isd_m) for i, j in _WRAP_COORDS])
     return Deployment(site_xy=sites, isd_m=isd_m, wrap_vectors=wrap)

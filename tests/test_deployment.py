@@ -88,6 +88,15 @@ def test_invalid_isd():
         generate_layout(-5.0)
 
 
+@pytest.mark.parametrize("isd", [float("inf"), float("nan"), 0, 2.0e6])
+def test_layout_checks_isd_as_the_config_does(isd):
+    # inf used to give a layout of infinite coordinates
+    with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
+        generate_layout(isd)
+    with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
+        ScenarioConfig(deployment=DeploymentParams(isd_m=isd, min_distance_m=0.0)).validate()
+
+
 def test_wrap_displacement_coincident(dep):
     disp, _ = wrap_displacements(dep, dep.site_xy[3][None])
     assert_allclose(np.linalg.norm(disp[0, 3]), 0.0, atol=1e-12)

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 
 import mmwsim
 import mmwsim.engine as engine
+from mmwsim import checks
 from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
@@ -192,22 +193,22 @@ def test_documented_configs_load(tmp_path):
 
 
 def test_every_config_field_has_a_rule_and_every_range_a_field():
-    # _check_fields looks each range up by dotted name, so a misspelt
-    # _RANGES key would leave its field unbounded without any error
+    # check_fields looks each range up by dotted name, so a misspelt
+    # RANGES key would leave its field unbounded without any error
     blocks = [("", ScenarioConfig)] + [(f"{f.name}.", engine._BLOCKS[f.type])
                                        for f in dataclasses.fields(ScenarioConfig)
                                        if f.type in engine._BLOCKS]
     assert [prefix for prefix, _ in blocks] == ["", "deployment.", "propagation.",
                                                 "antenna."]
     names = {prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)}
-    assert set(engine._RANGES) <= names, set(engine._RANGES) - names
+    assert set(checks.RANGES) <= names, set(checks.RANGES) - names
     # validate checks the two str fields itself
     unruled = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
-               if f.type not in engine._FIELD_TYPES and f.type not in engine._BLOCKS]
+               if f.type not in checks.FIELD_TYPES and f.type not in engine._BLOCKS]
     assert unruled == ["power_scheme", "environment"]
     # and every rule is some field's: a rule left behind by a deleted field is dead
     used = {f.type for _, cls in blocks for f in dataclasses.fields(cls)}
-    assert set(engine._FIELD_TYPES) <= used, set(engine._FIELD_TYPES) - used
+    assert set(checks.FIELD_TYPES) <= used, set(checks.FIELD_TYPES) - used
 
 
 def test_sample_counts():
@@ -446,6 +447,107 @@ def test_failed_save_leaves_no_partial_file(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["n_samples"] == 570
 
 
+OUTPUT_NAMES = ["cl_cdf.csv", "gm_cdf.csv", "links.csv", "summary.json"]
+
+
+def _saved_bytes(result, outdir) -> dict:
+    save_results(result, outdir)
+    assert sorted(os.listdir(outdir)) == OUTPUT_NAMES
+    return {name: (outdir / name).read_bytes() for name in OUTPUT_NAMES}
+
+
+@pytest.fixture(scope="module")
+def two_runs():
+    return [run_scenario(small(n_drops=1, seed=seed), collect_links=True) for seed in (3, 4)]
+
+
+@pytest.fixture
+def swaps(monkeypatch):
+    """The temporary names of the swaps that succeed, where the C library
+    has renameat2."""
+    done = []
+    lookup = engine._libc_function
+
+    def spy(name):
+        fn = lookup(name)
+        if name != "renameat2" or fn is None:
+            return fn
+
+        def counted(*args):
+            status = fn(*args)
+            if status == 0:
+                done.append(Path(os.fsdecode(args[1])).name)
+            return status
+        return counted
+
+    monkeypatch.setattr(engine, "_libc_function", spy)
+    return done
+
+
+def test_second_save_swaps_in_the_new_bytes(tmp_path, two_runs, swaps):
+    old, new = two_runs
+    want = _saved_bytes(new, tmp_path / "fresh")
+    assert swaps == []  # new names are moved by os.replace
+    out = tmp_path / "out"
+    first = _saved_bytes(old, out)
+    assert _saved_bytes(new, out) == want != first
+    # no temporary file and no old content left behind
+    assert sorted(os.listdir(out)) == OUTPUT_NAMES
+    if engine._libc_function("renameat2") is not None:
+        assert sorted(swaps) == [f".{name}.{os.getpid()}.tmp" for name in OUTPUT_NAMES]
+
+
+@pytest.mark.parametrize("renameat2", [None, lambda *args: -1],
+                         ids=["no_renameat2", "swap_fails"])
+def test_save_without_exchange_writes_the_same_bytes(tmp_path, monkeypatch, two_runs,
+                                                     renameat2):
+    # no renameat2 in the C library, or a filesystem that cannot swap
+    old, new = two_runs
+    want = _saved_bytes(new, tmp_path / "fresh")
+    lookup = engine._libc_function
+    monkeypatch.setattr(engine, "_libc_function",
+                        lambda name: renameat2 if name == "renameat2" else lookup(name))
+    out = tmp_path / "out"
+    _saved_bytes(old, out)
+    assert _saved_bytes(new, out) == want
+
+
+@pytest.mark.parametrize("race", [False, True], ids=["before_the_save", "after_the_check"])
+def test_directory_at_output_name_raises_and_stays(tmp_path, monkeypatch, two_runs, swaps,
+                                                   race):
+    target = tmp_path / "cl_cdf.csv"
+    target.mkdir()
+    (target / "keep.txt").write_text("keep\n")
+    if race:
+        # the check reads a regular file, as if the directory had been made
+        # between the check and the swap: the swap is undone
+        lstat, file_stat = os.lstat, os.lstat(__file__)
+        monkeypatch.setattr(engine.os, "lstat",
+                            lambda p, *args, **kw: file_stat if p == target
+                            else lstat(p, *args, **kw))
+    with pytest.raises(IsADirectoryError):
+        save_results(two_runs[0], tmp_path)
+    assert os.listdir(tmp_path) == ["cl_cdf.csv"]
+    assert os.listdir(target) == ["keep.txt"]
+    assert (target / "keep.txt").read_text() == "keep\n"
+    if race and engine._libc_function("renameat2") is not None:
+        assert swaps == [f".cl_cdf.csv.{os.getpid()}.tmp"] * 2
+
+
+def test_symlink_at_output_name_becomes_a_file(tmp_path, two_runs):
+    want = _saved_bytes(two_runs[0], tmp_path / "fresh")
+    target = tmp_path / "target.csv"
+    target.write_text("target\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cl_cdf.csv").symlink_to(target)
+    save_results(two_runs[0], out)
+    assert not (out / "cl_cdf.csv").is_symlink()
+    assert (out / "cl_cdf.csv").read_bytes() == want["cl_cdf.csv"]
+    assert target.read_text() == "target\n"
+    assert sorted(os.listdir(out)) == OUTPUT_NAMES
+
+
 def test_links_write_memory_stays_per_block(tmp_path):
     # 2 drops, 64,980 rows: the whole table's text is 6.8 MB
     res = run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=2),
@@ -674,9 +776,10 @@ def test_sweep_requires_nonempty_lists():
         run_sweep(small(), [], ["scaled"])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400])
 def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
-    # nan, inf and -4 used to end in a traceback from sweep_seed
+    # nan, inf and -4 used to end in a traceback from sweep_seed, and "x",
+    # None and 10 ** 400 in a raw error from float()
     with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
 
