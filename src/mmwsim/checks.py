@@ -1,7 +1,8 @@
 """The rules a scenario config's values must meet: each field's type by its
 annotation and each number's range by the field's dotted name, applied by one
-walker, ``check_fields``.  ``engine`` reads and validates configs with it and
-``deployment.generate_layout`` checks its spacing with it."""
+walker, ``check_fields``, and the station environment by ``check_environment``.
+``engine`` reads and validates configs with them, ``deployment.generate_layout``
+checks its spacing and ``deployment.drop_mobiles`` its environment."""
 
 from __future__ import annotations
 
@@ -72,6 +73,12 @@ FIELD_TYPES = {
     TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
             "a mapping of finite numbers"),
 }
+
+
+def check_environment(environment):
+    """Refuse a station environment other than ``outdoor`` or ``indoor``."""
+    if environment not in ("outdoor", "indoor"):
+        raise ConfigError(f"environment must be 'outdoor' or 'indoor', got {environment!r}")
 
 
 def check_fields(cls, values: dict, prefix: str):

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import check_environment, check_fields
 from .errors import ConfigError
 
 # Axial (i, j) lattice coordinates of the 19-site cluster: centre, ring 1, ring 2.
@@ -222,8 +222,7 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     Returns a ``MobileDrop`` of arrays ``(xy (n, 2), height_m (n,),
     indoor_depth_m (n,), floor (n,))`` with ``n = count``.
     """
-    if environment not in ("outdoor", "indoor"):
-        raise ConfigError(f"environment must be 'outdoor' or 'indoor', got {environment!r}")
+    check_environment(environment)
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
 

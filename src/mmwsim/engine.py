@@ -31,7 +31,7 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, TABLE, check_fields
+from .checks import PAIR, TABLE, check_environment, check_fields
 from .deployment import DeploymentParams
 from .errors import ConfigError
 from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
@@ -67,9 +67,7 @@ class ScenarioConfig:
         # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
         linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
                                     self.tx_power_dbm)
-        if self.environment not in ("outdoor", "indoor"):
-            raise ConfigError(
-                f"environment must be 'outdoor' or 'indoor', got {self.environment!r}")
+        check_environment(self.environment)
         circumradius = dep.isd_m / np.sqrt(3.0)
         if dep.min_distance_m >= circumradius:
             raise ConfigError(
@@ -145,7 +143,8 @@ def _read_block(cls, data, prefix: str):
 def load_config(path) -> ScenarioConfig:
     """Read a YAML (or JSON) scenario file and validate it."""
     try:
-        with open(path) as fh:
+        # as bytes, so that text that is not UTF-8 is YAML's ReaderError
+        with open(path, "rb") as fh:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
@@ -530,8 +529,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
             for key, (result, exc) in zip(keys, _run_all(configs, workers, False))]
 
 
-# Rows per formatting call of _write_table: large enough that the per-call
-# cost vanishes, small enough that one block's Python floats stay a few MB.
+# Rows per formatting call of _write_table and _write_cdf: large enough that
+# the per-call cost vanishes, small enough that one block's Python floats
+# stay a few MB.
 _WRITE_BLOCK_ROWS = 4096
 
 
@@ -671,17 +671,49 @@ def _write_table(path: Path, header, columns):
             fh.write(row_fmt * n_rows % tuple(values))
 
 
+@functools.lru_cache(maxsize=1)
+def _cdf_rows(n: int) -> tuple[str, ...]:
+    """Row formats of a CDF file of ``n`` samples, one per block of
+    ``_WRITE_BLOCK_ROWS`` rows: each row reads ``%.10g,<cdf>\n`` with the
+    ``cdf`` text ``i / n`` already formatted by ``%.10g``, a block at a
+    time (the samples' field escaped as ``%%``).  A formatted float holds
+    no ``%``, so the text is safe inside a format string.  One size is
+    kept, about 20 bytes per sample: a run's two CDF files share ``n``, as
+    do a sweep's runs."""
+    cdf = np.arange(1, n + 1) / n
+    return tuple("%%.10g,%.10g\n" * len(block) % tuple(block.tolist())
+                 for block in (cdf[lo:lo + _WRITE_BLOCK_ROWS]
+                               for lo in range(0, n, _WRITE_BLOCK_ROWS)))
+
+
+def _write_cdf(path: Path, series: CdfSeries):
+    """Write ``series`` as ``value_db,cdf`` rows, the same bytes as
+    ``_write_table`` gives: each block's samples are formatted by one ``%``
+    over the block's cached row format (``_cdf_rows``).  The file is
+    written under a temporary name and moved into place whole."""
+    samples = series.samples
+    with _replacing(path) as fh:
+        fh.write("value_db,cdf\n")
+        for lo, rows in zip(range(0, series.n, _WRITE_BLOCK_ROWS), _cdf_rows(series.n)):
+            fh.write(rows % tuple(samples[lo:lo + _WRITE_BLOCK_ROWS].tolist()))
+
+
 def save_results(result: RunResult, outdir) -> list[Path]:
     """Write cl_cdf.csv, gm_cdf.csv, summary.json (and links.csv when
-    collected) into ``outdir``; returns the written paths."""
+    collected) into ``outdir``; returns the written paths.
+
+    The CDF files are written by ``_write_cdf``, whose row formats, with
+    the ``cdf`` column already formatted, are cached for the last sample
+    count: the first save of a size builds them, and every later file of
+    that size (both files of a run, all runs of a sweep) reuses them.
+    ``links.csv`` is written by ``_write_table``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
     for name, series in (("cl_cdf.csv", result.cl_cdf), ("gm_cdf.csv", result.gm_cdf)):
         path = outdir / name
-        _write_table(path, ("value_db", "cdf"),
-                     (series.samples, np.arange(1, series.n + 1) / series.n))
+        _write_cdf(path, series)
         written.append(path)
 
     summary = {

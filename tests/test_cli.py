@@ -184,6 +184,20 @@ def test_workers_below_1_exit_2(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [b"\xff\xfe\x00\x81garbage: 1\n", b"f_c_ghz: 30.0\n\x81: 1\n"],
+                         ids=["utf16_bom", "bad_utf8_byte"])
+def test_config_that_is_not_utf8_exits_2_without_output(tmp_path, capsys, text):
+    # used to end in a raw UnicodeDecodeError
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not valid YAML" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["run", "-c", str(tmp_path / "nope.yaml"),
                  "-o", str(tmp_path / "o")]) == 2

@@ -97,6 +97,15 @@ def test_layout_checks_isd_as_the_config_does(isd):
         ScenarioConfig(deployment=DeploymentParams(isd_m=isd, min_distance_m=0.0)).validate()
 
 
+@pytest.mark.parametrize("environment", ["space", None, "Indoor"])
+def test_drop_checks_the_environment_as_the_config_does(dep, environment):
+    message = f"^environment must be 'outdoor' or 'indoor', got {environment!r}$"
+    with pytest.raises(ConfigError, match=message):
+        drop_mobiles(dep, environment, 57, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(environment=environment).validate()
+
+
 def test_wrap_displacement_coincident(dep):
     disp, _ = wrap_displacements(dep, dep.site_xy[3][None])
     assert_allclose(np.linalg.norm(disp[0, 3]), 0.0, atol=1e-12)
