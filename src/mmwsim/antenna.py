@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields
+
 
 @dataclass(frozen=True)
 class AntennaPattern:
@@ -29,12 +31,7 @@ class AntennaPattern:
     front_back_db: float = 25.0
 
     def __post_init__(self):
-        if not np.isfinite(self.g_max_dbi):
-            raise ValueError("g_max_dbi must be finite")
-        if self.hpbw_v_deg <= 0 or self.hpbw_h_deg <= 0:
-            raise ValueError("half-power beamwidths must be positive")
-        if self.sla_v_db < 0 or self.front_back_db < 0:
-            raise ValueError("attenuation floors must be non-negative")
+        check_fields(AntennaPattern, vars(self), "antenna.")
 
 
 def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):

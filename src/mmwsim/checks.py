@@ -1,8 +1,9 @@
 """The rules a scenario config's values must meet: each field's type by its
 annotation and each number's range by the field's dotted name, applied by one
-walker, ``check_fields``, and the station environment by ``check_environment``.
-``engine`` reads and validates configs with them, ``deployment.generate_layout``
-checks its spacing and ``deployment.drop_mobiles`` its environment."""
+walker, ``check_fields``, the station environment by ``check_environment``
+and the power scheme and carrier table by ``check_power``.  Each config block
+checks itself with them as it is built; ``generate_layout``, ``drop_mobiles``
+and ``power_allocation``, which take bare values, check those the same way."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .errors import ConfigError
 _DB_LIMIT = 1000.0
 
 # (low, high, low bound open) of every number in each bounded setting and
-# model constant, checked as a config is read and again by validate, so that
-# an absurd magnitude is refused before the run: carrier and bandwidth
+# model constant, checked once, as the config block holding it is built, so
+# that an absurd magnitude is refused before the run: carrier and bandwidth
 # positive, layout lengths positive and at most 1,000 km (far beyond any cell
 # layout, far inside the range where the sampler's squared lengths overflow,
 # near 1.3e154 m), counts from 1, the seed and clearances from 0, dB values
@@ -73,6 +74,24 @@ FIELD_TYPES = {
     TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
             "a mapping of finite numbers"),
 }
+
+
+#: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
+BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
+SCALED_PTX_DBM = {2.0: 44.0, 10.0: 55.8, 30.0: 58.0, 60.0: 61.0, 100.0: 64.0}
+
+
+def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
+    """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier off the
+    table without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``; its table key or None."""
+    if scheme not in ("scaled", "constant"):
+        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
+    key = next((k for k in BANDWIDTH_HZ if abs(f_c_ghz - k) < 1e-9), None)
+    if key is None and bandwidth_hz is None:
+        raise ConfigError(f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set bandwidth_hz")
+    if key is None and tx_power_dbm is None and scheme == "scaled":
+        raise ConfigError(f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set tx_power_dbm")
+    return key
 
 
 def check_environment(environment):

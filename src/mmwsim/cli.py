@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:  # checked by run_scenario and run_sweep
+        if args.seed is not None:  # checked by replace, as every config is
             config = replace(config, seed=args.seed)
         outdir = Path(args.output)
 

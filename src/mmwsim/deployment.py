@@ -39,6 +39,16 @@ class DeploymentParams:
     floor_count_min: int = 4
     floor_count_max: int = 8
 
+    def __post_init__(self):
+        check_fields(DeploymentParams, vars(self), "deployment.")
+        circumradius = self.isd_m / math.sqrt(3.0)
+        if self.min_distance_m >= circumradius:
+            raise ConfigError(
+                f"deployment.min_distance_m must be below the cell circumradius "
+                f"isd_m/sqrt(3) = {circumradius:g} m, got {self.min_distance_m}")
+        if not 1 <= self.floor_count_min <= self.floor_count_max:
+            raise ConfigError("deployment.floor_count_min/max must satisfy 1 <= min <= max")
+
 
 class MobileDrop(NamedTuple):
     """Stations of one drop, one array entry per station."""
@@ -161,8 +171,8 @@ def _expected_sample_rounds(isd_m: float, min_distance_m: float, ms_per_sector: 
     where A is the part of a cell within ``r = min_distance_m`` of its site:
     ``pi r^2`` up to the inradius ``a = isd/2``, less six circular segments
     ``r^2 acos(a/r) - a sqrt(r^2 - a^2)`` beyond the cell edges above it.
-    Each round draws ``max(2 * missing, 64)`` candidates.  ``ScenarioConfig.validate``
-    refuses layouts that need more rounds than the budget.
+    Each round draws ``max(2 * missing, 64)`` candidates.  A ``ScenarioConfig``
+    that needs more rounds than the budget is refused as it is built.
     """
     n_sites, a, r = len(_SITE_COORDS), isd_m / 2.0, min_distance_m
     hex_area = math.sqrt(3.0) / 2.0 * isd_m ** 2
@@ -174,7 +184,8 @@ def _expected_sample_rounds(isd_m: float, min_distance_m: float, ms_per_sector: 
     c = isd_m / math.sqrt(3.0)
     keep = n_sites * (hex_area - near) / ((4.0 * isd_m + 2.0 * c)
                                           * (2.0 * math.sqrt(3.0) * isd_m + 2.0 * c))
-    missing, rounds = float(3 * n_sites * ms_per_sector), 0
+    # a count beyond float range reads as 10**300, itself far too many to allocate
+    missing, rounds = float(3 * n_sites * min(ms_per_sector, 10**300)), 0
     while missing > 0 and rounds <= _MAX_SAMPLE_ROUNDS:
         missing -= keep * max(2.0 * missing, 64.0)
         rounds += 1

@@ -31,7 +31,7 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, TABLE, check_environment, check_fields
+from .checks import PAIR, check_environment, check_fields, check_power
 from .deployment import DeploymentParams
 from .errors import ConfigError
 from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
@@ -40,9 +40,14 @@ from .propagation import PropagationParams
 SUMMARY_PERCENTILES = (5, 20, 35, 48, 50, 75, 90, 95)
 
 
+# the blocks of ScenarioConfig, by annotation string
+_BLOCKS = {cls.__name__: cls for cls in (DeploymentParams, PropagationParams, AntennaPattern)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one reproducible experiment."""
+    """Full description of one reproducible experiment, checked as it is
+    built (``ScenarioConfig(...)``, ``replace``, ``load_config``)."""
 
     f_c_ghz: float = 2.0
     power_scheme: str = "scaled"
@@ -59,20 +64,15 @@ class ScenarioConfig:
     propagation: PropagationParams = field(default_factory=PropagationParams)
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
 
-    def validate(self):
-        dep = self.deployment
-        for obj, prefix in ((self, ""), (dep, "deployment."),
-                            (self.propagation, "propagation."), (self.antenna, "antenna.")):
-            check_fields(type(obj), vars(obj), prefix)
-        # a carrier off the table needs bandwidth_hz and, scaled, tx_power_dbm
-        linkbudget.power_allocation(self.power_scheme, self.f_c_ghz, self.bandwidth_hz,
-                                    self.tx_power_dbm)
+    def __post_init__(self):
+        check_fields(ScenarioConfig, vars(self), "")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in _BLOCKS and not isinstance(value, _BLOCKS[f.type]):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {type(value).__name__}")
+        check_power(self.power_scheme, self.f_c_ghz, self.bandwidth_hz, self.tx_power_dbm)
         check_environment(self.environment)
-        circumradius = dep.isd_m / np.sqrt(3.0)
-        if dep.min_distance_m >= circumradius:
-            raise ConfigError(
-                f"deployment.min_distance_m must be below the cell circumradius "
-                f"isd_m/sqrt(3) = {circumradius:g} m, got {dep.min_distance_m}")
+        dep = self.deployment
         budget = deployment_mod._MAX_SAMPLE_ROUNDS
         if deployment_mod._expected_sample_rounds(
                 dep.isd_m, dep.min_distance_m, self.ms_per_sector) > budget:
@@ -80,9 +80,6 @@ class ScenarioConfig:
                 f"deployment.min_distance_m={dep.min_distance_m:g} at isd_m={dep.isd_m:g} "
                 f"leaves so little of the footprint that {self.ms_per_sector} stations "
                 f"per sector need more than {budget} sampling rounds per drop")
-        if not 1 <= dep.floor_count_min <= dep.floor_count_max:
-            raise ConfigError("deployment.floor_count_min/max must satisfy "
-                              "1 <= min <= max")
         # The shortest link pairs min_distance_m with the station height
         # closest to the BS: ms_height_m outdoors, 3k + ms_height_m indoors
         # for floors k + 1 = 1..floor_count_max.
@@ -106,19 +103,11 @@ class ScenarioConfig:
         return _read_block(cls, data, "")
 
 
-# the blocks of ScenarioConfig, by annotation string
-_BLOCKS = {cls.__name__: cls for cls in (DeploymentParams, PropagationParams, AntennaPattern)}
-
-
 def _read_block(cls, data, prefix: str):
-    """``cls`` built from the mapping ``data`` read from a config file.
-
-    Every value is checked by ``check_fields`` before ``cls`` sees it, and a
-    field whose type is a block is read the same way, a null one (a YAML
-    block whose children are all commented out) as its defaults.  A YAML
-    list stands for a loss pair; the numbers of the loss pairs and of the
-    oxygen table become floats once checked, the scalars keep their type.
-    """
+    """``cls`` built, and so checked, from the mapping ``data`` of a config
+    file.  A block is read the same way, a null one (a YAML block whose
+    children are all commented out) as its defaults; a YAML list stands
+    for a loss pair."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'} must be a mapping, "
                           f"got {type(data).__name__}")
@@ -126,31 +115,25 @@ def _read_block(cls, data, prefix: str):
     unknown = sorted(f"{prefix}{name}" for name in data.keys() - types.keys())
     if unknown:
         raise ConfigError(f"unknown config field(s): {unknown}")
-    values = {name: tuple(data[name]) if kind == PAIR and isinstance(data[name], list)
-              else data[name] for name, kind in types.items() if name in data}
-    check_fields(cls, values, prefix)
+    values = {name: data[name] for name in types if name in data}
     for name, value in values.items():
         if types[name] in _BLOCKS:
             values[name] = _read_block(_BLOCKS[types[name]], {} if value is None else value,
                                        f"{prefix}{name}.")
-        elif types[name] == PAIR:
-            values[name] = tuple(map(float, value))
-        elif types[name] == TABLE:
-            values[name] = {float(k): float(v) for k, v in value.items()}
+        elif types[name] == PAIR and isinstance(value, list):
+            values[name] = tuple(value)
     return cls(**values)
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read a YAML (or JSON) scenario file and validate it."""
+    """The config of a YAML (or JSON) scenario file, checked as it is built."""
     try:
         # as bytes, so that text that is not UTF-8 is YAML's ReaderError
         with open(path, "rb") as fh:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
-    cfg = ScenarioConfig.from_dict(data)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig.from_dict(data)
 
 
 @dataclass
@@ -398,10 +381,9 @@ class _Run(NamedTuple):
 
 
 def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
-    """Validate ``config``, fix the layout, power, noise and threshold that
-    all its drops share, and allocate the arrays they fill."""
+    """Fix the layout, power, noise and threshold that all drops of ``config``
+    share, and allocate the arrays they fill (a ``ConfigError`` if too large)."""
     t0 = time.perf_counter()
-    config.validate()
     _pin_heap_thresholds()
     dep = deployment_mod.generate_layout(config.deployment.isd_m)
     alloc = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
@@ -409,11 +391,15 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
     noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)
     threshold = linkbudget.cl_snr0_threshold(alloc.p_tx_dbm, noise_total)
     n_ms = config.n_drops * config.ms_per_sector * dep.n_sectors
-    links = {key: np.empty(n_ms * dep.n_sectors,
-                           int if key in ("ms_id", "sector_id", "is_los") else float)
-             for key in linkbudget.LINK_CSV_COLUMNS} if collect_links else None
-    return _Run(config, t0, dep, alloc, noise_total, threshold, np.empty(n_ms),
-                np.empty(n_ms), np.empty(n_ms, bool), links)
+    try:
+        links = {key: np.empty(n_ms * dep.n_sectors,
+                               int if key in ("ms_id", "sector_id", "is_los") else float)
+                 for key in linkbudget.LINK_CSV_COLUMNS} if collect_links else None
+        arrays = np.empty(n_ms), np.empty(n_ms), np.empty(n_ms, bool)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
+        raise ConfigError(f"n_drops={config.n_drops}, ms_per_sector={config.ms_per_sector}: "
+                          f"{n_ms} stations are too many to allocate") from exc
+    return _Run(config, t0, dep, alloc, noise_total, threshold, *arrays, links)
 
 
 def _finish_run(run: _Run, drops) -> RunResult:
@@ -437,34 +423,35 @@ def _finish_run(run: _Run, drops) -> RunResult:
     )
 
 
-def _run_all(configs, workers: int, collect_links: bool) -> list[tuple]:
-    """Run each config as one scenario; ``(RunResult, None)`` or ``(None,
-    exception)`` per config, in order.
+def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
+    """Build and run each config of ``make_configs``, zero-argument callables,
+    as one scenario; ``(RunResult, None)`` or ``(None, exception)`` per
+    config, in order.
 
     Every run is set up first.  With ``workers > 1`` the drops of all runs
     then go, in (run, drop) order, to one pool of ``workers`` threads, and
     the runs are finished in order while the workers go on with later
     drops; with one worker no pool is made and each run's drops are
-    simulated as it is finished.  An exception in a run's setup, drops or
-    finish fails that run only and cancels its drops not yet started.
-    Each drop draws from its own substreams, so results and errors are the
-    same at any worker count.  Anything else that escapes, such as a
+    simulated as it is finished.  An exception in a run's config, setup,
+    drops or finish fails that run only and cancels its drops not yet
+    started.  Each drop draws from its own substreams, so results and errors
+    are the same at any worker count.  Anything else that escapes, such as a
     ``KeyboardInterrupt``, cancels the queued drops and joins the pool's
     threads before it propagates.
     """
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         started = collections.deque()  # (run or setup error, drop futures)
-        for config in configs:
+        for make_config in make_configs:
             try:
-                run = _setup_run(config, collect_links)
+                run = _setup_run(make_config(), collect_links)
             except Exception as exc:  # reported per run
                 started.append((exc, []))
                 continue
             # _simulate_drop is looked up at submit or call time
             started.append((run, [] if pool is None else
                             [pool.submit(_simulate_drop, run, d)
-                             for d in range(config.n_drops)]))
+                             for d in range(run.config.n_drops)]))
         outcomes = []
         while started:
             # popped, so each run's _Run and futures are freed once it is finished
@@ -493,7 +480,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
     ``workers`` threads simulate the drops (``_run_all``); any worker count
     yields bit-identical results.  Raises what the run raised.
     """
-    [(result, error)] = _run_all([config], workers, collect_links)
+    [(result, error)] = _run_all([lambda: config], workers, collect_links)
     if error is not None:
         raise error
     return result
@@ -510,7 +497,6 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     ``"ExceptionType: message"`` and the sweep continues; the entries,
     their results and their errors are the same at any worker count.
     """
-    check_fields(ScenarioConfig, {"seed": base_config.seed}, "")  # sweep_seed reads it
     frequencies, schemes = list(frequencies), list(schemes)
     if not frequencies or not schemes:
         raise ConfigError("frequencies and schemes must be non-empty")
@@ -522,8 +508,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     if not valid:
         raise ConfigError(f"frequencies must be positive and finite, got {frequencies}")
     keys = [(f_c, scheme) for f_c in carriers for scheme in schemes]
-    configs = [replace(base_config, f_c_ghz=f_c, power_scheme=scheme,
-                       seed=sweep_seed(base_config.seed, f_c)) for f_c, scheme in keys]
+    configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme,
+                                 seed=sweep_seed(base_config.seed, f_c))
+               for f_c, scheme in keys]
     return [SweepEntry(*key, result,
                        None if exc is None else f"{type(exc).__name__}: {exc}")
             for key, (result, exc) in zip(keys, _run_all(configs, workers, False))]

@@ -6,11 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .checks import BANDWIDTH_HZ, SCALED_PTX_DBM, check_power
 
-#: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
-BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
-SCALED_PTX_DBM = {2.0: 44.0, 10.0: 55.8, 30.0: 58.0, 60.0: 61.0, 100.0: 64.0}
 CONSTANT_PTX_DBM = 44.0
 
 NOISE_DENSITY_DBM_HZ = -174.0
@@ -34,28 +31,13 @@ def power_allocation(scheme: str, f_c_ghz: float, bandwidth_hz: float | None = N
 
     The five standard carriers (2/10/30/60/100 GHz) resolve from the
     built-in table; any other frequency requires explicit ``bandwidth_hz``
-    and, for the scaled scheme, ``p_tx_dbm`` overrides.
+    and, for the scaled scheme, ``p_tx_dbm`` overrides (``check_power``).
     """
-    if scheme not in ("scaled", "constant"):
-        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
-    key = None
-    for k in BANDWIDTH_HZ:
-        if abs(f_c_ghz - k) < 1e-9:
-            key = k
-            break
+    key = check_power(scheme, f_c_ghz, bandwidth_hz, p_tx_dbm)
     if bandwidth_hz is None:
-        if key is None:
-            raise ConfigError(
-                f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set bandwidth_hz")
         bandwidth_hz = BANDWIDTH_HZ[key]
     if p_tx_dbm is None:
-        if scheme == "constant":
-            p_tx_dbm = CONSTANT_PTX_DBM
-        elif key is not None:
-            p_tx_dbm = SCALED_PTX_DBM[key]
-        else:
-            raise ConfigError(
-                f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set tx_power_dbm")
+        p_tx_dbm = CONSTANT_PTX_DBM if scheme == "constant" else SCALED_PTX_DBM[key]
     return PowerAllocation(scheme=scheme, f_c_ghz=f_c_ghz,
                            bandwidth_hz=float(bandwidth_hz), p_tx_dbm=float(p_tx_dbm))
 

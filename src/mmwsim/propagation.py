@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_fields
 from .errors import FrequencyRangeWarning
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -52,12 +53,12 @@ class PropagationParams:
         default_factory=lambda: {60.0: 15.0})
 
     def __post_init__(self):
-        for name in ("sigma_los_db", "sigma_nlos_db", "sigma_o2i_low_db",
-                     "sigma_o2i_high_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.abg_alpha <= 0 or self.abg_gamma <= 0:
-            raise ValueError("abg_alpha and abg_gamma must be positive")
+        check_fields(PropagationParams, vars(self), "propagation.")
+        # the loss pairs and oxygen table as floats: YAML's {60: 15} echoes as floats
+        for name in (f"{material}_loss_db" for material in _MATERIALS):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "oxygen_delta_db_per_km", {
+            float(k): float(v) for k, v in self.oxygen_delta_db_per_km.items()})
 
 
 DEFAULT_PARAMS = PropagationParams()

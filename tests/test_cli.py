@@ -137,6 +137,21 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_drops, ms_per_sector", [(20, 10**13), (10**20, 1), (1, 10**400)],
+                         ids=["stations_81_pib", "beyond_numpy_dimension", "beyond_float"])
+def test_unallocatable_station_count_exits_2_without_output(tmp_path, capsys, n_drops,
+                                                            ms_per_sector):
+    # each used to end in a raw MemoryError, ValueError or OverflowError
+    cfg = write_config(tmp_path, n_drops=n_drops, ms_per_sector=ms_per_sector)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_drops={n_drops}, ms_per_sector={ms_per_sector}: ")
+    assert err.endswith(" stations are too many to allocate\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_negative_seed_override_exits_2_without_output(tmp_path, capsys, command):
     cfg = write_config(tmp_path)

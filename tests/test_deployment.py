@@ -94,7 +94,7 @@ def test_layout_checks_isd_as_the_config_does(isd):
     with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
         generate_layout(isd)
     with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
-        ScenarioConfig(deployment=DeploymentParams(isd_m=isd, min_distance_m=0.0)).validate()
+        ScenarioConfig(deployment=DeploymentParams(isd_m=isd, min_distance_m=0.0))
 
 
 @pytest.mark.parametrize("environment", ["space", None, "Indoor"])
@@ -103,7 +103,7 @@ def test_drop_checks_the_environment_as_the_config_does(dep, environment):
     with pytest.raises(ConfigError, match=message):
         drop_mobiles(dep, environment, 57, np.random.default_rng(0))
     with pytest.raises(ConfigError, match=message):
-        ScenarioConfig(environment=environment).validate()
+        ScenarioConfig(environment=environment)
 
 
 def test_wrap_displacement_coincident(dep):

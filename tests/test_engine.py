@@ -38,109 +38,155 @@ def small(**kw):
 
 
 def test_validation_messages():
+    # each case builds its kwargs lazily: an invalid block refuses itself
     cases = [
-        (dict(f_c_ghz=0.0), "f_c_ghz"),
-        (dict(power_scheme="boosted"), "power_scheme"),
-        (dict(environment="space"), "environment"),
-        (dict(n_drops=0), "n_drops"),
-        (dict(ms_per_sector=0), "ms_per_sector"),
-        (dict(seed=-1), "seed"),
-        (dict(g_sm_db=float("inf")), "g_sm_db"),
-        (dict(deployment=DeploymentParams(isd_m=-1.0)), "isd_m"),
-        (dict(deployment=DeploymentParams(floor_count_min=9)), "floor_count"),
-        (dict(bandwidth_hz=0.0), "bandwidth_hz"),
-        (dict(deployment=DeploymentParams(ms_height_m=0.0)), "ms_height_m"),
-        (dict(deployment=DeploymentParams(min_distance_m=115.5)), "min_distance_m"),
-        (dict(deployment=DeploymentParams(min_distance_m=-1.0)),
+        (lambda: dict(f_c_ghz=0.0), "f_c_ghz"),
+        (lambda: dict(power_scheme="boosted"), "power_scheme"),
+        (lambda: dict(environment="space"), "environment"),
+        (lambda: dict(n_drops=0), "n_drops"),
+        (lambda: dict(ms_per_sector=0), "ms_per_sector"),
+        (lambda: dict(seed=-1), "seed"),
+        (lambda: dict(g_sm_db=float("inf")), "g_sm_db"),
+        (lambda: dict(deployment=DeploymentParams(isd_m=-1.0)), "isd_m"),
+        (lambda: dict(deployment=DeploymentParams(floor_count_min=9)), "floor_count"),
+        (lambda: dict(bandwidth_hz=0.0), "bandwidth_hz"),
+        (lambda: dict(deployment=DeploymentParams(ms_height_m=0.0)), "ms_height_m"),
+        (lambda: dict(deployment=DeploymentParams(min_distance_m=115.5)), "min_distance_m"),
+        (lambda: dict(deployment=DeploymentParams(min_distance_m=-1.0)),
          r"deployment.min_distance_m must lie in \[0, inf\)"),
-        (dict(deployment=DeploymentParams(indoor_depth_max_m=-0.5)),
+        (lambda: dict(deployment=DeploymentParams(indoor_depth_max_m=-0.5)),
          r"deployment.indoor_depth_max_m must lie in \[0, inf\)"),
         # links below the 1 m close-in reference distance: d_3d = 0.1 m, a
         # station on floor 4 level with a 10.5 m BS, and 0.943 m indoors
-        (dict(deployment=DeploymentParams(bs_height_m=1.6, ms_height_m=1.5,
-                                          min_distance_m=0.0)), "min_distance_m"),
-        (dict(environment="indoor",
-              deployment=DeploymentParams(bs_height_m=10.5, min_distance_m=0.0)),
+        (lambda: dict(deployment=DeploymentParams(bs_height_m=1.6, ms_height_m=1.5,
+                                                  min_distance_m=0.0)), "min_distance_m"),
+        (lambda: dict(environment="indoor",
+                      deployment=DeploymentParams(bs_height_m=10.5, min_distance_m=0.0)),
          "min_distance_m"),
-        (dict(environment="indoor", deployment=DeploymentParams(min_distance_m=0.8)),
+        (lambda: dict(environment="indoor", deployment=DeploymentParams(min_distance_m=0.8)),
          "min_distance_m"),
         # each int and float field holds its type, nested blocks included
-        (dict(n_drops=True), "n_drops"),
-        (dict(bandwidth_hz="1e9"), "bandwidth_hz"),
-        (dict(deployment=DeploymentParams(isd_m="200")), "deployment.isd_m"),
-        (dict(propagation=PropagationParams(ci_ple_coeff="21")), "propagation.ci_ple_coeff"),
-        (dict(antenna=AntennaPattern(g_max_dbi=True)), "antenna.g_max_dbi"),
+        (lambda: dict(n_drops=True), "n_drops"),
+        (lambda: dict(bandwidth_hz="1e9"), "bandwidth_hz"),
+        (lambda: dict(deployment=DeploymentParams(isd_m="200")), "deployment.isd_m"),
+        (lambda: dict(propagation=PropagationParams(ci_ple_coeff="21")),
+         "propagation.ci_ple_coeff"),
+        (lambda: dict(antenna=AntennaPattern(g_max_dbi=True)), "antenna.g_max_dbi"),
         # dB settings that reach 10 ** (x / 10) stay within +-1000 dB
-        (dict(tx_power_dbm=1.0e20), "tx_power_dbm"),
-        (dict(noise_figure_db=-1001.0), "noise_figure_db"),
-        (dict(g_sm_db=1.0e4), "g_sm_db"),
-        (dict(ms_gain_dbi=float("nan")), "ms_gain_dbi"),
-        (dict(antenna=AntennaPattern(g_max_dbi=1.0e300)), "antenna.g_max_dbi"),
+        (lambda: dict(tx_power_dbm=1.0e20), "tx_power_dbm"),
+        (lambda: dict(noise_figure_db=-1001.0), "noise_figure_db"),
+        (lambda: dict(g_sm_db=1.0e4), "g_sm_db"),
+        (lambda: dict(ms_gain_dbi=float("nan")), "ms_gain_dbi"),
+        (lambda: dict(antenna=AntennaPattern(g_max_dbi=1.0e300)), "antenna.g_max_dbi"),
         # every number is finite, the loss pairs and oxygen table included
-        (dict(propagation=PropagationParams(sigma_nlos_db=float("nan"))),
+        (lambda: dict(propagation=PropagationParams(sigma_nlos_db=float("nan"))),
          "propagation.sigma_nlos_db"),
-        (dict(antenna=AntennaPattern(downtilt_deg=float("inf"))), "antenna.downtilt_deg"),
-        (dict(propagation=PropagationParams(glass_loss_db=(2.0, float("inf")))),
+        (lambda: dict(antenna=AntennaPattern(downtilt_deg=float("inf"))),
+         "antenna.downtilt_deg"),
+        (lambda: dict(propagation=PropagationParams(glass_loss_db=(2.0, float("inf")))),
          "propagation.glass_loss_db"),
-        (dict(propagation=PropagationParams(irr_glass_loss_db=[23.0, 0.3])),
+        (lambda: dict(propagation=PropagationParams(irr_glass_loss_db=[23.0, 0.3])),
          "propagation.irr_glass_loss_db"),
-        (dict(propagation=PropagationParams(oxygen_delta_db_per_km={float("nan"): 1.0})),
+        (lambda: dict(propagation=PropagationParams(
+            oxygen_delta_db_per_km={float("nan"): 1.0})),
          "propagation.oxygen_delta_db_per_km"),
-        (dict(deployment=DeploymentParams(indoor_depth_max_m=float("inf"))),
+        (lambda: dict(deployment=DeploymentParams(indoor_depth_max_m=float("inf"))),
          "deployment.indoor_depth_max_m"),
         # layout lengths stay within 1,000 km
-        (dict(deployment=DeploymentParams(isd_m=1.0e7, min_distance_m=0.0)), "deployment.isd_m"),
-        (dict(deployment=DeploymentParams(bs_height_m=2.0e6)), "deployment.bs_height_m"),
+        (lambda: dict(deployment=DeploymentParams(isd_m=1.0e7, min_distance_m=0.0)),
+         "deployment.isd_m"),
+        (lambda: dict(deployment=DeploymentParams(bs_height_m=2.0e6)),
+         "deployment.bs_height_m"),
         # a carrier off the table needs its bandwidth and, scaled, its power
-        (dict(f_c_ghz=73.0), "bandwidth_hz"),
-        (dict(f_c_ghz=73.0, bandwidth_hz=2e9), "tx_power_dbm"),
+        (lambda: dict(f_c_ghz=73.0), "bandwidth_hz"),
+        (lambda: dict(f_c_ghz=73.0, bandwidth_hz=2e9), "tx_power_dbm"),
         # each propagation and antenna constant lies in its physical range
-        (dict(propagation=PropagationParams(abg_beta_db=-1.0e300)), "propagation.abg_beta_db"),
-        (dict(propagation=PropagationParams(abg_alpha=1.0e300)), "propagation.abg_alpha"),
-        (dict(propagation=PropagationParams(abg_gamma=10.5)), "propagation.abg_gamma"),
-        (dict(propagation=PropagationParams(ci_ple_coeff=-5.0)), "propagation.ci_ple_coeff"),
-        (dict(propagation=PropagationParams(ci_ple_coeff=100.5)), "propagation.ci_ple_coeff"),
-        (dict(propagation=PropagationParams(sigma_nlos_db=1000.5)),
+        (lambda: dict(propagation=PropagationParams(abg_beta_db=-1.0e300)),
+         "propagation.abg_beta_db"),
+        (lambda: dict(propagation=PropagationParams(abg_alpha=1.0e300)),
+         "propagation.abg_alpha"),
+        (lambda: dict(propagation=PropagationParams(abg_gamma=10.5)), "propagation.abg_gamma"),
+        (lambda: dict(propagation=PropagationParams(ci_ple_coeff=-5.0)),
+         "propagation.ci_ple_coeff"),
+        (lambda: dict(propagation=PropagationParams(ci_ple_coeff=100.5)),
+         "propagation.ci_ple_coeff"),
+        (lambda: dict(propagation=PropagationParams(sigma_nlos_db=1000.5)),
          "propagation.sigma_nlos_db"),
-        (dict(propagation=PropagationParams(sigma_o2i_high_db=1.0e4)),
+        (lambda: dict(propagation=PropagationParams(sigma_o2i_high_db=1.0e4)),
          "propagation.sigma_o2i_high_db"),
-        (dict(propagation=PropagationParams(concrete_loss_db=(5.0, -1.0e4))),
+        (lambda: dict(propagation=PropagationParams(concrete_loss_db=(5.0, -1.0e4))),
          "propagation.concrete_loss_db"),
-        (dict(propagation=PropagationParams(indoor_loss_rate_db_per_m=1.0e6)),
+        (lambda: dict(propagation=PropagationParams(indoor_loss_rate_db_per_m=1.0e6)),
          "propagation.indoor_loss_rate_db_per_m"),
-        (dict(propagation=PropagationParams(oxygen_delta_db_per_km={60.0: -1.0e4})),
+        (lambda: dict(propagation=PropagationParams(oxygen_delta_db_per_km={60.0: -1.0e4})),
          "propagation.oxygen_delta_db_per_km"),
-        (dict(antenna=AntennaPattern(hpbw_v_deg=360.5)), "antenna.hpbw_v_deg"),
-        (dict(antenna=AntennaPattern(hpbw_h_deg=1.0e300)), "antenna.hpbw_h_deg"),
-        (dict(antenna=AntennaPattern(downtilt_deg=-10.0)), "antenna.downtilt_deg"),
-        (dict(antenna=AntennaPattern(downtilt_deg=270.0)), "antenna.downtilt_deg"),
-        (dict(antenna=AntennaPattern(sla_v_db=1.0e300)), "antenna.sla_v_db"),
-        (dict(antenna=AntennaPattern(front_back_db=1000.5)), "antenna.front_back_db"),
+        (lambda: dict(antenna=AntennaPattern(hpbw_v_deg=360.5)), "antenna.hpbw_v_deg"),
+        (lambda: dict(antenna=AntennaPattern(hpbw_h_deg=1.0e300)), "antenna.hpbw_h_deg"),
+        (lambda: dict(antenna=AntennaPattern(downtilt_deg=-10.0)), "antenna.downtilt_deg"),
+        (lambda: dict(antenna=AntennaPattern(downtilt_deg=270.0)), "antenna.downtilt_deg"),
+        (lambda: dict(antenna=AntennaPattern(sla_v_db=1.0e300)), "antenna.sla_v_db"),
+        (lambda: dict(antenna=AntennaPattern(front_back_db=1000.5)), "antenna.front_back_db"),
+        # a block field holds its block; it used to end in a raw TypeError
+        (lambda: dict(deployment={"isd_m": 100.0}),
+         "^deployment must be a DeploymentParams, got dict$"),
     ]
     for kw, field in cases:
         with pytest.raises(ConfigError, match=field):
-            small(**kw).validate()
+            small(**kw())
 
 
 def test_validate_accepts_the_length_bound_and_carriers_off_the_table():
-    small(deployment=DeploymentParams(isd_m=1.0e6, bs_height_m=1.0e6)).validate()
-    small(deployment=DeploymentParams(ms_height_m=1.0e6)).validate()
-    small(f_c_ghz=73.0, bandwidth_hz=2e9, tx_power_dbm=50.0).validate()
-    small(f_c_ghz=73.0, bandwidth_hz=2e9, power_scheme="constant").validate()
+    small(deployment=DeploymentParams(isd_m=1.0e6, bs_height_m=1.0e6))
+    small(deployment=DeploymentParams(ms_height_m=1.0e6))
+    small(f_c_ghz=73.0, bandwidth_hz=2e9, tx_power_dbm=50.0)
+    small(f_c_ghz=73.0, bandwidth_hz=2e9, power_scheme="constant")
 
 
 def test_validate_accepts_links_of_1m_and_more():
     # the default indoor layout: the closest floor (10.5 m) is 0.5 m from the
     # 10 m BS, and 10 m clearance keeps every d_3d above 10 m
-    small(environment="indoor").validate()
+    small(environment="indoor")
     near = DeploymentParams(bs_height_m=1.6, ms_height_m=1.5, min_distance_m=1.0)
-    small(deployment=near).validate()
-    small(environment="indoor", deployment=near).validate()
+    small(deployment=near)
+    small(environment="indoor", deployment=near)
     # floor 4 (10.5 m) meets a 10.5 m BS only where buildings reach it
     level = DeploymentParams(bs_height_m=10.5, min_distance_m=0.0)
-    small(deployment=level).validate()
+    small(deployment=level)
     small(environment="indoor",
-          deployment=replace(level, floor_count_min=3, floor_count_max=3)).validate()
+          deployment=replace(level, floor_count_min=3, floor_count_max=3))
+
+
+def test_construction_refuses_bad_values_through_replace():
+    cfg = small()
+    for kw, field in ((dict(seed=-1), r"^seed must lie in \[0, inf\), got -1$"),
+                      (dict(f_c_ghz=73.0), "set bandwidth_hz$"),
+                      (dict(power_scheme="boosted"), "^power_scheme must be ")):
+        with pytest.raises(ConfigError, match=field):
+            replace(cfg, **kw)
+    assert replace(cfg, seed=12).seed == 12
+
+
+def test_construction_calls_no_layer_function(monkeypatch, tmp_path):
+    # perfbench's tracer wraps every public function of a layer module in a
+    # span, so building a config outside a traced run must call none of them
+    from mmwsim import linkbudget
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power_allocation called while building a config")
+
+    monkeypatch.setattr(linkbudget, "power_allocation", refuse)
+    cfg = small(f_c_ghz=73.0, bandwidth_hz=2e9, tx_power_dbm=50.0)
+    replace(cfg, power_scheme="constant", tx_power_dbm=None)
+    with pytest.raises(ConfigError, match="set tx_power_dbm$"):
+        replace(cfg, tx_power_dbm=None)
+    with pytest.raises(ConfigError, match="^power_scheme must be "):
+        small(power_scheme="boosted")
+    path = tmp_path / "s.yaml"
+    path.write_text("f_c_ghz: 60.0\nenvironment: indoor\n")
+    assert load_config(path).f_c_ghz == 60.0
+    path.write_text("f_c_ghz: 73.0\n")
+    with pytest.raises(ConfigError, match="set bandwidth_hz$"):
+        load_config(path)
 
 
 def test_from_dict_rejects_unknown_fields():
@@ -202,7 +248,7 @@ def test_every_config_field_has_a_rule_and_every_range_a_field():
                                                 "antenna."]
     names = {prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)}
     assert set(checks.RANGES) <= names, set(checks.RANGES) - names
-    # validate checks the two str fields itself
+    # ScenarioConfig.__post_init__ checks the two str fields itself
     unruled = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
                if f.type not in checks.FIELD_TYPES and f.type not in engine._BLOCKS]
     assert unruled == ["power_scheme", "environment"]
@@ -672,7 +718,7 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch, workers):
 
 def test_validate_accepts_db_settings_up_to_the_bound():
     small(tx_power_dbm=1000.0, noise_figure_db=-1000.0, g_sm_db=1000.0,
-          ms_gain_dbi=-1000.0, antenna=AntennaPattern(g_max_dbi=1000.0)).validate()
+          ms_gain_dbi=-1000.0, antenna=AntennaPattern(g_max_dbi=1000.0))
 
 
 def test_validate_accepts_model_constants_up_to_their_bounds():
@@ -683,19 +729,18 @@ def test_validate_accepts_model_constants_up_to_their_bounds():
                                    oxygen_delta_db_per_km={60.0: 1000.0}),
                  PropagationParams(abg_beta_db=1000.0, abg_alpha=1e-3, abg_gamma=1e-3,
                                    ci_ple_coeff=100.0, oxygen_delta_db_per_km={})):
-        small(propagation=prop).validate()
+        small(propagation=prop)
     for ant in (AntennaPattern(hpbw_v_deg=360.0, hpbw_h_deg=1e-3, downtilt_deg=0.0,
                                sla_v_db=0.0, front_back_db=1000.0),
                 AntennaPattern(hpbw_h_deg=360.0, downtilt_deg=180.0, sla_v_db=1000.0)):
-        small(antenna=ant).validate()
+        small(antenna=ant)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_geometry_metric_aborts_before_any_output(workers):
     # every dB setting within its bound, yet the received powers overflow
     cfg = small(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
-                antenna=AntennaPattern(g_max_dbi=1000.0))
-    cfg.validate()
+                antenna=AntennaPattern(g_max_dbi=1000.0))  # a valid config
     with pytest.raises(RuntimeError, match=r"^non-finite geometry metric \(drop 0, ms 0\): "
                        r"the linear powers overflow; lower tx_power_dbm or the antenna "
                        r"gains$"):
@@ -754,7 +799,7 @@ def test_near_infeasible_min_distance_is_refused_by_expected_rounds():
     for kw in (dict(ms_per_sector=10, deployment=DeploymentParams(min_distance_m=113.0)),
                dict(ms_per_sector=100, deployment=DeploymentParams(min_distance_m=112.0))):
         with pytest.raises(ConfigError, match="deployment.min_distance_m"):
-            small(**kw).validate()
+            small(**kw)
     assert _expected_sample_rounds(200.0, 113.0, 10) > _MAX_SAMPLE_ROUNDS
 
 
@@ -817,6 +862,7 @@ def test_public_names_resolve_once():
     for gone in ("link_loss", "LinkGeometry", "LinkRecord", "GeometryResult",
                  "classify_regime", "wrap_displacement", "ms_gain", "Site", "Sector"):
         assert not hasattr(mmwsim, gone), gone
+    assert not hasattr(ScenarioConfig, "validate")  # a config is checked as it is built
 
 
 def test_sweep_degenerate_equals_run():
@@ -861,8 +907,8 @@ def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_sweep_checks_the_base_seed(seed):
-    # sweep_seed reads the base seed before any run's validate sees it: -1
-    # and 1.5 must not reach numpy, and True must not pass as 1
+    # sweep_seed reads the base seed: -1 and 1.5 must not reach numpy, and
+    # True must not pass as 1; the base config refuses them as it is built
     with pytest.raises(ConfigError, match="^seed must "):
         run_sweep(small(n_drops=1, seed=seed), [2.0], ["scaled"])
 

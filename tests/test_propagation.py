@@ -276,3 +276,15 @@ def test_params_validation():
         PropagationParams(sigma_los_db=-1.0)
     with pytest.raises(ValueError):
         PropagationParams(abg_alpha=0.0)
+    # every field is checked, by its dotted name: the sigmas used to let NaN through
+    with pytest.raises(ValueError, match=r"^propagation\.sigma_nlos_db must "):
+        PropagationParams(sigma_nlos_db=float("nan"))
+
+
+def test_params_hold_loss_pairs_and_oxygen_table_as_floats():
+    # as a config file's integers are read
+    params = PropagationParams(glass_loss_db=(2, 0), oxygen_delta_db_per_km={60: 15})
+    assert params.glass_loss_db == (2.0, 0.0)
+    assert all(type(v) is float for v in (*params.glass_loss_db,
+                                           *params.oxygen_delta_db_per_km,
+                                           *params.oxygen_delta_db_per_km.values()))
