@@ -95,7 +95,11 @@ class ScenarioConfig:
                 f"1 m close-in reference distance")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        # the read-only oxygen table as the plain dict that YAML writes
+        propagation = data["propagation"]
+        propagation["oxygen_delta_db_per_km"] = dict(propagation["oxygen_delta_db_per_km"])
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -143,9 +147,14 @@ class RunResult:
     ``runtime_s`` is the wall time from the start of the run's setup to the
     end of its finish.  A sweep sets up every run at its start, so there an
     entry's ``runtime_s`` runs from the sweep's start to that run's finish,
-    at any worker count.  ``links``, when collected, holds the ``links.csv``
-    columns in file order, one entry per (station, sector) link: the arrays
-    the drops wrote into, not copies.
+    at any worker count.  ``links``, when collected, holds the link terms
+    at the shapes the drops compute them, one row per station in drop-major
+    order: the arrays the drops wrote into, not copies.  ``d_2d``, ``d_3d``,
+    ``is_los`` (bool), ``pl``, ``l_o2i`` and ``l_oa`` are ``(n_ms, n_sites)``;
+    ``g_tx``, ``coupling_loss`` and ``p_rx`` are ``(n_ms, n_sectors)``, whose
+    column ``3i + k`` is sector ``k`` of site ``i``.  The other ``links.csv``
+    columns are derived: ``ms_id`` is the row, ``sector_id`` the sector
+    column and ``g_sm`` is ``config.g_sm_db``.
     """
 
     config: ScenarioConfig
@@ -246,6 +255,12 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
             "l_oa": l_oa, "g_tx": g_tx, "coupling_loss": cl.reshape(len(d2d), -1)}
 
 
+# The terms of RunResult.links, in links.csv order: per (station, site) and
+# per (station, sector)
+_SITE_TERMS = ("d_2d", "d_3d", "is_los", "pl", "l_o2i", "l_oa")
+_SECTOR_TERMS = ("g_tx", "coupling_loss", "p_rx")
+
+
 # Cap on the stations `_simulate_drop` evaluates at once.  Its largest
 # temporaries are (block, 19, 3) and (block, 57) float64 arrays, 0.26 MB each
 # at 570 stations, so a block's working set stays within a 2 MB L2 cache
@@ -307,15 +322,9 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
                 f"non-finite geometry metric (drop {drop_index}, ms {lo + bad[0]}): "
                 f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
         if run.links is not None:
-            # each column as (station, site, sector); per-site terms span the sectors
-            block = (hi - lo, dep.n_sites, 3)
-            values = {"ms_id": np.arange(first, last)[:, None, None],
-                      "sector_id": np.arange(dep.n_sectors).reshape(block[1:]),
-                      "g_sm": config.g_sm_db, "p_rx": p_rx.reshape(block)}
-            values.update((key, budget[key].reshape(hi - lo, dep.n_sites, -1))
-                          for key in budget)
-            for key, value in values.items():
-                run.links[key].reshape(-1, *block[1:])[first:last] = value
+            for key, value in {**budget, "p_rx": p_rx}.items():
+                # g_tx (block, n_sites, 3) as its (block, n_sectors) view
+                run.links[key][first:last] = value.reshape(hi - lo, -1)
 
 
 # glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process
@@ -364,9 +373,9 @@ def _pin_heap_thresholds() -> None:
 class _Run(NamedTuple):
     """What every drop of one run shares, fixed by ``_setup_run``, and the
     arrays its drops fill in drop-major station order: ``serving_cl``,
-    ``gm``, ``noise_limited`` and, unless ``None``, the ``links`` columns,
-    one entry per link.  Each drop writes only its own rows, so the worker
-    threads need no lock."""
+    ``gm``, ``noise_limited`` and, unless ``None``, the ``links`` terms,
+    one row per station (``RunResult``).  Each drop writes only its own
+    rows, so the worker threads need no lock."""
 
     config: ScenarioConfig
     t0: float  # perf_counter() at the start of setup
@@ -392,9 +401,9 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
     threshold = linkbudget.cl_snr0_threshold(alloc.p_tx_dbm, noise_total)
     n_ms = config.n_drops * config.ms_per_sector * dep.n_sectors
     try:
-        links = {key: np.empty(n_ms * dep.n_sectors,
-                               int if key in ("ms_id", "sector_id", "is_los") else float)
-                 for key in linkbudget.LINK_CSV_COLUMNS} if collect_links else None
+        links = {key: np.empty((n_ms, dep.n_sites if key in _SITE_TERMS else dep.n_sectors),
+                               bool if key == "is_los" else float)
+                 for key in _SITE_TERMS + _SECTOR_TERMS} if collect_links else None
         arrays = np.empty(n_ms), np.empty(n_ms), np.empty(n_ms, bool)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
         raise ConfigError(f"n_drops={config.n_drops}, ms_per_sector={config.ms_per_sector}: "
@@ -516,7 +525,7 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
             for key, (result, exc) in zip(keys, _run_all(configs, workers, False))]
 
 
-# Rows per formatting call of _write_table and _write_cdf: large enough that
+# Rows per formatting call of _write_links and _write_cdf: large enough that
 # the per-call cost vanishes, small enough that one block's Python floats
 # stay a few MB.
 _WRITE_BLOCK_ROWS = 4096
@@ -577,84 +586,50 @@ def _replacing(path: Path):
         raise
 
 
-def _run_groups(block) -> list:
-    """Adjacent columns of one block joined while their runs stay long.
+def _write_links(path: Path, links: dict, g_sm_db: float):
+    """Write the links table ``links`` (``RunResult``) as ``links.csv``.
 
-    Returns ``(columns, changed)`` per field of the block's row: ``changed``
-    is ``None`` for a column formatted row by row, else a bool per row, true
-    at row 0 and where any of the group's columns differs from the row
-    above.  Rows are compared by bit pattern, so ``0.0`` and ``-0.0`` differ
-    and a NaN matches the same NaN.
-    """
-    n_rows = len(block[0])
-    fields, cols, changed = [], [], None
-    for j, col in enumerate(block):
-        bits = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-        diff = np.empty(n_rows, bool)
-        diff[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=diff[1:])
-        # a group pays one format per run head and one %s per row
-        if 2 * np.count_nonzero(diff) > n_rows:
-            diff = None
-        elif cols and 2 * np.count_nonzero(diff | changed) <= n_rows:
-            cols.append(j)
-            changed |= diff
-            continue
-        if cols:
-            fields.append((cols, changed))
-            cols = []
-        if diff is None:
-            fields.append(([j], None))
-        else:
-            cols, changed = [j], diff
-    if cols:
-        fields.append((cols, changed))
-    return fields
-
-
-def _write_table(path: Path, header, columns):
-    """Write equal-length 1-D ``columns`` as CSV rows under a ``header`` line.
-
-    Integer and bool columns print as ``%d`` and float columns as ``%.10g``.
-    The rows go out a block at a time: the block's values are interleaved
-    by row from ``ndarray.tolist()`` and formatted by one ``%`` call on the
-    row format repeated once per row.  Within a block, adjacent columns
-    whose values repeat down the rows are joined into a group while the
-    group's rows change on at most half the block's rows (``_run_groups``).
-    A group's text is formatted once per run, from the run's first row
-    with the group's own ``%.10g``/``%d`` fields, split on newlines,
-    repeated over the run's rows and put into the row as one ``%s`` field.
-    Runs are found by bit pattern, so only rows that format alike share a
-    text, and each value is still formatted by its column's own field from
-    the same Python float or int; a formatted number holds no newline.
-    The bytes therefore equal those of formatting each value alone with
-    ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format`` share
-    CPython's float-to-text conversion (``nan``, ``inf`` and ``-0``
+    Each row reads ``ms_id,sector_id`` as ``%d``, the six per-site terms
+    of the sector's site, ``g_tx``, ``g_sm``, ``coupling_loss`` and
+    ``p_rx``, every float as ``%.10g`` and ``is_los`` as ``%d``.  The rows
+    go out in blocks of whole stations, about ``_WRITE_BLOCK_ROWS`` rows
+    each.  A block formats the per-site text of each (station, site) pair
+    once, by one ``%`` call, and puts it into the rows of the site's
+    sectors as one ``%s`` field; ``g_sm`` is formatted once, into the row
+    format.  The block's rows are then formatted by one ``%`` call on the
+    row format repeated once per row, from ``ndarray.tolist()`` values.
+    Every value is thus formatted by its column's own field from a Python
+    float, int or bool, so the bytes equal those of formatting each value
+    alone with ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format``
+    share CPython's float-to-text conversion (``nan``, ``inf`` and ``-0``
     included), and ``%d`` of a Python int or bool is its decimal digits.
+    A formatted number holds no ``%`` or line break, so the ``g_sm`` text
+    is safe in a format and each pair's text is one line of its block's.
     The file is written under a temporary name and moved into place whole.
     """
-    fmts = ["%.10g" if col.dtype.kind == "f" else "%d" for col in columns]
+    n_ms, n_sites = links["d_2d"].shape
+    n_sectors = links["g_tx"].shape[1]
+    per_site = n_sectors // n_sites
+    site_fmt = "%.10g,%.10g,%d,%.10g,%.10g,%.10g\n"
+    row_fmt = "%d,%d,%s,%.10g," + "%.10g" % float(g_sm_db) + ",%.10g,%.10g\n"
+    step = max(1, _WRITE_BLOCK_ROWS // n_sectors)
     with _replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [col[start:start + _WRITE_BLOCK_ROWS] for col in columns]
-            n_rows = len(block[0])
-            fields = _run_groups(block)
-            n_fields = len(fields)
-            values = [None] * (n_rows * n_fields)
-            for k, (cols, changed) in enumerate(fields):
-                if changed is None:
-                    values[k::n_fields] = block[cols[0]].tolist()
-                    continue
-                heads = np.flatnonzero(changed)
-                head_vals = [None] * (len(heads) * len(cols))
-                for i, j in enumerate(cols):
-                    head_vals[i::len(cols)] = block[j][heads].tolist()
-                group_fmt = ",".join(fmts[j] for j in cols) + "\n"
-                texts = (group_fmt * len(heads) % tuple(head_vals)).split("\n")
-                values[k::n_fields] = [texts[i] for i in (np.cumsum(changed) - 1).tolist()]
-            row_fmt = ",".join(fmts[cols[0]] if changed is None else "%s"
-                               for cols, changed in fields) + "\n"
+        fh.write(",".join(linkbudget.LINK_CSV_COLUMNS) + "\n")
+        for lo in range(0, n_ms, step):
+            hi = min(lo + step, n_ms)
+            n_pairs, n_rows = (hi - lo) * n_sites, (hi - lo) * n_sectors
+            site_values = [None] * (n_pairs * 6)
+            for k, key in enumerate(_SITE_TERMS):
+                site_values[k::6] = links[key][lo:hi].ravel().tolist()
+            texts = (site_fmt * n_pairs % tuple(site_values)).splitlines()
+            # six fields a row: ms_id, sector_id, site text and the sector terms
+            values = [None] * (n_rows * 6)
+            values[0::6] = [ms for ms in range(lo, hi) for _ in range(n_sectors)]
+            values[1::6] = list(range(n_sectors)) * (hi - lo)
+            for k in range(per_site):  # sector k of each site takes the site's text
+                values[6 * k + 2::6 * per_site] = texts
+            for k, key in enumerate(_SECTOR_TERMS, 3):
+                values[k::6] = links[key][lo:hi].ravel().tolist()
             fh.write(row_fmt * n_rows % tuple(values))
 
 
@@ -674,10 +649,10 @@ def _cdf_rows(n: int) -> tuple[str, ...]:
 
 
 def _write_cdf(path: Path, series: CdfSeries):
-    """Write ``series`` as ``value_db,cdf`` rows, the same bytes as
-    ``_write_table`` gives: each block's samples are formatted by one ``%``
-    over the block's cached row format (``_cdf_rows``).  The file is
-    written under a temporary name and moved into place whole."""
+    """Write ``series`` as ``value_db,cdf`` rows, each value as
+    ``%.10g``: each block's samples are formatted by one ``%`` over the
+    block's cached row format (``_cdf_rows``).  The file is written under
+    a temporary name and moved into place whole."""
     samples = series.samples
     with _replacing(path) as fh:
         fh.write("value_db,cdf\n")
@@ -693,7 +668,7 @@ def save_results(result: RunResult, outdir) -> list[Path]:
     the ``cdf`` column already formatted, are cached for the last sample
     count: the first save of a size builds them, and every later file of
     that size (both files of a run, all runs of a sweep) reuses them.
-    ``links.csv`` is written by ``_write_table``."""
+    ``links.csv`` is written by ``_write_links``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -726,7 +701,6 @@ def save_results(result: RunResult, outdir) -> list[Path]:
 
     if result.links is not None:
         path = outdir / "links.csv"
-        cols = linkbudget.LINK_CSV_COLUMNS
-        _write_table(path, cols, [result.links[c] for c in cols])
+        _write_links(path, result.links, result.config.g_sm_db)
         written.append(path)
     return written

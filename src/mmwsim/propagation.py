@@ -26,6 +26,22 @@ FREQ_VALID_GHZ = (0.5, 100.0)
 _MATERIALS = ("glass", "irr_glass", "concrete")
 
 
+class _FrozenTable(dict):
+    """A ``dict`` that refuses every change once built, hashed by its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("oxygen_delta_db_per_km is read-only; "
+                        "build a new PropagationParams to change it")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # copies and pickles rebuild it whole, not item by item
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class PropagationParams:
     """Model constants; defaults reproduce the standard urban-micro fit.
@@ -54,11 +70,12 @@ class PropagationParams:
 
     def __post_init__(self):
         check_fields(PropagationParams, vars(self), "propagation.")
-        # the loss pairs and oxygen table as floats: YAML's {60: 15} echoes as floats
+        # the loss pairs and oxygen table as floats: YAML's {60: 15} echoes as
+        # floats; the table read-only, so that the checked config stays valid
         for name in (f"{material}_loss_db" for material in _MATERIALS):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        object.__setattr__(self, "oxygen_delta_db_per_km", {
-            float(k): float(v) for k, v in self.oxygen_delta_db_per_km.items()})
+        object.__setattr__(self, "oxygen_delta_db_per_km", _FrozenTable(
+            (float(k), float(v)) for k, v in self.oxygen_delta_db_per_km.items()))
 
 
 DEFAULT_PARAMS = PropagationParams()

@@ -25,9 +25,8 @@ def report(cid, ok, detail):
 def serving_distance(res):
     """Median serving-link d_3d of a links run and the 60 GHz oxygen loss
     delta(60 GHz) x d over that distance, as a report fragment."""
-    cl = res.links["coupling_loss"].reshape(res.cl_cdf.n, -1)
-    d3d = res.links["d_3d"].reshape(cl.shape)
-    d = float(np.median(np.take_along_axis(d3d, cl.argmax(axis=1)[:, None], axis=1)))
+    serving = res.links["coupling_loss"].argmax(axis=1)
+    d = float(np.median(res.links["d_3d"][np.arange(len(serving)), serving // 3]))
     return (f"median serving d_3d = {d:.0f} m, "
             f"delta(60 GHz) x d = {oxygen_absorption(60e9, d):.2f} dB")
 

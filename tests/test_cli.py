@@ -285,8 +285,8 @@ def test_sweep_worker_counts_write_identical_directories(tmp_path):
 
 @pytest.mark.parametrize("block", ["deployment", "propagation", "antenna"])
 def test_empty_config_block_reads_as_its_defaults(tmp_path, block):
-    # a block whose children are all commented out loads as null; it used
-    # to end in a raw TypeError from validate
+    # a block whose children are all commented out loads as null, and
+    # reads as the block's defaults instead of ending in a raw TypeError
     summaries = []
     for name, body in (("absent", ""), ("null", f"{block}:\n  # isd_m: 200.0\n"),
                        ("empty", f"{block}: {{}}\n")):

@@ -1,12 +1,12 @@
-"""Seeded config fuzz: every drawn config is refused by ``validate`` with a
-``ConfigError``, or runs through the CLI to finite outputs with exit code 0.
+"""Seeded config fuzz: every drawn config is refused with a ``ConfigError``
+as it is built, or runs through the CLI to finite outputs with exit code 0.
 
 Each config sets a few fields, each to a value from its physical range or,
 one time in three, to an edge value: a bound, zero, a sign flip, NaN,
 infinity, an absurd magnitude or a value of the wrong type.  Every run is
 one drop of one station per sector.
 
-One refusal comes after validation.  ``validate`` bounds each dB setting
+One refusal comes after construction.  The config bounds each dB setting
 and model constant alone, so settings that are each in bounds can still
 overflow or underflow the linear received powers together (``test_cli``'s
 ``received_power_overflow`` probe).  The run's finite-CL and finite-GM

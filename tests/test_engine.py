@@ -25,8 +25,8 @@ from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
                     save_results, sector_gain, wrap_displacements)
 from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expected_sample_rounds
-from mmwsim.engine import (_WRITE_BLOCK_ROWS, DeploymentParams, _stream, _write_table,
-                           sweep_seed)
+from mmwsim.engine import (_SECTOR_TERMS, _SITE_TERMS, _WRITE_BLOCK_ROWS, DeploymentParams,
+                           _stream, _write_links, sweep_seed)
 from mmwsim.linkbudget import LINK_CSV_COLUMNS
 from mmwsim.metrics import CdfSeries
 
@@ -135,14 +135,14 @@ def test_validation_messages():
             small(**kw())
 
 
-def test_validate_accepts_the_length_bound_and_carriers_off_the_table():
+def test_construction_accepts_the_length_bound_and_carriers_off_the_table():
     small(deployment=DeploymentParams(isd_m=1.0e6, bs_height_m=1.0e6))
     small(deployment=DeploymentParams(ms_height_m=1.0e6))
     small(f_c_ghz=73.0, bandwidth_hz=2e9, tx_power_dbm=50.0)
     small(f_c_ghz=73.0, bandwidth_hz=2e9, power_scheme="constant")
 
 
-def test_validate_accepts_links_of_1m_and_more():
+def test_construction_accepts_links_of_1m_and_more():
     # the default indoor layout: the closest floor (10.5 m) is 0.5 m from the
     # 10 m BS, and 10 m clearance keeps every d_3d above 10 m
     small(environment="indoor")
@@ -205,6 +205,23 @@ def test_from_dict_refuses_the_removed_propagation_switches(key, value):
     # oxygen off and the stddev reading of the O2I spreads are block fields
     with pytest.raises(ConfigError, match=rf"unknown config field\(s\): \['{key}'\]"):
         ScenarioConfig.from_dict({key: value})
+
+
+def test_checked_oxygen_table_is_read_only():
+    # a changed table would make the checked config invalid after the fact
+    cfg = ScenarioConfig(f_c_ghz=60.0, n_drops=1, ms_per_sector=1)
+    table = cfg.propagation.oxygen_delta_db_per_km
+    with pytest.raises(TypeError, match="read-only"):
+        table[60.0] = float("nan")
+    for change in (lambda: table.update({60.0: 1.0}), lambda: table.pop(60.0),
+                   lambda: table.clear(), lambda: table.setdefault(2.0, 1.0),
+                   lambda: table.popitem(), lambda: table.__delitem__(60.0),
+                   lambda: table.__ior__({2.0: 1.0})):
+        with pytest.raises(TypeError, match="read-only"):
+            change()
+    assert table == {60.0: 15.0}
+    assert hash(cfg) == hash(ScenarioConfig(f_c_ghz=60.0, n_drops=1, ms_per_sector=1))
+    assert type(cfg.to_dict()["propagation"]["oxygen_delta_db_per_km"]) is dict
 
 
 def test_config_yaml_roundtrip(tmp_path):
@@ -337,16 +354,19 @@ def test_links_table_invariants():
     res = run_scenario(small(environment="indoor", f_c_ghz=60.0, n_drops=2),
                        collect_links=True)
     L = res.links
-    n_links = 2 * 570 * 57
-    assert all(len(L[c]) == n_links for c in L)
+    n_ms = 2 * 570
+    assert {c: L[c].shape for c in L} == {**dict.fromkeys(_SITE_TERMS, (n_ms, 19)),
+                                          **dict.fromkeys(_SECTOR_TERMS, (n_ms, 57))}
+    # the per-site terms span the 3 sectors of their site
+    pl, l_o2i, l_oa = (np.repeat(L[c], 3, axis=1) for c in ("pl", "l_o2i", "l_oa"))
     lhs = L["coupling_loss"]
-    rhs = L["g_tx"] + 0.0 - (L["pl"] + L["l_o2i"] + L["l_oa"] - L["g_sm"])
+    rhs = L["g_tx"] + 0.0 - (pl + l_o2i + l_oa - res.config.g_sm_db)
     assert np.array_equal(lhs, rhs)
     assert np.array_equal(L["p_rx"], res.power.p_tx_dbm + L["coupling_loss"])
     assert np.all(L["d_3d"] >= L["d_2d"])
-    assert set(np.unique(L["is_los"])) <= {0, 1}
+    assert L["is_los"].dtype == bool and set(np.unique(L["is_los"])) <= {0, 1}
     # serving samples are the per-station maxima of the link table
-    cl = L["coupling_loss"].reshape(-1, 57)
+    cl = L["coupling_loss"]
     per_ms_max = cl.max(axis=1)
     assert np.array_equal(np.sort(per_ms_max), res.cl_cdf.samples)
     # every station associates to exactly one sector: 10 per sector on average
@@ -366,10 +386,10 @@ def test_los_is_drawn_on_outdoor_distance():
     # outdoor stations have no in-building segment: LoS stays drawn on d_2d
     cfg = small(n_drops=1)
     res = run_scenario(cfg, collect_links=True)
-    d2d = res.links["d_2d"].reshape(-1, 57)[:, ::3]  # one column per site
+    d2d = res.links["d_2d"]
+    assert d2d.shape == (570, 19)
     u = _stream(cfg.seed, 0, 1).uniform(size=d2d.shape)
-    expected = np.repeat(u < los_probability(d2d), 3, axis=1).reshape(-1)
-    assert np.array_equal(res.links["is_los"], expected.astype(int))
+    assert np.array_equal(res.links["is_los"], u < los_probability(d2d))
 
 
 def test_saved_outputs(tmp_path):
@@ -402,6 +422,41 @@ def reference_csv(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def reference_links_csv(links, g_sm_db) -> bytes:
+    """``reference_csv`` of the links table ``links``, one entry per
+    (station, sector) row: ``ms_id`` and ``sector_id`` from the row and
+    column, the per-site terms over the sectors of each site and ``g_sm``
+    from the config."""
+    n_ms, n_sectors = links["g_tx"].shape
+    derived = {"ms_id": np.repeat(np.arange(n_ms), n_sectors),
+               "sector_id": np.tile(np.arange(n_sectors), n_ms),
+               "g_sm": np.full(n_ms * n_sectors, float(g_sm_db))}
+    return reference_csv(LINK_CSV_COLUMNS, [
+        derived[c] if c in derived else
+        np.repeat(links[c], n_sectors // links[c].shape[1], axis=1).reshape(-1)
+        for c in LINK_CSV_COLUMNS])
+
+
+# the stations of one block of links.csv rows
+STATION_BLOCK = _WRITE_BLOCK_ROWS // 57
+
+
+def random_links(n_stations: int, seed: int) -> dict:
+    """A links table of ``n_stations`` stations: magnitudes over 60 decades
+    with NaN, infinities, signed zeros and 1e-300 in front."""
+    rng = np.random.default_rng(seed)
+
+    def terms(width):
+        x = rng.normal(0.0, 1e3, (n_stations, width)) * 10.0 ** rng.integers(
+            -30, 30, (n_stations, width))
+        x.flat[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300][:x.size]
+        return x
+    links = {c: terms(19) for c in _SITE_TERMS}
+    links["is_los"] = rng.uniform(size=(n_stations, 19)) < 0.5
+    links.update((c, terms(57)) for c in _SECTOR_TERMS)
+    return links
+
+
 def reference_cdf(samples) -> bytes:
     """The per-value rule the CDF files must reproduce."""
     n = len(samples)
@@ -413,10 +468,9 @@ def reference_cdf(samples) -> bytes:
 def test_saved_outputs_golden_bytes(tmp_path):
     res = run_scenario(small(n_drops=2), collect_links=True)
     save_results(res, tmp_path)
-    cols = LINK_CSV_COLUMNS
-    assert len(res.links["ms_id"]) % _WRITE_BLOCK_ROWS != 0
-    assert (tmp_path / "links.csv").read_bytes() == reference_csv(
-        cols, [res.links[c] for c in cols])
+    assert len(res.links["g_tx"]) % STATION_BLOCK != 0  # the last block is short
+    assert (tmp_path / "links.csv").read_bytes() == reference_links_csv(
+        res.links, res.config.g_sm_db)
     for name, series in (("cl_cdf.csv", res.cl_cdf), ("gm_cdf.csv", res.gm_cdf)):
         assert (tmp_path / name).read_bytes() == reference_cdf(series.samples)
 
@@ -472,76 +526,68 @@ def test_sweep_saves_build_the_cdf_rows_once(tmp_path):
     assert (info.misses, info.hits) == (1, 19)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, _WRITE_BLOCK_ROWS, 2 * _WRITE_BLOCK_ROWS + 3])
-def test_write_table_matches_per_value_rule(tmp_path, n_rows):
-    rng = np.random.default_rng(n_rows)
-    floats = rng.normal(0.0, 1e3, n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
-    floats[:4] = [np.nan, np.inf, -np.inf, -0.0][:n_rows]
-    columns = [np.arange(n_rows) - 7, floats, rng.uniform(size=n_rows) < 0.5,
-               rng.integers(0, 2, n_rows).astype(np.uint8), np.full(n_rows, -3.5)]
-    header = ("a", "b", "c", "d", "e")
-    path = tmp_path / "t.csv"
-    _write_table(path, header, columns)
-    assert path.read_bytes() == reference_csv(header, columns)
+@pytest.mark.parametrize("n_stations", [0, 1, STATION_BLOCK, STATION_BLOCK + 1])
+def test_write_table_matches_per_value_rule(tmp_path, n_stations):
+    links = random_links(n_stations, n_stations)
+    path = tmp_path / "links.csv"
+    for g_sm_db in (0.0, -0.0, 1e-300, -7.25):
+        _write_links(path, links, g_sm_db)
+        assert path.read_bytes() == reference_links_csv(links, g_sm_db), g_sm_db
 
 
 def test_write_table_formats_runs_like_single_values(tmp_path):
-    # 2.5 blocks of rows in runs of every length from 1 to 9, runs that
-    # cross the block edges, signed zeros, NaN, infinities and strides
-    n = 2 * _WRITE_BLOCK_ROWS + _WRITE_BLOCK_ROWS // 2
+    # 2.5 blocks of stations whose terms repeat down the stations in runs
+    # of every length from 1 to 9, runs that cross the block edges, signed
+    # zeros, NaN, infinities and strides
+    n = 2 * STATION_BLOCK + STATION_BLOCK // 2
     rng = np.random.default_rng(8)
-    run_of_row = np.repeat(np.arange(n), rng.integers(1, 10, n))[:n]
-    assert np.diff(run_of_row)[_WRITE_BLOCK_ROWS - 1] == 0  # a run crosses the edge
+    run_of_station = np.repeat(np.arange(n), rng.integers(1, 10, n))[:n]
+    assert run_of_station[STATION_BLOCK] == run_of_station[STATION_BLOCK - 1]
     specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5, 1 / 3])
-    site = specials[rng.integers(0, len(specials), n)][run_of_row]
-    site[:6] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]  # adjacent zeros of both signs
-    other = rng.normal(size=n)[run_of_row]
-    other[_WRITE_BLOCK_ROWS + 10:_WRITE_BLOCK_ROWS + 30] = np.nan  # a run of NaN
-    other[_WRITE_BLOCK_ROWS + 30:_WRITE_BLOCK_ROWS + 40] = -np.inf
-    wide = np.repeat(rng.normal(size=n), 2)  # strided, with runs of 1 every other row
-    # the last three join one group in which each changes where the others do not
-    columns = [np.repeat(np.arange(n // 57 + 1), 57)[:n], np.arange(n) % 57, site,
-               other, (run_of_row % 2).astype(bool), run_of_row % 3 - 1, wide[::2],
-               rng.normal(size=n), np.full(n, -7.25), run_of_row // 3,
-               (np.arange(n) // 7) * 0.5]
-    assert not columns[6].flags.c_contiguous
-    header = tuple("abcdefghijk")
-    for rows in (0, 1, 2, 3, n):
-        path = tmp_path / f"t{rows}.csv"
-        cols = [c[:rows] for c in columns]
-        _write_table(path, header, cols)
-        assert path.read_bytes() == reference_csv(header, cols), rows
-    # the block's columns form the groups the test means to exercise
-    fields = engine._run_groups([c[:_WRITE_BLOCK_ROWS] for c in columns])
-    assert [cols for cols, changed in fields] == [[0], [1], [2, 3, 4, 5], [6], [7],
-                                                  [8, 9, 10]]
-    assert [changed is None for cols, changed in fields] == [False, True, False, True,
-                                                             True, False]
+
+    def runs(width):
+        return specials[rng.integers(0, len(specials), (n, width))][run_of_station]
+    links = {c: runs(19) for c in _SITE_TERMS}
+    links["is_los"] = runs(19) > 0
+    links["pl"][:3, :2] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]  # zeros of both signs
+    links["l_o2i"] = np.zeros((n, 19))
+    links["l_oa"] = runs(38)[:, ::2]  # strided
+    links.update((c, runs(57)) for c in _SECTOR_TERMS)
+    links["p_rx"][:, 3:9] = np.nan  # a run of NaN along a station's sectors
+    assert not links["l_oa"].flags.c_contiguous
+    for stations in (0, 1, 2, 3, n):
+        path = tmp_path / f"t{stations}.csv"
+        part = {c: a[:stations] for c, a in links.items()}
+        _write_links(path, part, -0.0)
+        assert path.read_bytes() == reference_links_csv(part, -0.0), stations
 
 
 def test_write_table_replaces_files_whole(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("old\n")
-    # formatting fails in the second block: %d of None
-    bad = np.arange(_WRITE_BLOCK_ROWS + 5, dtype=object)
-    bad[_WRITE_BLOCK_ROWS + 2] = None
+    # formatting fails in the second block: %.10g of None
+    links = random_links(STATION_BLOCK + 5, 1)
+    bad = {**links, "p_rx": links["p_rx"].astype(object)}
+    bad["p_rx"][STATION_BLOCK + 2, 7] = None
     with pytest.raises(TypeError):
-        _write_table(path, ("a", "b"), [np.zeros(len(bad)), bad])
+        _write_links(path, bad, 0.0)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["t.csv"]
     new = tmp_path / "new.csv"
     with pytest.raises(TypeError):
-        _write_table(new, ("a", "b"), [np.zeros(len(bad)), bad])
+        _write_links(new, bad, 0.0)
     assert os.listdir(tmp_path) == ["t.csv"]
-    _write_table(path, ("a",), [np.arange(3)])
-    assert path.read_text() == "a\n0\n1\n2\n"
+    one = random_links(1, 2)
+    _write_links(path, one, 0.0)
+    assert path.read_bytes() == reference_links_csv(one, 0.0)
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_failed_save_leaves_no_partial_file(tmp_path):
     res = run_scenario(small(n_drops=1), collect_links=True)
-    res.links["ms_id"] = res.links["ms_id"].astype(object)
-    res.links["ms_id"][_WRITE_BLOCK_ROWS + 1] = None
+    # formatting fails in the second block of links.csv: %.10g of None
+    res.links["p_rx"] = res.links["p_rx"].astype(object)
+    res.links["p_rx"][STATION_BLOCK + 1, 0] = None
     with pytest.raises(TypeError):
         save_results(res, tmp_path)
     # the files before links.csv are complete, links.csv is absent
@@ -654,18 +700,17 @@ def test_links_write_memory_stays_per_block(tmp_path):
     # 2 drops, 64,980 rows: the whole table's text is 6.8 MB
     res = run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=2),
                        collect_links=True)
-    columns = [res.links[c] for c in LINK_CSV_COLUMNS]
-    assert len(columns[0]) == 64_980
+    assert res.links["g_tx"].size == 64_980
     tracemalloc.start()
     try:
-        _write_table(tmp_path / "links.csv", LINK_CSV_COLUMNS, columns)
+        _write_links(tmp_path / "links.csv", res.links, res.config.g_sm_db)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = (tmp_path / "links.csv").stat().st_size
     assert size > 6e6
-    # one block of 4,096 rows is 0.43 MB of text; with its row format,
-    # Python values and run texts the writer peaks at 1.6 MB
+    # one block of 71 stations, 4,047 rows, is 0.42 MB of text; with its row
+    # format, Python values and site texts the writer peaks at 1.7 MB
     assert peak < 2.5e6, peak
 
 
@@ -716,12 +761,12 @@ def test_nonfinite_link_aborts_with_provenance(monkeypatch, workers):
         run_scenario(small(n_drops=1), workers=workers)
 
 
-def test_validate_accepts_db_settings_up_to_the_bound():
+def test_construction_accepts_db_settings_up_to_the_bound():
     small(tx_power_dbm=1000.0, noise_figure_db=-1000.0, g_sm_db=1000.0,
           ms_gain_dbi=-1000.0, antenna=AntennaPattern(g_max_dbi=1000.0))
 
 
-def test_validate_accepts_model_constants_up_to_their_bounds():
+def test_construction_accepts_model_constants_up_to_their_bounds():
     for prop in (PropagationParams(abg_beta_db=-1000.0, abg_alpha=10.0, abg_gamma=10.0,
                                    ci_ple_coeff=0.0, sigma_los_db=0.0,
                                    sigma_nlos_db=1000.0, glass_loss_db=(-1000.0, 1000.0),
@@ -1071,10 +1116,12 @@ def test_station_blocks_give_the_bits_of_whole_drops(monkeypatch, environment, w
     for key in ("serving_cl", "gm", "noise_limited"):
         a, b = getattr(whole, key), getattr(blocked, key)
         assert a.dtype == b.dtype and a.shape == (3 * 171,) and a.tobytes() == b.tobytes(), key
-    for key in LINK_CSV_COLUMNS:
+    assert whole_run.links.keys() == blocked_run.links.keys()
+    for key in whole_run.links:
         a, b = whole_run.links[key], blocked_run.links[key]
         assert a.dtype == b.dtype and np.array_equal(a, b), key
-    assert np.array_equal(whole_run.links["ms_id"], np.repeat(np.arange(3 * 171), 57))
+    # one row per station, in drop order
+    assert whole_run.links["g_tx"].shape == (3 * 171, 57)
     for series in ("cl_cdf", "gm_cdf"):
         assert np.array_equal(getattr(whole_run, series).samples,
                               getattr(blocked_run, series).samples)
@@ -1151,8 +1198,9 @@ def test_dense_drop_working_set_stays_bounded():
 
 
 def test_links_run_holds_its_table_once():
-    # 4 indoor 60 GHz drops of 570 stations: a 12.5 MB links table, written
+    # 4 indoor 60 GHz drops of 570 stations: a 4.9 MB links table, written
     # in place by the drops; joined from per-block copies it peaked at 2.01x
+    # the table, and a second copy of the table passes the bound
     cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=4, ms_per_sector=10)
     tracemalloc.start()
     try:
@@ -1161,8 +1209,9 @@ def test_links_run_holds_its_table_once():
     finally:
         tracemalloc.stop()
     table = sum(a.nbytes for a in res.links.values())
-    assert table == 12 * 4 * 570 * 57 * 8
-    assert peak < 1.4 * table, peak / table
+    # per station: 5 float and 1 bool per-site terms, 3 float per-sector terms
+    assert table == 4 * 570 * (5 * 19 * 8 + 19 + 3 * 57 * 8)
+    assert peak - table < 5.0e6, peak - table
 
 
 _FAULTS_PER_RUN = """
