@@ -19,7 +19,6 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -140,7 +139,7 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: compare them with np.array_equal
 class RunResult:
     """Everything produced by one scenario run.
 
@@ -169,7 +168,7 @@ class RunResult:
     links: dict[str, np.ndarray] | None = None
 
 
-@dataclass
+@dataclass(eq=False)  # holds a RunResult
 class SweepEntry:
     f_c_ghz: float
     scheme: str
@@ -446,9 +445,14 @@ def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
     started.  Each drop draws from its own substreams, so results and errors
     are the same at any worker count.  Anything else that escapes, such as a
     ``KeyboardInterrupt``, cancels the queued drops and joins the pool's
-    threads before it propagates.
+    threads before it propagates.  The pool class is looked up as
+    ``concurrent.futures.ThreadPoolExecutor`` when the pool is built.
     """
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: it loads logging, which a one-worker run never needs
+        import concurrent.futures
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     try:
         started = collections.deque()  # (run or setup error, drop futures)
         for make_config in make_configs:

@@ -11,7 +11,7 @@ NOISE_LIMITED = "noise_limited"
 INTERFERENCE_LIMITED = "interference_limited"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array field: compare it with np.array_equal
 class CdfSeries:
     """Sorted empirical distribution with percentile and fraction queries."""
 

@@ -81,7 +81,7 @@ class PropagationParams:
 DEFAULT_PARAMS = PropagationParams()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare them with np.array_equal
 class ShadowDraws:
     """Zero-mean Gaussian shadow terms in dB, one set per station-site pair."""
 

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import importlib
 import json
@@ -1009,12 +1010,12 @@ def test_sweep_gives_the_same_bits_at_any_worker_count(monkeypatch):
 def test_sweep_schedules_all_its_drops_on_one_pool(monkeypatch):
     pools = []
 
-    class Counting(engine.ThreadPoolExecutor):
+    class Counting(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             pools.append(self)
 
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
     base = small(n_drops=3, ms_per_sector=1)
     for workers, want in ((1, 0), (2, 1), (3, 1)):
         pools.clear()
@@ -1235,3 +1236,97 @@ def test_repeated_runs_keep_their_heap():
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     faults = [int(line) for line in out.stdout.split()]
     assert np.median(faults[2:]) < 100, faults
+
+
+def test_array_results_compare_by_identity():
+    # generated __eq__ compared the arrays' truth values and raised, and a
+    # generated __hash__ (frozen) hashed an ndarray
+    cfg = small(n_drops=1, ms_per_sector=1)
+    a, b = run_scenario(cfg), run_scenario(cfg)
+    assert a == a and a != b
+    entry = engine.SweepEntry(30.0, "scaled", a, None)
+    assert entry == entry and entry != engine.SweepEntry(30.0, "scaled", a, None)
+    assert len({a.cl_cdf, a.cl_cdf, b.cl_cdf}) == 2
+    draws = ShadowDraws(np.zeros(3))
+    assert draws == draws and draws != ShadowDraws(np.zeros(3)) and hash(draws)
+
+
+_POOL_ON_DEMAND = """
+import json, sys
+pool_modules = ("concurrent.futures", "logging")
+loaded = lambda: [m for m in pool_modules if m in sys.modules]
+before = loaded()
+import mmwsim
+cfg = mmwsim.load_config(sys.argv[1])
+serial = mmwsim.run_scenario(cfg)
+mmwsim.save_results(serial, sys.argv[2])
+one_worker = loaded()
+pooled = mmwsim.run_scenario(cfg, workers=2)
+same = [a.samples.tobytes() == b.samples.tobytes()
+        for a, b in ((serial.cl_cdf, pooled.cl_cdf), (serial.gm_cdf, pooled.gm_cdf))]
+print(json.dumps([before, one_worker, loaded(), same]))
+"""
+
+
+def test_one_worker_run_does_not_load_the_pool(tmp_path):
+    # a fresh process, since pytest itself loads logging
+    cfg_path = tmp_path / "scenario.yaml"
+    cfg_path.write_text(yaml.safe_dump(small(n_drops=2, ms_per_sector=1).to_dict()))
+    src = str(Path(mmwsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _POOL_ON_DEMAND, str(cfg_path),
+                          str(tmp_path / "out")], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    before, one_worker, pooled, same = json.loads(out.stdout)
+    if before:
+        pytest.skip(f"the interpreter loads {before} at startup")
+    assert one_worker == []
+    assert pooled == ["concurrent.futures", "logging"]
+    assert same == [True, True]
+
+
+_LINKS_AT_DISPATCH_LEVEL = """
+import sys
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from mmwsim import ScenarioConfig, run_scenario
+arrays = {"disabled_still_on": np.array([umath.__cpu_features__[f] for f in sys.argv[2:]])}
+for env in ("outdoor", "indoor"):
+    res = run_scenario(ScenarioConfig(f_c_ghz=60.0, environment=env, n_drops=2, seed=7),
+                       collect_links=True)
+    arrays.update({f"{env}/{k}": v for k, v in res.links.items()})
+    arrays[f"{env}/cl_cdf"], arrays[f"{env}/gm_cdf"] = res.cl_cdf.samples, res.gm_cdf.samples
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def _dispatched_above_x86_v3():
+    from numpy._core import _multiarray_umath as umath
+    order = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
+    if "X86_V3" not in order:
+        return []
+    return [f for f in order[order.index("X86_V3") + 1:]
+            if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+
+
+def test_links_agree_to_rounding_across_dispatch_levels(tmp_path):
+    # numpy picks SIMD loops for log10, exp, arctan2 ... by CPU feature, and
+    # they differ in the last bits: 8.5e-14 dB at most, measured at seed 7
+    features = _dispatched_above_x86_v3()
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature above X86_V3 on this host")
+    src = str(Path(mmwsim.__file__).resolve().parents[1])
+    path = tmp_path / "links.npz"
+    subprocess.run([sys.executable, "-c", _LINKS_AT_DISPATCH_LEVEL, str(path), *features],
+                   check=True, env={**os.environ, "PYTHONPATH": src,
+                                    "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+    with np.load(path) as other:
+        assert not other["disabled_still_on"].any(), features
+        for env in ("outdoor", "indoor"):
+            res = run_scenario(ScenarioConfig(f_c_ghz=60.0, environment=env, n_drops=2,
+                                              seed=7), collect_links=True)
+            want = {**res.links, "cl_cdf": res.cl_cdf.samples, "gm_cdf": res.gm_cdf.samples}
+            for key, value in want.items():
+                assert_allclose(other[f"{env}/{key}"].astype(float), value,
+                                rtol=0, atol=1e-11, err_msg=key)
+            assert np.array_equal(other[f"{env}/coupling_loss"].argmax(axis=1),
+                                  res.links["coupling_loss"].argmax(axis=1))
