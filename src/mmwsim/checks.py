@@ -1,9 +1,9 @@
 """The rules a scenario config's values must meet: each field's type by its
 annotation and each number's range by the field's dotted name, applied by one
-walker, ``check_fields``, the station environment by ``check_environment``
-and the power scheme and carrier table by ``check_power``.  Each config block
-checks itself with them as it is built; ``generate_layout``, ``drop_mobiles``
-and ``power_allocation``, which take bare values, check those the same way."""
+walker, ``check_fields``, the environment by ``check_environment``, the power
+scheme by ``check_power`` and a carrier's table key by ``carrier_key``.  Each
+config block checks itself with them as it is built; ``generate_layout``,
+``drop_mobiles`` and ``power_allocation`` check their bare values the same way."""
 
 from __future__ import annotations
 
@@ -81,12 +81,17 @@ BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6
 SCALED_PTX_DBM = {2.0: 44.0, 10.0: 55.8, 30.0: 58.0, 60.0: 61.0, 100.0: 64.0}
 
 
+def carrier_key(table, f_c_ghz):
+    """The key of ``table`` (carriers in GHz) within 1e-9 GHz of ``f_c_ghz``, or None."""
+    return next((k for k in table if abs(f_c_ghz - k) < 1e-9), None)
+
+
 def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
     """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier off the
     table without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``; its table key or None."""
     if scheme not in ("scaled", "constant"):
         raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
-    key = next((k for k in BANDWIDTH_HZ if abs(f_c_ghz - k) < 1e-9), None)
+    key = carrier_key(BANDWIDTH_HZ, f_c_ghz)
     if key is None and bandwidth_hz is None:
         raise ConfigError(f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set bandwidth_hz")
     if key is None and tx_power_dbm is None and scheme == "scaled":

@@ -114,19 +114,20 @@ def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
 
     Returns
     -------
-    disp : (n, n_sites, 2) minimum-norm displacement vectors (site to station)
+    disp : (2, n, n_sites) x and y of the minimum-norm displacements (site to station)
     d2d : (n, n_sites) horizontal distances in metres, the norms of ``disp``
 
     The images are scanned in order (the site itself, then each wrap
-    vector) keeping the running best; an image replaces it only when its
-    distance is strictly smaller, so on ties the lowest image index wins.
+    vector) keeping the running best in ``disp``; an image replaces it only
+    when strictly closer, so on ties the lowest image index wins.
     """
     shifts = np.vstack([np.zeros((1, 2)), deployment.wrap_vectors])
     images = deployment.site_xy[None, :, :] + shifts[:, None, :]  # (7, s, 2)
     ms_x = ms_xy[:, 0, None]
     ms_y = ms_xy[:, 1, None]
-    best_dx = ms_x - images[0, :, 0]
-    best_dy = ms_y - images[0, :, 1]
+    disp = np.empty((2, len(ms_xy), deployment.n_sites))
+    best_dx = np.subtract(ms_x, images[0, :, 0], out=disp[0])
+    best_dy = np.subtract(ms_y, images[0, :, 1], out=disp[1])
     best_d = np.sqrt(best_dx * best_dx + best_dy * best_dy)
     for image in images[1:]:
         dx = ms_x - image[:, 0]
@@ -136,7 +137,7 @@ def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
         np.copyto(best_dx, dx, where=closer)
         np.copyto(best_dy, dy, where=closer)
         np.copyto(best_d, d, where=closer)
-    return np.stack([best_dx, best_dy], axis=-1), best_d
+    return disp, best_d
 
 
 def _axial_cells(points, isd_m: float):

@@ -14,7 +14,6 @@ import ctypes
 import dataclasses
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -147,13 +146,13 @@ class RunResult:
     end of its finish.  A sweep sets up every run at its start, so there an
     entry's ``runtime_s`` runs from the sweep's start to that run's finish,
     at any worker count.  ``links``, when collected, holds the link terms
-    at the shapes the drops compute them, one row per station in drop-major
-    order: the arrays the drops wrote into, not copies.  ``d_2d``, ``d_3d``,
-    ``is_los`` (bool), ``pl``, ``l_o2i`` and ``l_oa`` are ``(n_ms, n_sites)``;
-    ``g_tx``, ``coupling_loss`` and ``p_rx`` are ``(n_ms, n_sectors)``, whose
-    column ``3i + k`` is sector ``k`` of site ``i``.  The other ``links.csv``
-    columns are derived: ``ms_id`` is the row, ``sector_id`` the sector
-    column and ``g_sm`` is ``config.g_sm_db``.
+    at the shapes ``link_budget`` returns them, one row per station in
+    drop-major order: the arrays the drops wrote into, not copies.
+    ``d_2d``, ``d_3d``, ``is_los`` (bool), ``pl``, ``l_o2i`` and ``l_oa``
+    are ``(n_ms, n_sites)``; ``g_tx``, ``coupling_loss`` and ``p_rx`` are
+    ``(n_ms, n_sectors)``, whose column ``3i + k`` is sector ``k`` of site
+    ``i``.  The other ``links.csv`` columns are derived: ``ms_id`` is the
+    row, ``sector_id`` the sector column and ``g_sm`` is ``config.g_sm_db``.
     """
 
     config: ScenarioConfig
@@ -196,7 +195,8 @@ def sweep_seed(seed: int, f_c_ghz: float) -> int:
     """Per-run seed for sweeps: a pure function of (master seed, carrier).
 
     The power scheme does not enter, so scheme pairs at one carrier share
-    identical geometry and draws.
+    identical geometry and draws.  The carrier enters in whole kHz, so
+    carriers within 0.5 kHz of one whole kHz share a seed.
     """
     key = int(round(f_c_ghz * 1e6))
     return int(np.random.SeedSequence(seed, spawn_key=(key,))
@@ -212,33 +212,33 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
 
     A link is LoS where ``los_u`` is below ``los_probability`` of d_2D-out;
     indoor links add O2I loss over the in-building depth clipped to d_2D;
-    CL = G_tx + G_rx - (PL + L_O2I + L_OA - G_sm).  Returns arrays keyed by
-    ``links.csv`` column: ``d_2d``, ``d_3d``, ``is_los``, ``pl``, ``l_o2i``,
-    ``l_oa`` per site ``(n, n_sites)``, ``g_tx`` ``(n, n_sites, 3)`` and
-    ``coupling_loss`` ``(n, n_sectors)``, whose column ``3i + k`` is sector
-    ``k`` of site ``i``.
+    CL = G_tx + G_rx - (PL + L_O2I + L_OA - G_sm).  Every carrier stage
+    takes ``config.f_c_ghz``.  Returns arrays keyed by ``links.csv`` column:
+    ``d_2d``, ``d_3d``, ``is_los``, ``pl``, ``l_o2i`` and ``l_oa`` per site
+    ``(n, n_sites)``, and ``g_tx`` and ``coupling_loss`` per sector
+    ``(n, n_sectors)``, whose column ``3i + k`` is sector ``k`` of site ``i``.
     """
-    f_hz, params = config.f_c_ghz * 1e9, config.propagation
-    disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (n, s, 2), (n, s)
+    f_c, params = config.f_c_ghz, config.propagation
+    disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (2, n, s), (n, s)
     is_los = los_u < propagation.los_probability(
         np.maximum(d2d - drop.indoor_depth_m[:, None], 0.0))
 
     dz = drop.height_m[:, None] - config.deployment.bs_height_m
     d3d = np.hypot(d2d, dz)
     pl = np.where(is_los,
-                  propagation.pl_los_ci(f_hz, d3d, draws.x_los_db, params),
-                  propagation.pl_nlos_abg(config.f_c_ghz, d3d, draws.x_nlos_db, params))
+                  propagation.pl_los_ci(f_c, d3d, draws.x_los_db, params),
+                  propagation.pl_nlos_abg(f_c, d3d, draws.x_nlos_db, params))
     if config.environment == "indoor":
         # keep the in-building segment within the link's horizontal distance
         d2din_link = np.minimum(drop.indoor_depth_m[:, None], d2d)
-        l_o2i = propagation.o2i_loss(config.f_c_ghz, d2din_link,
+        l_o2i = propagation.o2i_loss(f_c, d2din_link,
                                      draws.x_o2i_low_db, draws.x_o2i_high_db, params)
     else:
         l_o2i = np.zeros_like(d3d)
-    l_oa = propagation.oxygen_absorption(f_hz, d3d, params)
+    l_oa = propagation.oxygen_absorption(f_c, d3d, params)
 
     theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
+    azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
     boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)
     # azimuth off each boresight, wrapped to (-180, 180]: y = 180 - (azimuth -
     # boresight) lies in [30, 630], where y - 360 is exact (Sterbenz) and
@@ -250,8 +250,9 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     g_tx = antenna_mod.sector_gain(config.antenna, theta[:, :, None], phi)  # (n, s, 3)
     cl = linkbudget.coupling_loss(g_tx, config.ms_gain_dbi, pl[:, :, None],
                                   l_o2i[:, :, None], l_oa[:, :, None], config.g_sm_db)
+    n = len(d2d)
     return {"d_2d": d2d, "d_3d": d3d, "is_los": is_los, "pl": pl, "l_o2i": l_o2i,
-            "l_oa": l_oa, "g_tx": g_tx, "coupling_loss": cl.reshape(len(d2d), -1)}
+            "l_oa": l_oa, "g_tx": g_tx.reshape(n, -1), "coupling_loss": cl.reshape(n, -1)}
 
 
 # The terms of RunResult.links, in links.csv order: per (station, site) and
@@ -271,7 +272,7 @@ _BLOCK_STATIONS = 600
 def _simulate_drop(run: _Run, drop_index: int) -> None:
     """Write one drop of ``run`` into the run's arrays: the serving CL, GM
     and noise-limited flag of each station and, if the run collects them,
-    its ``links.csv`` rows.
+    its ``links.csv`` terms, each at the shape ``link_budget`` returns.
 
     The stations, LoS uniforms and shadow terms are drawn for the whole
     drop, each on its own substream.  The link budget, association, GM and
@@ -322,8 +323,7 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
                 f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
         if run.links is not None:
             for key, value in {**budget, "p_rx": p_rx}.items():
-                # g_tx (block, n_sites, 3) as its (block, n_sectors) view
-                run.links[key][first:last] = value.reshape(hi - lo, -1)
+                run.links[key][first:last] = value
 
 
 # glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process
@@ -513,14 +513,12 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     frequencies, schemes = list(frequencies), list(schemes)
     if not frequencies or not schemes:
         raise ConfigError("frequencies and schemes must be non-empty")
-    try:
-        carriers = [float(f_c) for f_c in frequencies]
-        valid = all(math.isfinite(f_c) and f_c > 0 for f_c in carriers)
-    except (TypeError, ValueError, OverflowError):  # not a float, such as "x"
-        valid = False
-    if not valid:
-        raise ConfigError(f"frequencies must be positive and finite, got {frequencies}")
-    keys = [(f_c, scheme) for f_c in carriers for scheme in schemes]
+    try:  # by the config's own rule, so that "60" and True are refused as there
+        for f_c in frequencies:
+            check_fields(ScenarioConfig, {"f_c_ghz": f_c}, "")
+    except ConfigError:
+        raise ConfigError(f"frequencies must be positive and finite, got {frequencies}") from None
+    keys = [(float(f_c), scheme) for f_c in frequencies for scheme in schemes]
     configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme,
                                  seed=sweep_seed(base_config.seed, f_c))
                for f_c, scheme in keys]

@@ -42,12 +42,11 @@ def power_allocation(scheme: str, f_c_ghz: float, bandwidth_hz: float | None = N
                            bandwidth_hz=float(bandwidth_hz), p_tx_dbm=float(p_tx_dbm))
 
 
-def noise_power(bandwidth_hz: float, noise_figure_db: float,
-                noise_density_dbm_hz: float = NOISE_DENSITY_DBM_HZ) -> float:
-    """Total receiver noise power in dBm over the given bandwidth."""
+def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Receiver noise power in dBm over ``bandwidth_hz`` at ``NOISE_DENSITY_DBM_HZ``."""
     if bandwidth_hz <= 0:
         raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz}")
-    return noise_density_dbm_hz + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
+    return NOISE_DENSITY_DBM_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
 
 
 def coupling_loss(g_tx_dbi, g_rx_dbi, pl_db, l_o2i_db=0.0, l_oa_db=0.0, g_sm_db=0.0):

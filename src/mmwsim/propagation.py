@@ -4,7 +4,7 @@ Implements the close-in (CI) line-of-sight path loss, the alpha-beta-gamma
 (ABG) non-line-of-sight path loss, a distance-based LoS probability,
 composite outdoor-to-indoor penetration loss and oxygen absorption, each
 with its log-normal shadow term.  All functions accept scalars or numpy
-arrays and return dB values.
+arrays, take the carrier in GHz (``f_c_ghz``) and return dB values.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import carrier_key, check_fields
 from .errors import FrequencyRangeWarning
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -131,29 +131,29 @@ def _check_freq_validity(f_c_ghz):
             "range", FrequencyRangeWarning, stacklevel=3)
 
 
-def fspl(f_c_hz: float) -> float:
+def fspl(f_c_ghz: float) -> float:
     """Free-space path loss at the 1 m reference distance.
 
     Parameters
     ----------
-    f_c_hz : carrier frequency in Hz.
+    f_c_ghz : carrier frequency in GHz.
 
     Returns
     -------
-    20 * log10(4 * pi * f_c / c) in dB.
+    20 * log10(4 * pi * f_c / c) in dB, with f_c in Hz.
     """
-    if np.any(np.asarray(f_c_hz) <= 0):
-        raise ValueError(f"f_c_hz must be positive, got {f_c_hz}")
-    return 20.0 * np.log10(4.0 * np.pi * f_c_hz / SPEED_OF_LIGHT_M_S)
+    if np.any(np.asarray(f_c_ghz) <= 0):
+        raise ValueError(f"f_c_ghz must be positive, got {f_c_ghz}")
+    return 20.0 * np.log10(4.0 * np.pi * (f_c_ghz * 1e9) / SPEED_OF_LIGHT_M_S)
 
 
-def pl_los_ci(f_c_hz: float, d_m, x_los_db=0.0,
+def pl_los_ci(f_c_ghz: float, d_m, x_los_db=0.0,
               params: PropagationParams = DEFAULT_PARAMS):
     """Close-in reference-distance LoS path loss.
 
     Parameters
     ----------
-    f_c_hz : carrier frequency in Hz.
+    f_c_ghz : carrier frequency in GHz.
     d_m : 3D transmitter-receiver distance in metres, >= 1 (model
         reference distance).
     x_los_db : shadow term in dB.
@@ -165,8 +165,8 @@ def pl_los_ci(f_c_hz: float, d_m, x_los_db=0.0,
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("d_m below the 1 m close-in reference distance")
-    _check_freq_validity(f_c_hz / 1e9)
-    return fspl(f_c_hz) + params.ci_ple_coeff * np.log10(d) + x_los_db
+    _check_freq_validity(f_c_ghz)
+    return fspl(f_c_ghz) + params.ci_ple_coeff * np.log10(d) + x_los_db
 
 
 def pl_nlos_abg(f_c_ghz: float, d_m, x_nlos_db=0.0,
@@ -251,17 +251,13 @@ def o2i_loss(f_c_ghz: float, d_2d_in_m, x_low_db=0.0, x_high_db=0.0,
     return tw + params.indoor_loss_rate_db_per_m * d_in
 
 
-def oxygen_absorption(f_c_hz: float, d_m,
+def oxygen_absorption(f_c_ghz: float, d_m,
                       params: PropagationParams = DEFAULT_PARAMS):
-    """Atmospheric oxygen loss, delta(f_c) dB/km over the full travel distance."""
+    """Atmospheric oxygen loss, delta(f_c) dB/km over the full travel distance;
+    delta is 0 where ``carrier_key`` finds no key for f_c."""
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 0):
         raise ValueError("d_m must be non-negative")
-    f_ghz = f_c_hz / 1e9
-    delta = 0.0
-    for key_ghz, value in params.oxygen_delta_db_per_km.items():
-        if abs(f_ghz - key_ghz) < 1e-6:
-            delta = value
-            break
-    out = delta * d / 1000.0
+    table = params.oxygen_delta_db_per_km
+    out = table.get(carrier_key(table, f_c_ghz), 0.0) * d / 1000.0
     return out if out.ndim else float(out)

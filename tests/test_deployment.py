@@ -60,7 +60,7 @@ def test_boresights_and_downtilt(dep):
     assert cl.shape == (3, 57)
     assert list(np.argmax(cl, axis=1)) == [12, 13, 14]
     # ... and every sector of site i carries site i's path loss
-    per_site = coupling_loss(budget["g_tx"], 0.0, budget["pl"][:, :, None],
+    per_site = coupling_loss(budget["g_tx"].reshape(3, 19, 3), 0.0, budget["pl"][:, :, None],
                              budget["l_o2i"][:, :, None], budget["l_oa"][:, :, None])
     assert np.array_equal(cl, per_site.reshape(3, 57))
 
@@ -108,13 +108,13 @@ def test_drop_checks_the_environment_as_the_config_does(dep, environment):
 
 def test_wrap_displacement_coincident(dep):
     disp, _ = wrap_displacements(dep, dep.site_xy[3][None])
-    assert_allclose(np.linalg.norm(disp[0, 3]), 0.0, atol=1e-12)
+    assert_allclose(np.linalg.norm(disp[:, 0, 3]), 0.0, atol=1e-12)
 
 
 def test_wrap_displacement_close_point(dep):
     # 50 m < half the wrap distance, so no image is closer than the site itself
     disp, _ = wrap_displacements(dep, np.array([[50.0, 0.0]]))
-    assert_allclose(disp[0, 0], [50.0, 0.0], atol=1e-12)
+    assert_allclose(disp[:, 0, 0], [50.0, 0.0], atol=1e-12)
 
 
 def test_wrap_shortens_far_links(dep):
@@ -122,7 +122,7 @@ def test_wrap_shortens_far_links(dep):
     v = np.asarray(dep.wrap_vectors[0])
     far = 0.62 * v
     direct = np.linalg.norm(far)
-    wrapped = np.linalg.norm(wrap_displacements(dep, far[None])[0][0, 0])
+    wrapped = np.linalg.norm(wrap_displacements(dep, far[None])[0][:, 0, 0])
     assert wrapped < direct
 
 
@@ -139,7 +139,7 @@ def test_wrap_displacement_matches_brute_force(dep, rng):
     sites = dep.site_xy
     for ms in pts:
         s = rng.integers(0, 19)
-        got = wrap_displacements(dep, ms[None])[0][0, s]
+        got = wrap_displacements(dep, ms[None])[0][:, 0, s]
         want = _brute_force_displacement(sites[s], ms, dep)
         assert_allclose(np.hypot(*got), np.hypot(*want), atol=1e-9)
 
@@ -147,10 +147,10 @@ def test_wrap_displacement_matches_brute_force(dep, rng):
 def test_wrap_displacements_vectorised_matches_scalar(dep, rng):
     ms = rng.uniform(-500, 500, size=(50, 2))
     disp, d2d = wrap_displacements(dep, ms)
-    assert disp.shape == (50, 19, 2)
+    assert disp.shape == (2, 50, 19)
     for i in range(0, 50, 7):
         one_disp, one_d2d = wrap_displacements(dep, ms[i][None])
-        assert np.array_equal(one_disp[0], disp[i])
+        assert np.array_equal(one_disp[:, 0], disp[:, i])
         assert np.array_equal(one_d2d[0], d2d[i])
         for s in range(0, 19, 5):
             want = _brute_force_displacement(dep.site_xy[s], ms[i], dep)
@@ -175,7 +175,7 @@ def _argmin_wrap_displacements(dep, ms):
     best = norms.argmin(axis=1)
     d2d = np.take_along_axis(norms, best[:, None, :], axis=1)[:, 0, :]
     disp = np.take_along_axis(diff, best[:, None, :, None], axis=1)[:, 0, :, :]
-    return disp, d2d, norms
+    return np.moveaxis(disp, -1, 0), d2d, norms
 
 
 def _assert_wrap_bit_identical(dep, ms):
@@ -206,7 +206,7 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
         assert norms[k, 0, 0] == norms[k, k + 1, 0] == norms[k, :, 0].min()
     _assert_wrap_bit_identical(dep, ms)
     disp, _ = wrap_displacements(dep, ms)
-    assert np.array_equal(disp[:, 0, :], ms)  # the site itself wins
+    assert np.array_equal(disp[:, :, 0].T, ms)  # the site itself wins
     # two neighbouring images tie on integer wrap vectors (halves are exact)
     idep = replace(dep, wrap_vectors=tuple((float(round(x)), float(round(y)))
                                            for x, y in dep.wrap_vectors))
@@ -219,10 +219,10 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
     _assert_wrap_bit_identical(idep, ms)
     disp, _ = wrap_displacements(idep, ms)
     lower = np.minimum(np.arange(6), (np.arange(6) + 1) % 6)
-    assert np.array_equal(disp[:, 0, :], ms - iv[lower])
+    assert np.array_equal(disp[:, :, 0].T, ms - iv[lower])
     # one station at a time gives the same ties
     for k in range(6):
-        assert np.array_equal(wrap_displacements(idep, ms[k][None])[0][0, 0],
+        assert np.array_equal(wrap_displacements(idep, ms[k][None])[0][:, 0, 0],
                               ms[k] - iv[lower[k]])
 
 

@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import mmwsim
 import mmwsim.engine as engine
-from mmwsim import checks
+from mmwsim import checks, linkbudget, propagation
 from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
@@ -867,14 +867,47 @@ def test_azimuth_wrap_matches_mod_rule():
     disp, d2d = wrap_displacements(dep, xy)
     dz = drop.height_m[:, None] - cfg.deployment.bs_height_m
     theta = np.degrees(np.arccos(np.clip(dz / np.hypot(d2d, dz), -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(disp[:, :, 1], disp[:, :, 0]))
+    azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
     y = 180.0 - (azimuth[:, :, None] - np.asarray(SECTOR_BORESIGHTS_DEG))
     assert (y[0, 4, 0], y[1, 4, 2], y[3, 0, 2]) == (30.0, 360.0, 630.0)
     assert 629.0 < y[2, 4, 2] < 630.0
     want = sector_gain(cfg.antenna, theta[:, :, None], 180.0 - np.mod(y, 360.0))
 
     budget = link_budget(cfg, dep, drop, np.zeros((n, 19)), ShadowDraws())
-    assert np.array_equal(budget["g_tx"], want)
+    assert np.array_equal(budget["g_tx"], want.reshape(n, -1))
+
+
+def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
+    dep = generate_layout(200.0)
+    drop = drop_mobiles(dep, "outdoor", 57, np.random.default_rng(5))
+    los_u = np.zeros((57, 19))
+    # within 1e-9 GHz of 60 GHz both the power table and oxygen apply ...
+    near = ScenarioConfig(f_c_ghz=60.0 + 5e-10)
+    alloc = linkbudget.power_allocation("scaled", near.f_c_ghz)
+    assert (alloc.bandwidth_hz, alloc.p_tx_dbm) == (1e9, 61.0)
+    budget = link_budget(near, dep, drop, los_u, ShadowDraws())
+    assert np.array_equal(budget["l_oa"], 15.0 * budget["d_3d"] / 1000.0)
+    # ... and 5e-7 GHz off neither does: a carrier off the power table gets
+    # no oxygen absorption either
+    off = 60.0 + 5e-7
+    with pytest.raises(ConfigError, match="is not a standard carrier"):
+        ScenarioConfig(f_c_ghz=off)
+    cfg = ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0)
+    assert checks.carrier_key(cfg.propagation.oxygen_delta_db_per_km, off) is None
+    assert np.all(link_budget(cfg, dep, drop, los_u, ShadowDraws())["l_oa"] == 0.0)
+
+
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_link_budget_returns_each_term_at_its_links_shape(environment):
+    # per-site terms (n, n_sites) and per-sector terms (n, n_sectors), the
+    # shapes of RunResult.links, so that a drop writes them as they are
+    dep, rng = generate_layout(200.0), np.random.default_rng(2)
+    drop = drop_mobiles(dep, environment, 60, rng)
+    draws = propagation.draw_shadows(rng, (60, 19), o2i=environment == "indoor")
+    budget = link_budget(small(environment=environment), dep, drop,
+                         rng.uniform(size=(60, 19)), draws)
+    assert {key: value.shape for key, value in budget.items()} == {
+        **dict.fromkeys(_SITE_TERMS, (60, 19)), "g_tx": (60, 57), "coupling_loss": (60, 57)}
 
 
 def test_every_benchmark_stage_is_called_through_its_module(monkeypatch):
@@ -943,12 +976,19 @@ def test_sweep_requires_nonempty_lists():
         run_sweep(small(), [], ["scaled"])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400,
+                                 "60", True])
 def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
     # nan, inf and -4 used to end in a traceback from sweep_seed, and "x",
-    # None and 10 ** 400 in a raw error from float()
+    # None and 10 ** 400 in a raw error from float(); "60" used to run at
+    # 60 GHz and True at 1 GHz, though a config refuses both
     with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
+
+
+def test_sweep_carriers_stay_floats():
+    [entry] = run_sweep(small(n_drops=1), [30], ["scaled"])
+    assert type(entry.f_c_ghz) is type(entry.result.config.f_c_ghz) is float
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mmwsim import linkbudget, propagation
 from mmwsim import (DeploymentParams, FrequencyRangeWarning, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, draw_shadows, fspl, generate_layout,
                     link_budget, los_probability, material_loss, o2i_loss,
@@ -25,29 +27,29 @@ O2I28_COMBINED = 34.98075913
 
 
 def test_fspl_values():
-    assert_allclose(fspl(2e9), FSPL_2GHZ, atol=1e-6)
-    assert_allclose(fspl(30e9), FSPL_30GHZ, atol=1e-6)
+    assert_allclose(fspl(2.0), FSPL_2GHZ, atol=1e-6)
+    assert_allclose(fspl(30.0), FSPL_30GHZ, atol=1e-6)
     # argument of the log is 1 at f = c / (4 pi)
-    assert_allclose(fspl(299792458.0 / (4.0 * math.pi)), 0.0, atol=1e-9)
+    assert_allclose(fspl(299792458.0 / (4.0 * math.pi) / 1e9), 0.0, atol=1e-9)
 
 
 def test_fspl_errors():
     with pytest.raises(ValueError):
         fspl(0.0)
     with pytest.raises(ValueError):
-        fspl(-1e9)
+        fspl(-1.0)
 
 
 def test_ci_los_values():
-    assert_allclose(pl_los_ci(30e9, 100.0), CI_30GHZ_100M, atol=1e-6)
-    assert_allclose(pl_los_ci(2e9, 100.0, 5.0), CI_2GHZ_100M_X5, atol=1e-6)
+    assert_allclose(pl_los_ci(30.0, 100.0), CI_30GHZ_100M, atol=1e-6)
+    assert_allclose(pl_los_ci(2.0, 100.0, 5.0), CI_2GHZ_100M_X5, atol=1e-6)
     # log term vanishes at the 1 m reference distance
-    assert_allclose(pl_los_ci(17e9, 1.0), fspl(17e9), atol=1e-12)
+    assert_allclose(pl_los_ci(17.0, 1.0), fspl(17.0), atol=1e-12)
 
 
 def test_ci_los_reference_distance_error():
     with pytest.raises(ValueError):
-        pl_los_ci(30e9, 0.5)
+        pl_los_ci(30.0, 0.5)
 
 
 def test_abg_nlos_values():
@@ -66,24 +68,24 @@ def test_abg_frequency_slope_exact(rng):
 
 def test_frequency_validity_warning():
     with pytest.warns(FrequencyRangeWarning):
-        pl_los_ci(0.2e9, 10.0)
+        pl_los_ci(0.2, 10.0)
     with pytest.warns(FrequencyRangeWarning):
         pl_nlos_abg(150.0, 10.0)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pl_los_ci(100e9, 10.0)  # boundary of the validity range is fine
+        pl_los_ci(100.0, 10.0)  # boundary of the validity range is fine
         pl_nlos_abg(0.5, 10.0)
 
 
 def test_monotonic_in_distance_and_frequency(rng):
     d = np.sort(rng.uniform(1.0, 5000.0, size=1000))
-    for fn in (lambda dd: pl_los_ci(30e9, dd), lambda dd: pl_nlos_abg(30.0, dd)):
+    for fn in (lambda dd: pl_los_ci(30.0, dd), lambda dd: pl_nlos_abg(30.0, dd)):
         pl = fn(d)
         assert np.all(np.diff(pl) > 0)
     f = np.sort(rng.uniform(0.5, 100.0, size=1000))
-    assert np.all(np.diff(pl_los_ci(f * 1e9, 100.0)) > 0)
+    assert np.all(np.diff(pl_los_ci(f, 100.0)) > 0)
     assert np.all(np.diff(pl_nlos_abg(f, 100.0)) > 0)
 
 
@@ -147,12 +149,28 @@ def test_o2i_composite_between_branches(rng):
 
 
 def test_oxygen_absorption():
-    assert oxygen_absorption(60e9, 200.0) == 3.0
-    assert oxygen_absorption(60e9, 0.0) == 0.0
-    assert oxygen_absorption(2e9, 1000.0) == 0.0
-    assert oxygen_absorption(100e9, 1000.0) == 0.0
+    assert oxygen_absorption(60.0, 200.0) == 3.0
+    assert oxygen_absorption(60.0, 0.0) == 0.0
+    assert oxygen_absorption(2.0, 1000.0) == 0.0
+    assert oxygen_absorption(100.0, 1000.0) == 0.0
     with pytest.raises(ValueError):
-        oxygen_absorption(60e9, -1.0)
+        oxygen_absorption(60.0, -1.0)
+
+
+def test_every_stage_takes_the_carrier_in_ghz():
+    # one unit at every stage boundary: a carrier parameter is f_c_ghz
+    takes_carrier = set()
+    for module in (propagation, linkbudget):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = set(inspect.signature(fn).parameters)
+            assert not {p for p in params - {"f_c_ghz"}
+                        if p.startswith("f_") or "freq" in p or "carrier" in p}, name
+            if "f_c_ghz" in params:
+                takes_carrier.add(name)
+    assert takes_carrier == {"fspl", "pl_los_ci", "pl_nlos_abg", "material_loss",
+                             "o2i_loss", "oxygen_absorption", "power_allocation"}
 
 
 def test_shadow_draw_statistics():
@@ -214,7 +232,7 @@ def test_bs_height_is_read_from_the_config():
 def link_loss_db(budget):
     # PL + L_O2I + L_OA - G_sm per station, site and sector: G_tx - CL at 0 dBi G_rx
     n = len(budget["d_2d"])
-    return budget["g_tx"] - budget["coupling_loss"].reshape(n, 19, 3)
+    return (budget["g_tx"] - budget["coupling_loss"]).reshape(n, 19, 3)
 
 
 def test_link_loss_composition():
@@ -241,7 +259,7 @@ def test_link_loss_selects_by_los_state(rng):
     for los_u in (0.0, 1.0, rng.uniform(size=(50, 19))):
         b = budget_at(cfg, xy, los_u, draws=draws)
         assert np.array_equal(b["is_los"], los_u < los_probability(b["d_2d"]))
-        want = np.where(b["is_los"], pl_los_ci(30e9, b["d_3d"], draws.x_los_db),
+        want = np.where(b["is_los"], pl_los_ci(30.0, b["d_3d"], draws.x_los_db),
                         pl_nlos_abg(30.0, b["d_3d"], draws.x_nlos_db))
         assert_allclose(b["pl"], want, atol=1e-12)
         # outdoors at 30 GHz the path loss is the whole link loss
