@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import check_block
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class AntennaPattern:
     front_back_db: float = 25.0
 
     def __post_init__(self):
-        check_fields(AntennaPattern, vars(self), "antenna.")
+        check_block(self, "antenna.")
 
 
 def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):

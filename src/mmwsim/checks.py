@@ -2,13 +2,15 @@
 annotation and each number's range by the field's dotted name, applied by one
 walker, ``check_fields``, the environment by ``check_environment``, the power
 scheme by ``check_power`` and a carrier's table key by ``carrier_key``.  Each
-config block checks itself with them as it is built; ``generate_layout``,
+config block checks itself with them as it is built (``check_block``, which
+also stores a numpy number as a Python one); ``generate_layout``,
 ``drop_mobiles`` and ``power_allocation`` check their bare values the same way."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 
 from .errors import ConfigError
@@ -55,18 +57,24 @@ RANGES = {
 }
 
 
+def _is_int(value) -> bool:
+    """An integer, a numpy one included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_real(value) -> bool:
-    """A finite float, or an int (not bool) in float range."""
-    return (isinstance(value, float) and math.isfinite(value)) or (
-        isinstance(value, int) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max)
+    """A real number, a numpy one included, that is finite as a float: an
+    integer (not a bool) within float range, or any other finite real."""
+    if isinstance(value, numbers.Integral):
+        return _is_int(value) and abs(int(value)) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 # field checks by annotation string; every number, also inside the loss
 # pairs and the oxygen table, is finite
 PAIR, TABLE = "tuple[float, float]", "dict[float, float]"
 FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (_is_int, "an integer"),
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
     PAIR: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
@@ -103,6 +111,16 @@ def check_environment(environment):
     """Refuse a station environment other than ``outdoor`` or ``indoor``."""
     if environment not in ("outdoor", "indoor"):
         raise ConfigError(f"environment must be 'outdoor' or 'indoor', got {environment!r}")
+
+
+def check_block(block, prefix: str):
+    """Check the fields of the frozen dataclass ``block`` (``check_fields``) and
+    store each number among them that is not a Python ``int`` or ``float``, such
+    as a numpy scalar, as its Python number, so that a saved config can write it."""
+    check_fields(type(block), vars(block), prefix)
+    for name, value in vars(block).items():
+        if isinstance(value, numbers.Real) and type(value) not in (bool, int, float):
+            object.__setattr__(block, name, int(value) if _is_int(value) else float(value))
 
 
 def check_fields(cls, values: dict, prefix: str):

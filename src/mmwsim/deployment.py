@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_environment, check_fields
+from .checks import check_block, check_environment, check_fields
 from .errors import ConfigError
 
 # Axial (i, j) lattice coordinates of the 19-site cluster: centre, ring 1, ring 2.
@@ -40,7 +40,7 @@ class DeploymentParams:
     floor_count_max: int = 8
 
     def __post_init__(self):
-        check_fields(DeploymentParams, vars(self), "deployment.")
+        check_block(self, "deployment.")
         circumradius = self.isd_m / math.sqrt(3.0)
         if self.min_distance_m >= circumradius:
             raise ConfigError(

@@ -29,7 +29,7 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, check_environment, check_fields, check_power
+from .checks import PAIR, check_block, check_environment, check_fields, check_power
 from .deployment import DeploymentParams
 from .errors import ConfigError
 from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
@@ -63,7 +63,7 @@ class ScenarioConfig:
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
 
     def __post_init__(self):
-        check_fields(ScenarioConfig, vars(self), "")
+        check_block(self, "")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type in _BLOCKS and not isinstance(value, _BLOCKS[f.type]):
@@ -239,15 +239,18 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
 
     theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
+    del disp  # each array is released once its last step has read it
     boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)
     # azimuth off each boresight, wrapped to (-180, 180]: y = 180 - (azimuth -
     # boresight) lies in [30, 630], where y - 360 is exact (Sterbenz) and
     # equals np.mod(y, 360), so one in-place subtract stands in for the mod
     y = np.subtract(azimuth[:, :, None], boresights)
+    del azimuth
     np.subtract(180.0, y, out=y)
     np.subtract(y, 360.0, out=y, where=y >= 360.0)
     phi = np.subtract(180.0, y, out=y)
     g_tx = antenna_mod.sector_gain(config.antenna, theta[:, :, None], phi)  # (n, s, 3)
+    del theta, y, phi
     cl = linkbudget.coupling_loss(g_tx, config.ms_gain_dbi, pl[:, :, None],
                                   l_o2i[:, :, None], l_oa[:, :, None], config.g_sm_db)
     n = len(d2d)
@@ -270,28 +273,31 @@ _BLOCK_STATIONS = 600
 
 
 def _simulate_drop(run: _Run, drop_index: int) -> None:
-    """Write one drop of ``run`` into the run's arrays: the serving CL, GM
-    and noise-limited flag of each station and, if the run collects them,
-    its ``links.csv`` terms, each at the shape ``link_budget`` returns.
+    """Write one drop of ``run`` into the run's arrays: the serving CL and
+    GM of each station and, if the run collects them, its ``links.csv``
+    terms, each at the shape ``link_budget`` returns.
 
-    The stations, LoS uniforms and shadow terms are drawn for the whole
-    drop, each on its own substream.  The link budget, association, GM and
-    the finite checks of CL and GM then run on ``ceil(count /
-    _BLOCK_STATIONS)`` near-equal contiguous blocks of stations, each
-    writing its own rows.  Each of those steps is elementwise per
-    station-site pair or reduces over one station's own row (the argmax of
-    association, the interference sum of GM), so every station gets the
-    same bits in a block as in a whole-drop call; blocking only bounds the
-    working set.  A block raises on its first non-finite CL, then GM, so a
+    The stations and shadow terms are drawn for the whole drop, each on its
+    own substream.  The link budget, association, GM and the finite checks
+    of CL and GM then run on ``ceil(count / _BLOCK_STATIONS)`` near-equal
+    contiguous blocks of stations, each writing its own rows.  Each of
+    those steps is elementwise per station-site pair or reduces over one
+    station's own row (the argmax of association, the interference sum of
+    GM), so every station gets the same bits in a block as in a whole-drop
+    call; blocking only bounds the working set.  Each block draws its LoS
+    uniforms from the drop's LoS substream in turn: a uniform takes one
+    64-bit output, so the blocks' draws are the whole drop's draw.  A block
+    holds only what its next step reads: once its terms are stored, or
+    when no links are collected, it keeps CL alone, and P_rx is formed in
+    CL's buffer.  A block raises on its first non-finite CL, then GM, so a
     run's error is that of its first failing drop in drop order.
     """
     config, dep = run.config, run.dep
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(dep, config.environment, count,
                                        _stream(config.seed, drop_index, 0), config.deployment)
-    shape = (count, dep.n_sites)
-    los_u = _stream(config.seed, drop_index, 1).uniform(size=shape)
-    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), shape,
+    los_rng = _stream(config.seed, drop_index, 1)
+    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), (count, dep.n_sites),
                                      config.propagation, o2i=config.environment == "indoor")
 
     n_blocks = -(-count // _BLOCK_STATIONS)
@@ -301,16 +307,19 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
         block_draws = replace(draws, **{name: value[rows] for name, value
                                         in vars(draws).items() if np.ndim(value)})
         budget = link_budget(config, dep, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
-                             los_u[rows], block_draws)
+                             los_rng.uniform(size=(hi - lo, dep.n_sites)), block_draws)
         cl = budget["coupling_loss"]
         if not np.isfinite(cl).all():
             ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
             raise RuntimeError(f"non-finite coupling loss "
                                f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
-        p_rx = run.alloc.p_tx_dbm + cl
         first, last = drop_index * count + lo, drop_index * count + hi
-        serving, run.serving_cl[first:last], run.noise_limited[first:last] = (
-            linkbudget.associate(cl, run.threshold_db))
+        if run.links is not None:
+            for key, value in budget.items():
+                run.links[key][first:last] = value
+        del budget  # from here the block reads CL alone
+        serving, run.serving_cl[first:last], _ = linkbudget.associate(cl, run.threshold_db)
+        p_rx = np.add(cl, run.alloc.p_tx_dbm, out=cl)  # the bits of p_tx + cl
         # errstate is per thread, so it sits here, on the drop's thread: the
         # finite check below is the one report of an overflow
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,8 +331,8 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
                 f"non-finite geometry metric (drop {drop_index}, ms {lo + bad[0]}): "
                 f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
         if run.links is not None:
-            for key, value in {**budget, "p_rx": p_rx}.items():
-                run.links[key][first:last] = value
+            run.links["p_rx"][first:last] = p_rx
+        del cl, p_rx  # one buffer, released before the next block's budget
 
 
 # glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process
@@ -372,9 +381,9 @@ def _pin_heap_thresholds() -> None:
 class _Run(NamedTuple):
     """What every drop of one run shares, fixed by ``_setup_run``, and the
     arrays its drops fill in drop-major station order: ``serving_cl``,
-    ``gm``, ``noise_limited`` and, unless ``None``, the ``links`` terms,
-    one row per station (``RunResult``).  Each drop writes only its own
-    rows, so the worker threads need no lock."""
+    ``gm`` and, unless ``None``, the ``links`` terms, one row per station
+    (``RunResult``).  Each drop writes only its own rows, so the worker
+    threads need no lock."""
 
     config: ScenarioConfig
     t0: float  # perf_counter() at the start of setup
@@ -384,8 +393,12 @@ class _Run(NamedTuple):
     threshold_db: float
     serving_cl: np.ndarray
     gm: np.ndarray
-    noise_limited: np.ndarray
     links: dict[str, np.ndarray] | None
+
+    @property
+    def noise_limited(self) -> np.ndarray:
+        """Each station's noise-limited flag, by ``associate``'s comparison."""
+        return self.serving_cl < self.threshold_db
 
 
 def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
@@ -403,7 +416,7 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
         links = {key: np.empty((n_ms, dep.n_sites if key in _SITE_TERMS else dep.n_sectors),
                                bool if key == "is_los" else float)
                  for key in _SITE_TERMS + _SECTOR_TERMS} if collect_links else None
-        arrays = np.empty(n_ms), np.empty(n_ms), np.empty(n_ms, bool)
+        arrays = np.empty(n_ms), np.empty(n_ms)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
         raise ConfigError(f"n_drops={config.n_drops}, ms_per_sector={config.ms_per_sector}: "
                           f"{n_ms} stations are too many to allocate") from exc

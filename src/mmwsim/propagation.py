@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import carrier_key, check_fields
+from .checks import carrier_key, check_block
 from .errors import FrequencyRangeWarning
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -69,7 +69,7 @@ class PropagationParams:
         default_factory=lambda: {60.0: 15.0})
 
     def __post_init__(self):
-        check_fields(PropagationParams, vars(self), "propagation.")
+        check_block(self, "propagation.")
         # the loss pairs and oxygen table as floats: YAML's {60: 15} echoes as
         # floats; the table read-only, so that the checked config stays valid
         for name in (f"{material}_loss_db" for material in _MATERIALS):

@@ -991,6 +991,48 @@ def test_sweep_carriers_stay_floats():
     assert type(entry.f_c_ghz) is type(entry.result.config.f_c_ghz) is float
 
 
+@pytest.mark.parametrize("f_c", [np.int64(60), np.float32(60.0)])
+def test_numpy_numbers_in_a_config_are_stored_as_python_numbers(tmp_path, f_c):
+    cfg = small(f_c_ghz=f_c, n_drops=np.int64(1), ms_per_sector=np.int32(1),
+                deployment=DeploymentParams(isd_m=np.float32(200.0)),
+                propagation=PropagationParams(glass_loss_db=(np.int64(2), np.float32(0.25))))
+    want = small(f_c_ghz=f_c.item(), n_drops=1, ms_per_sector=1,
+                 deployment=DeploymentParams(isd_m=200.0),
+                 propagation=PropagationParams(glass_loss_db=(2.0, 0.25)))
+    assert cfg == want
+    assert type(cfg.f_c_ghz) is type(f_c.item()) and type(cfg.n_drops) is int
+    assert type(cfg.deployment.isd_m) is float
+    for c, name in ((cfg, "numpy"), (want, "python")):
+        save_results(run_scenario(c), tmp_path / name)
+    for name in ("cl_cdf.csv", "gm_cdf.csv", "summary.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
+    config = json.loads((tmp_path / "numpy" / "summary.json").read_text())["config"]
+    assert type(config["f_c_ghz"]) is type(f_c.item()) and config["f_c_ghz"] == f_c.item()
+    assert config["deployment"]["isd_m"] == 200.0 and config["n_drops"] == 1
+
+
+def test_sweep_takes_numpy_carriers(tmp_path):
+    got = run_sweep(small(n_drops=1, ms_per_sector=1), np.array([2, 60]), ["scaled"])
+    want = run_sweep(small(n_drops=1, ms_per_sector=1), [2.0, 60.0], ["scaled"])
+    for a, b in zip(got, want, strict=True):
+        assert a.key == b.key and type(a.f_c_ghz) is float and a.error is b.error is None
+        _assert_same_run(a.result, b.result)
+        save_results(a.result, tmp_path / str(a.f_c_ghz))
+        config = json.loads((tmp_path / str(a.f_c_ghz) / "summary.json").read_text())["config"]
+        assert type(config["f_c_ghz"]) is float and config["f_c_ghz"] == b.f_c_ghz
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), float("nan"), float("inf"),
+                                 np.float32("nan"), np.float64("inf"), np.float32("-inf")])
+def test_config_refuses_bools_and_numbers_that_are_not_finite(bad):
+    with pytest.raises(ConfigError, match="^f_c_ghz must be a finite number"):
+        small(f_c_ghz=bad)
+    with pytest.raises(ConfigError, match="^n_drops must be an integer"):
+        small(n_drops=np.bool_(True))
+    with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
+        run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_sweep_checks_the_base_seed(seed):
     # sweep_seed reads the base seed: -1 and 1.5 must not reach numpy, and
@@ -1225,17 +1267,35 @@ def test_o2i_shadows_are_drawn_indoors_only(monkeypatch, environment):
     assert seen == [environment == "indoor"] * 2
 
 
-def test_dense_drop_working_set_stays_bounded():
-    # one indoor 60 GHz drop of 5,700 stations: evaluated whole, its
-    # (5,700, 19, 3) and (5,700, 57) temporaries peaked at 24.7 MB
-    cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=1, ms_per_sector=100)
+def _traced_peak_of_one_drop(environment, ms_per_sector):
+    cfg = ScenarioConfig(f_c_ghz=60.0, environment=environment, n_drops=1,
+                         ms_per_sector=ms_per_sector)
+    # a first run loads numpy.random (numpy imports it on first use) and the
+    # C library: done before tracing, so that the peak is the drop's own
+    run_scenario(replace(cfg, ms_per_sector=1))
     tracemalloc.start()
     try:
         run_scenario(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, peak
+
+
+def test_dense_drop_working_set_stays_bounded():
+    # one indoor 60 GHz drop of 5,700 stations: evaluated whole, its
+    # (5,700, 19, 3) and (5,700, 57) temporaries peaked at 24.7 MB; in blocks
+    # that held the whole drop's LoS uniforms, every block's angles while CL
+    # was formed, and CL, P_rx and the budget's other terms together, 8.0 MB;
+    # now 5.5 MB
+    peak = _traced_peak_of_one_drop("indoor", 100)
+    assert peak < 5.8e6, peak
+
+
+def test_sweep_drop_working_set_stays_bounded():
+    # one outdoor 60 GHz drop of 570 stations, the sweep's size, in one
+    # block: 2.29 MB while it held its angles, CL and P_rx together; now 1.77 MB
+    peak = _traced_peak_of_one_drop("outdoor", 10)
+    assert peak < 1.9e6, peak
 
 
 def test_links_run_holds_its_table_once():
