@@ -7,9 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .checks import BANDWIDTH_HZ
 from .engine import load_config, run_scenario, run_sweep, save_results
 from .errors import ConfigError
-from .linkbudget import BANDWIDTH_HZ
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", required=True, help="scenario YAML file")
     common.add_argument("-o", "--output", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the config seed; a sweep runs every carrier "
+                             "and scheme at this seed, on the same drops")
     common.add_argument("--workers", type=_positive_int, default=1,
                         help="worker threads over drops; a sweep schedules the "
                              "drops of all its runs on one pool (results are "

@@ -169,6 +169,10 @@ class RunResult:
 
 @dataclass(eq=False)  # holds a RunResult
 class SweepEntry:
+    """One (carrier, scheme) run of a sweep: its ``result``, equal to that of
+    ``run_scenario`` on the base config at this carrier and scheme, or the
+    ``error`` it failed with."""
+
     f_c_ghz: float
     scheme: str
     result: RunResult | None
@@ -188,18 +192,6 @@ def _stream(seed: int, drop_index: int, purpose: int) -> np.random.Generator:
 def drop_seed_id(seed: int, drop_index: int) -> int:
     """Stable identifier of a drop's substream family, for result metadata."""
     return int(np.random.SeedSequence(seed, spawn_key=(drop_index,))
-               .generate_state(1, np.uint64)[0])
-
-
-def sweep_seed(seed: int, f_c_ghz: float) -> int:
-    """Per-run seed for sweeps: a pure function of (master seed, carrier).
-
-    The power scheme does not enter, so scheme pairs at one carrier share
-    identical geometry and draws.  The carrier enters in whole kHz, so
-    carriers within 0.5 kHz of one whole kHz share a seed.
-    """
-    key = int(round(f_c_ghz * 1e6))
-    return int(np.random.SeedSequence(seed, spawn_key=(key,))
                .generate_state(1, np.uint64)[0])
 
 
@@ -259,9 +251,10 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
 
 
 # The terms of RunResult.links, in links.csv order: per (station, site) and
-# per (station, sector)
+# per (station, sector); the columns of links.csv, as _write_links writes them
 _SITE_TERMS = ("d_2d", "d_3d", "is_los", "pl", "l_o2i", "l_oa")
 _SECTOR_TERMS = ("g_tx", "coupling_loss", "p_rx")
+LINK_CSV_COLUMNS = ("ms_id", "sector_id", *_SITE_TERMS, "g_tx", "g_sm", "coupling_loss", "p_rx")
 
 
 # Cap on the stations `_simulate_drop` evaluates at once.  Its largest
@@ -516,7 +509,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
               workers: int = 1) -> list[SweepEntry]:
     """Cartesian product of scenario runs over carriers and power schemes.
 
-    Each run's seed derives from (base seed, carrier).  The runs go, in
+    Each run is the base config at one carrier and scheme, at the base
+    seed, so all runs are on the same drops and each entry's result equals
+    ``run_scenario`` of its config but for ``runtime_s``.  The runs go, in
     (carrier, scheme) order, through the same scheduler as ``run_scenario``
     (``_run_all``), so at more than one worker the drops of all runs share
     one pool.  A failing run is recorded in its entry as
@@ -532,8 +527,7 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     except ConfigError:
         raise ConfigError(f"frequencies must be positive and finite, got {frequencies}") from None
     keys = [(float(f_c), scheme) for f_c in frequencies for scheme in schemes]
-    configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme,
-                                 seed=sweep_seed(base_config.seed, f_c))
+    configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme)
                for f_c, scheme in keys]
     return [SweepEntry(*key, result,
                        None if exc is None else f"{type(exc).__name__}: {exc}")
@@ -629,7 +623,7 @@ def _write_links(path: Path, links: dict, g_sm_db: float):
     row_fmt = "%d,%d,%s,%.10g," + "%.10g" % float(g_sm_db) + ",%.10g,%.10g\n"
     step = max(1, _WRITE_BLOCK_ROWS // n_sectors)
     with _replacing(path) as fh:
-        fh.write(",".join(linkbudget.LINK_CSV_COLUMNS) + "\n")
+        fh.write(",".join(LINK_CSV_COLUMNS) + "\n")
         for lo in range(0, n_ms, step):
             hi = min(lo + step, n_ms)
             n_pairs, n_rows = (hi - lo) * n_sites, (hi - lo) * n_sectors

@@ -12,10 +12,6 @@ CONSTANT_PTX_DBM = 44.0
 
 NOISE_DENSITY_DBM_HZ = -174.0
 
-#: links.csv column order
-LINK_CSV_COLUMNS = ("ms_id", "sector_id", "d_2d", "d_3d", "is_los", "pl",
-                    "l_o2i", "l_oa", "g_tx", "g_sm", "coupling_loss", "p_rx")
-
 
 @dataclass(frozen=True)
 class PowerAllocation:

@@ -230,6 +230,24 @@ def test_sweep_command(tmp_path, capsys):
     assert capsys.readouterr().out.count("sweep f") == 4
 
 
+def test_sweep_run_writes_what_run_writes(tmp_path):
+    # a sweep's run is its base config at the carrier and scheme, at the
+    # config seed: here the base config differs from the run's in just those two
+    sweep_dir, run_dir = tmp_path / "sweep", tmp_path / "run"
+    sweep_dir.mkdir()
+    run_dir.mkdir()
+    base = write_config(sweep_dir, f_c_ghz=30.0, power_scheme="constant", ms_per_sector=2)
+    single = write_config(run_dir, f_c_ghz=60.0, power_scheme="scaled", ms_per_sector=2)
+    assert main(["sweep", "-c", str(base), "-o", str(sweep_dir / "out"), "--seed", "42",
+                 "--frequencies", "60", "--schemes", "scaled"]) == 0
+    assert main(["run", "-c", str(single), "-o", str(run_dir / "out"), "--seed", "42"]) == 0
+    names = ["cl_cdf.csv", "gm_cdf.csv", "summary.json"]
+    assert sorted(p.name for p in (run_dir / "out").iterdir()) == names
+    for name in names:
+        swept = (sweep_dir / "out" / "f60ghz_scaled" / name).read_bytes()
+        assert swept == (run_dir / "out" / name).read_bytes(), name
+
+
 def test_sweep_reports_failures(tmp_path, capsys):
     cfg = write_config(tmp_path, n_drops=1)
     out = tmp_path / "sweep"

@@ -26,9 +26,8 @@ from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
                     save_results, sector_gain, wrap_displacements)
 from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expected_sample_rounds
-from mmwsim.engine import (_SECTOR_TERMS, _SITE_TERMS, _WRITE_BLOCK_ROWS, DeploymentParams,
-                           _stream, _write_links, sweep_seed)
-from mmwsim.linkbudget import LINK_CSV_COLUMNS
+from mmwsim.engine import (_SECTOR_TERMS, _SITE_TERMS, _WRITE_BLOCK_ROWS, LINK_CSV_COLUMNS,
+                           DeploymentParams, _stream, _write_links)
 from mmwsim.metrics import CdfSeries
 
 
@@ -950,16 +949,20 @@ def test_sweep_degenerate_equals_run():
     assert len(entries) == 1
     entry = entries[0]
     assert entry.error is None and entry.key == (30.0, "scaled")
-    direct = run_scenario(small(n_drops=2, seed=sweep_seed(base.seed, 30.0)))
+    direct = run_scenario(replace(base, f_c_ghz=30.0))
     assert np.array_equal(entry.result.gm_cdf.samples, direct.gm_cdf.samples)
 
 
 def test_sweep_scheme_pairs_share_seeds():
-    entries = run_sweep(small(n_drops=2, f_c_ghz=2.0), [2.0],
-                        ["scaled", "constant"])
-    a, b = entries
+    base = small(n_drops=2, f_c_ghz=2.0)
+    entries = run_sweep(base, [2.0, 30.0], ["scaled", "constant"])
+    a, b = entries[:2]
     assert a.result.config.seed == b.result.config.seed
     assert np.array_equal(a.result.gm_cdf.samples, b.result.gm_cdf.samples)
+    # every carrier and scheme runs at the base seed, on the same drops
+    for e in entries:
+        assert e.result.config.seed == base.seed
+        assert e.result.drop_seeds == a.result.drop_seeds
 
 
 def test_sweep_continues_past_failure():
@@ -979,7 +982,7 @@ def test_sweep_requires_nonempty_lists():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400,
                                  "60", True])
 def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
-    # nan, inf and -4 used to end in a traceback from sweep_seed, and "x",
+    # nan, inf and -4 used to end in a traceback from a per-carrier seed, and "x",
     # None and 10 ** 400 in a raw error from float(); "60" used to run at
     # 60 GHz and True at 1 GHz, though a config refuses both
     with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
@@ -1035,8 +1038,9 @@ def test_config_refuses_bools_and_numbers_that_are_not_finite(bad):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_sweep_checks_the_base_seed(seed):
-    # sweep_seed reads the base seed: -1 and 1.5 must not reach numpy, and
-    # True must not pass as 1; the base config refuses them as it is built
+    # every run of a sweep takes the base seed: -1 and 1.5 must not reach
+    # numpy, and True must not pass as 1; the base config refuses them as it
+    # is built
     with pytest.raises(ConfigError, match="^seed must "):
         run_sweep(small(n_drops=1, seed=seed), [2.0], ["scaled"])
 
@@ -1059,19 +1063,25 @@ def test_sweep_gives_the_same_bits_at_any_worker_count(monkeypatch):
     schemes = ["scaled", "constant"]
     clean = run_sweep(base, [2.0, 30.0], schemes, workers=2)
     # 7 GHz has no overrides and fails in setup; 60 GHz gets NaN shadows
-    # in drops 1 and 2 of 3 and fails inside a drop, reported for drop 1
-    real, poisoned_seed = prop.draw_shadows, sweep_seed(base.seed, 60.0)
+    # in drops 1 and 2 of 3 and fails inside a drop, reported for drop 1.
+    # Every carrier draws from the same seed, so the drop's run marks it:
+    # each drop runs on one thread, which a thread-local flag follows.
+    real_drop, real_draw, poison = engine._simulate_drop, prop.draw_shadows, threading.local()
+
+    def simulate(run, drop_index):
+        poison.on = run.config.f_c_ghz == 60.0 and drop_index >= 1
+        return real_drop(run, drop_index)
 
     def poisoned(rng, shape, params=prop.DEFAULT_PARAMS, o2i=True):
-        draws = real(rng, shape, params, o2i)
-        seq = rng.bit_generator.seed_seq
-        if seq.entropy == poisoned_seed and seq.spawn_key[0] >= 1:
+        draws = real_draw(rng, shape, params, o2i)
+        if poison.on:
             draws.x_los_db[5, 3] = draws.x_nlos_db[5, 3] = np.nan
         return draws
 
+    monkeypatch.setattr(engine, "_simulate_drop", simulate)  # looked up at submit time
     monkeypatch.setattr(prop, "draw_shadows", poisoned)
     sweeps = {w: run_sweep(base, [2.0, 7.0, 30.0, 60.0], schemes, workers=w)
-              for w in (1, 2, 3)}
+              for w in (1, 2, 3, 4)}
     serial = sweeps[1]
     assert [e.key for e in serial] == [(f, s) for f in (2.0, 7.0, 30.0, 60.0)
                                        for s in schemes]
@@ -1087,6 +1097,29 @@ def test_sweep_gives_the_same_bits_at_any_worker_count(monkeypatch):
         for e, want, c in zip(ok, [e for e in serial if e.error is None], clean):
             _assert_same_run(e.result, want.result)
             _assert_same_run(e.result, c.result)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_entries_are_the_runs_of_their_configs(tmp_path, workers):
+    # 7 GHz has no overrides: its runs fail, and the others go on
+    base = small(n_drops=2, ms_per_sector=2)
+    carriers, schemes = [2.0, 7.0, 30.0, 60.0, 100.0], ["scaled", "constant"]
+    entries = run_sweep(base, carriers, schemes, workers=workers)
+    assert [e.key for e in entries] == [(f, s) for f in carriers for s in schemes]
+    for e in entries:
+        if e.f_c_ghz == 7.0:
+            assert e.result is None and e.error.startswith("ConfigError: f_c_ghz=7")
+            continue
+        assert e.error is None
+        run = run_scenario(replace(base, f_c_ghz=e.f_c_ghz, power_scheme=e.scheme))
+        _assert_same_run(e.result, run)
+        saved = []
+        for name, result in (("sweep", e.result), ("run", run)):
+            outdir = tmp_path / name / f"{e.f_c_ghz:g}_{e.scheme}"
+            save_results(result, outdir)
+            saved.append({f: (outdir / f).read_bytes() for f in sorted(os.listdir(outdir))})
+        assert list(saved[0]) == ["cl_cdf.csv", "gm_cdf.csv", "summary.json"]
+        assert saved[0] == saved[1]
 
 
 def test_sweep_schedules_all_its_drops_on_one_pool(monkeypatch):
@@ -1400,12 +1433,21 @@ np.savez(sys.argv[1], **arrays)
 
 
 def _dispatched_above_x86_v3():
-    from numpy._core import _multiarray_umath as umath
-    order = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
+    """The CPU features above X86_V3 that numpy dispatches on this host;
+    none where numpy has no ``numpy._core`` (numpy 1.x) or does not list
+    its dispatched and detected features there."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return []
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    detected = getattr(umath, "__cpu_features__", None)
+    if dispatch is None or detected is None:
+        return []
+    order = [*getattr(umath, "__cpu_baseline__", ()), *dispatch]
     if "X86_V3" not in order:
         return []
-    return [f for f in order[order.index("X86_V3") + 1:]
-            if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+    return [f for f in order[order.index("X86_V3") + 1:] if f in dispatch and detected.get(f)]
 
 
 def test_links_agree_to_rounding_across_dispatch_levels(tmp_path):
@@ -1413,7 +1455,8 @@ def test_links_agree_to_rounding_across_dispatch_levels(tmp_path):
     # they differ in the last bits: 8.5e-14 dB at most, measured at seed 7
     features = _dispatched_above_x86_v3()
     if not features:
-        pytest.skip("numpy dispatches no CPU feature above X86_V3 on this host")
+        pytest.skip("numpy dispatches no CPU feature above X86_V3 on this host, "
+                    "or does not list its features in numpy._core")
     src = str(Path(mmwsim.__file__).resolve().parents[1])
     path = tmp_path / "links.npz"
     subprocess.run([sys.executable, "-c", _LINKS_AT_DISPATCH_LEVEL, str(path), *features],
