@@ -209,6 +209,12 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     ``d_2d``, ``d_3d``, ``is_los``, ``pl``, ``l_o2i`` and ``l_oa`` per site
     ``(n, n_sites)``, and ``g_tx`` and ``coupling_loss`` per sector
     ``(n, n_sectors)``, whose column ``3i + k`` is sector ``k`` of site ``i``.
+
+    Inside, the sector axis is outermost: the angles, gains and CL are
+    ``(3, n, n_sites)``, so every per-site term broadcasts over that outer
+    axis and each loop runs at unit stride, not over a 3-long inner axis.
+    ``g_tx`` and CL are copied once each to their ``3i + k`` columns on
+    return; each element goes through the same operations either way.
     """
     f_c, params = config.f_c_ghz, config.propagation
     disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (2, n, s), (n, s)
@@ -232,22 +238,32 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
     del disp  # each array is released once its last step has read it
-    boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)
+    boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)[:, None, None]
     # azimuth off each boresight, wrapped to (-180, 180]: y = 180 - (azimuth -
     # boresight) lies in [30, 630], where y - 360 is exact (Sterbenz) and
     # equals np.mod(y, 360), so one in-place subtract stands in for the mod
-    y = np.subtract(azimuth[:, :, None], boresights)
+    y = np.subtract(azimuth, boresights)  # (3, n, s): sector axis outermost
     del azimuth
     np.subtract(180.0, y, out=y)
     np.subtract(y, 360.0, out=y, where=y >= 360.0)
     phi = np.subtract(180.0, y, out=y)
-    g_tx = antenna_mod.sector_gain(config.antenna, theta[:, :, None], phi)  # (n, s, 3)
+    gain = antenna_mod.sector_gain(config.antenna, theta, phi)
     del theta, y, phi
-    cl = linkbudget.coupling_loss(g_tx, config.ms_gain_dbi, pl[:, :, None],
-                                  l_o2i[:, :, None], l_oa[:, :, None], config.g_sm_db)
-    n = len(d2d)
+    cl = _sector_columns(linkbudget.coupling_loss(gain, config.ms_gain_dbi, pl, l_o2i, l_oa,
+                                                  config.g_sm_db))
     return {"d_2d": d2d, "d_3d": d3d, "is_los": is_los, "pl": pl, "l_o2i": l_o2i,
-            "l_oa": l_oa, "g_tx": g_tx.reshape(n, -1), "coupling_loss": cl.reshape(n, -1)}
+            "l_oa": l_oa, "g_tx": _sector_columns(gain), "coupling_loss": cl}
+
+
+def _sector_columns(per_sector: np.ndarray) -> np.ndarray:
+    """The ``(n, n_sites * 3)`` copy of a ``(3, n, n_sites)`` array, whose
+    column ``3i + k`` is ``per_sector[k, :, i]``: one strided copy per sector,
+    cheaper than ``transpose().reshape()``."""
+    n_per_site, n, n_sites = per_sector.shape
+    out = np.empty((n, n_sites, n_per_site))
+    for k in range(n_per_site):
+        np.copyto(out[:, :, k], per_sector[k])
+    return out.reshape(n, -1)
 
 
 # The terms of RunResult.links, in links.csv order: per (station, site) and
@@ -258,7 +274,7 @@ LINK_CSV_COLUMNS = ("ms_id", "sector_id", *_SITE_TERMS, "g_tx", "g_sm", "couplin
 
 
 # Cap on the stations `_simulate_drop` evaluates at once.  Its largest
-# temporaries are (block, 19, 3) and (block, 57) float64 arrays, 0.26 MB each
+# temporaries are (3, block, 19) and (block, 57) float64 arrays, 0.26 MB each
 # at 570 stations, so a block's working set stays within a 2 MB L2 cache
 # where a whole dense drop's (5,700 stations, 2.6 MB each) does not.  Chosen
 # by measurement (CHANGES.md); 570 stations, the default density, stay whole.

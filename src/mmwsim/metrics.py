@@ -65,7 +65,9 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
         raise RuntimeError("geometry metric needs at least 2 links per station")
     serv = np.asarray(serving, dtype=int).reshape(p.shape[:-1])
     lin = p / 10.0  # a fresh array, worked in place from here on
-    np.power(10.0, lin, out=lin)
+    # a one-row base, not the scalar 10: numpy's SIMD power loop then reads
+    # both operands at unit stride, with the same bits
+    np.power(np.full(lin.shape[-1], 10.0), lin, out=lin)
     serving_lin = np.take_along_axis(lin, serv[..., None], axis=-1)[..., 0]
     np.put_along_axis(lin, serv[..., None], 0.0, axis=-1)
     interference = lin.sum(axis=-1)

@@ -247,8 +247,15 @@ def o2i_loss(f_c_ghz: float, d_2d_in_m, x_low_db=0.0, x_high_db=0.0,
                                 + 0.7 * 10.0 ** (-l_c / 10.0)) + x_low_db
     high = 5.0 - 10.0 * np.log10(0.7 * 10.0 ** (-l_irr / 10.0)
                                  + 0.3 * 10.0 ** (-l_c / 10.0)) + x_high_db
-    tw = 10.0 * np.log10(0.5 * 10.0 ** (low / 10.0) + 0.5 * 10.0 ** (high / 10.0))
+    tw = 10.0 * np.log10(0.5 * _exp10(low / 10.0) + 0.5 * _exp10(high / 10.0))
     return tw + params.indoor_loss_rate_db_per_m * d_in
+
+
+def _exp10(x):
+    """``10.0 ** x``, bit for bit, taken with a one-row base: numpy's SIMD
+    power loop then reads both operands at unit stride, where it gathers a
+    scalar base element by element."""
+    return np.power(np.full(np.shape(x)[-1:], 10.0), x)
 
 
 def oxygen_absorption(f_c_ghz: float, d_m,

@@ -876,6 +876,33 @@ def test_azimuth_wrap_matches_mod_rule():
     assert np.array_equal(budget["g_tx"], want.reshape(n, -1))
 
 
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_sector_layout_matches_station_site_sector_composition(environment):
+    # link_budget works with the sector axis outermost; its g_tx and CL
+    # must equal, bit for bit, the (n, n_sites, 3) composition of the
+    # public stages, flattened so that column 3i + k is sector k of site i
+    cfg = small(f_c_ghz=60.0, environment=environment, ms_gain_dbi=2.0, g_sm_db=1.5)
+    dep, rng = generate_layout(200.0), np.random.default_rng(8)
+    drop = drop_mobiles(dep, environment, 600, rng, cfg.deployment)
+    draws = propagation.draw_shadows(rng, (600, 19), cfg.propagation,
+                                     o2i=environment == "indoor")
+    budget = link_budget(cfg, dep, drop, rng.uniform(size=(600, 19)), draws)
+
+    disp, d2d = wrap_displacements(dep, drop.xy)
+    dz = drop.height_m[:, None] - cfg.deployment.bs_height_m
+    theta = np.degrees(np.arccos(np.clip(dz / np.hypot(d2d, dz), -1.0, 1.0)))
+    azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
+    y = 180.0 - (azimuth[:, :, None] - np.asarray(SECTOR_BORESIGHTS_DEG))
+    g_tx = sector_gain(cfg.antenna, theta[:, :, None], 180.0 - np.mod(y, 360.0))
+    cl = linkbudget.coupling_loss(g_tx, cfg.ms_gain_dbi, budget["pl"][:, :, None],
+                                  budget["l_o2i"][:, :, None], budget["l_oa"][:, :, None],
+                                  cfg.g_sm_db)
+    assert np.count_nonzero(budget["l_o2i"]) == (0 if environment == "outdoor" else 600 * 19)
+    for key, want in (("g_tx", g_tx), ("coupling_loss", cl)):
+        assert budget[key].shape == (600, 57)
+        assert budget[key].tobytes() == want.reshape(600, 57).tobytes(), key
+
+
 def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
     dep = generate_layout(200.0)
     drop = drop_mobiles(dep, "outdoor", 57, np.random.default_rng(5))
@@ -1319,14 +1346,15 @@ def test_dense_drop_working_set_stays_bounded():
     # (5,700, 19, 3) and (5,700, 57) temporaries peaked at 24.7 MB; in blocks
     # that held the whole drop's LoS uniforms, every block's angles while CL
     # was formed, and CL, P_rx and the budget's other terms together, 8.0 MB;
-    # now 5.5 MB
+    # 5.49 MB with the sector axis innermost in link_budget; now 5.42 MB
     peak = _traced_peak_of_one_drop("indoor", 100)
     assert peak < 5.8e6, peak
 
 
 def test_sweep_drop_working_set_stays_bounded():
     # one outdoor 60 GHz drop of 570 stations, the sweep's size, in one
-    # block: 2.29 MB while it held its angles, CL and P_rx together; now 1.77 MB
+    # block: 2.29 MB while it held its angles, CL and P_rx together; 1.77 MB
+    # with the sector axis innermost in link_budget; now 1.71 MB
     peak = _traced_peak_of_one_drop("outdoor", 10)
     assert peak < 1.9e6, peak
 

@@ -131,6 +131,37 @@ def test_o2i_branches_against_oracle():
     assert_allclose(o2i_loss(28.0, 0.0), combined, atol=1e-9)
 
 
+def _scalar_base_o2i(f_c, d_in, x_low, x_high, params):
+    # the reference rule, every power taken with the scalar base 10.0
+    l_g, l_irr, l_c = (material_loss(m, f_c, params) for m in ("glass", "irr_glass", "concrete"))
+    low = 5.0 - 10.0 * np.log10(0.3 * 10.0 ** (-l_g / 10.0) + 0.7 * 10.0 ** (-l_c / 10.0)) + x_low
+    high = 5.0 - 10.0 * np.log10(0.7 * 10.0 ** (-l_irr / 10.0)
+                                 + 0.3 * 10.0 ** (-l_c / 10.0)) + x_high
+    tw = 10.0 * np.log10(0.5 * 10.0 ** (low / 10.0) + 0.5 * 10.0 ** (high / 10.0))
+    return tw + params.indoor_loss_rate_db_per_m * np.asarray(d_in, dtype=float)
+
+
+def test_o2i_bit_identical_to_scalar_base_rule(rng):
+    params = PropagationParams()
+    draws = draw_shadows(np.random.default_rng(4), (600, 19), params)
+    depth = rng.uniform(0.0, 25.0, size=(600, 19))
+    cases = [
+        (depth, draws.x_o2i_low_db, draws.x_o2i_high_db),  # a drop's arrays
+        (depth, 0.0, 0.0), (depth, 2.5, -4.0),  # scalar shadows, array depth
+        (7.0, draws.x_o2i_low_db, draws.x_o2i_high_db),  # array shadows, scalar depth
+        (7.0, draws.x_o2i_low_db, -4.0), (7.0, 2.5, draws.x_o2i_high_db),
+        (7.0, 2.5, -4.0), (0.0, 0.0, 0.0),  # scalar calls
+    ]
+    for f_c in (2.0, 28.0, 60.0, 100.0):
+        for d_in, x_low, x_high in cases:
+            got = o2i_loss(f_c, d_in, x_low, x_high, params)
+            want = _scalar_base_o2i(f_c, d_in, x_low, x_high, params)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert type(o2i_loss(28.0, 7.0, 2.5, -4.0)) is np.float64
+
+
 def test_o2i_composite_between_branches(rng):
     # with random shadow draws the composite sits strictly between the noisy
     # branches and within 3.02 dB of the larger one
