@@ -49,11 +49,13 @@ def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):
         raise ValueError("theta_deg must lie in [0, 180]")
     if np.any(phi <= -180) or np.any(phi > 180):
         raise ValueError("phi_deg must lie in (-180, 180]")
-    a_v = np.minimum(12.0 * ((theta - pattern.downtilt_deg) / pattern.hpbw_v_deg) ** 2,
-                     pattern.sla_v_db)
+    # each cap a clip with no lower bound: with AVX-512, numpy runs minimum
+    # against a scalar in a non-SIMD loop and clip in a SIMD one (same bits)
+    a_v = np.clip(12.0 * ((theta - pattern.downtilt_deg) / pattern.hpbw_v_deg) ** 2,
+                  -np.inf, pattern.sla_v_db)
     att = np.asarray(a_v + 12.0 * (phi / pattern.hpbw_h_deg) ** 2)  # A_V + A_H
     # A_m caps the sum, and with it A_H alone; worked in place because in a
     # drop the grid spans every station-sector pair
-    np.minimum(att, pattern.front_back_db, out=att)
+    np.clip(att, -np.inf, pattern.front_back_db, out=att)
     gain = np.subtract(pattern.g_max_dbi, att, out=att)
     return gain if gain.ndim else float(gain)

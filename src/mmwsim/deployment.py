@@ -136,7 +136,7 @@ def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
         closer = d < best_d
         np.copyto(best_dx, dx, where=closer)
         np.copyto(best_dy, dy, where=closer)
-        np.copyto(best_d, d, where=closer)
+        np.minimum(best_d, d, out=best_d)  # the masked copy's bits (d is never NaN), unmasked
     return disp, best_d
 
 

@@ -235,8 +235,12 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
         l_o2i = np.zeros_like(d3d)
     l_oa = propagation.oxygen_absorption(f_c, d3d, params)
 
-    theta = np.degrees(np.arccos(np.clip(dz / d3d, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
+    # np.degrees is a scalar loop over x * (180 / pi): one in-place SIMD
+    # multiply by that constant gives the same bits
+    theta = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
+    np.multiply(theta, 180.0 / np.pi, out=theta)
+    azimuth = np.arctan2(disp[1], disp[0])
+    np.multiply(azimuth, 180.0 / np.pi, out=azimuth)
     del disp  # each array is released once its last step has read it
     boresights = np.asarray(deployment_mod.SECTOR_BORESIGHTS_DEG)[:, None, None]
     # azimuth off each boresight, wrapped to (-180, 180]: y = 180 - (azimuth -
@@ -245,7 +249,9 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     y = np.subtract(azimuth, boresights)  # (3, n, s): sector axis outermost
     del azimuth
     np.subtract(180.0, y, out=y)
-    np.subtract(y, 360.0, out=y, where=y >= 360.0)
+    # subtract 360 or 0 (y - 0 is y): a where= mask set at random would run
+    # numpy's masked loop
+    np.subtract(y, np.multiply(y >= 360.0, 360.0), out=y)
     phi = np.subtract(180.0, y, out=y)
     gain = antenna_mod.sector_gain(config.antenna, theta, phi)
     del theta, y, phi

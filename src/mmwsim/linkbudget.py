@@ -80,5 +80,6 @@ def associate(cl, threshold_db: float):
         raise RuntimeError(f"associate needs an (n, n_sectors >= 1) CL matrix, "
                            f"got shape {cl.shape}")
     serving = np.argmax(cl, axis=1)
-    serving_cl = np.take_along_axis(cl, serving[:, None], axis=1)[:, 0]
+    # direct fancy indexing: take_along_axis builds its index in Python
+    serving_cl = cl[np.arange(len(cl)), serving]
     return serving, serving_cl, serving_cl < threshold_db

@@ -68,8 +68,10 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
     # a one-row base, not the scalar 10: numpy's SIMD power loop then reads
     # both operands at unit stride, with the same bits
     np.power(np.full(lin.shape[-1], 10.0), lin, out=lin)
-    serving_lin = np.take_along_axis(lin, serv[..., None], axis=-1)[..., 0]
-    np.put_along_axis(lin, serv[..., None], 0.0, axis=-1)
+    # direct fancy indexing: take/put_along_axis build their index in Python
+    at_serving = (*np.indices(serv.shape, sparse=True), serv)
+    serving_lin = lin[at_serving]
+    lin[at_serving] = 0.0
     interference = lin.sum(axis=-1)
     noise_lin = 10.0 ** (noise_total_dbm / 10.0)
     gm = 10.0 * np.log10(serving_lin / (noise_lin + interference))

@@ -206,7 +206,9 @@ def los_probability(d_2d_m):
     d = np.asarray(d_2d_m, dtype=float)
     if np.any(d < 0):
         raise ValueError("d_2d_m must be non-negative")
-    ratio = 18.0 / np.maximum(d, 18.0)  # 1 for d <= 18, collapses p to 1
+    # 1 for d <= 18, collapses p to 1; a clip, not maximum(d, 18.0), which
+    # numpy runs in a non-SIMD loop with AVX-512 (same bits)
+    ratio = 18.0 / np.clip(d, 18.0, np.inf)
     decay = np.exp(-d / 36.0)
     p = ratio * (1.0 - decay) + decay
     return p if p.ndim else float(p)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import AntennaPattern, ScenarioConfig, run_scenario, sector_gain
+from mmwsim import (AntennaPattern, ScenarioConfig, drop_mobiles, generate_layout, run_scenario,
+                    sector_gain, wrap_displacements)
+from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
 PATTERN = AntennaPattern()
 
@@ -88,3 +90,45 @@ def test_pattern_validation():
         AntennaPattern(sla_v_db=-1.0)
     with pytest.raises(ValueError):
         AntennaPattern(g_max_dbi=float("nan"))
+
+
+def _minimum_rule_gain(pattern, theta, phi):
+    # sector_gain with both caps as np.minimum against the scalar bound
+    a_v = np.minimum(12.0 * ((theta - pattern.downtilt_deg) / pattern.hpbw_v_deg) ** 2,
+                     pattern.sla_v_db)
+    att = np.minimum(a_v + 12.0 * (phi / pattern.hpbw_h_deg) ** 2, pattern.front_back_db)
+    return pattern.g_max_dbi - att
+
+
+def test_sector_gain_bit_identical_to_minimum_rule():
+    # the angles of a 600-station drop, at the shapes a drop's link budget
+    # passes: theta (n, 19) against phi (3, n, 19)
+    dep = generate_layout(200.0)
+    drop = drop_mobiles(dep, "indoor", 600, np.random.default_rng(11))
+    disp, d2d = wrap_displacements(dep, drop.xy)
+    dz = drop.height_m[:, None] - ScenarioConfig().deployment.bs_height_m
+    theta = np.degrees(np.arccos(np.clip(dz / np.hypot(d2d, dz), -1.0, 1.0)))
+    azimuth = np.degrees(np.arctan2(disp[1], disp[0]))
+    y = 180.0 - (azimuth - np.asarray(SECTOR_BORESIGHTS_DEG)[:, None, None])
+    phi = 180.0 - np.mod(y, 360.0)
+    # a pattern whose caps are met exactly: A_V = 12 (1 / 1)^2 = SLA_v at
+    # theta = 90 +- 10, and A_V + A_H = 12 + 12 = A_m there at phi = +-10
+    exact = AntennaPattern(downtilt_deg=90.0, hpbw_v_deg=10.0, sla_v_db=12.0,
+                           hpbw_h_deg=10.0, front_back_db=24.0)
+    edges_theta = np.array([80.0, 100.0, np.nextafter(100.0, 0.0), np.nextafter(100.0, 180.0),
+                            np.nan, 0.0, 180.0, 90.0])
+    edges_phi = np.array([10.0, -10.0, np.nextafter(10.0, 0.0), np.nextafter(-10.0, 0.0),
+                          0.0, 180.0, np.nextafter(-180.0, 0.0), np.nan])
+    cases = [(theta, phi), (theta[0], phi[:, 0]), (edges_theta, edges_phi),
+             (edges_theta[:, None], edges_phi), (100.0, 10.0), (np.nan, 0.0), (90.0, -0.0)]
+    for pattern in (AntennaPattern(), exact):
+        for t, p in cases:
+            got = sector_gain(pattern, t, p)
+            want = _minimum_rule_gain(pattern, np.asarray(t, dtype=float),
+                                      np.asarray(p, dtype=float))
+            assert type(got) is (float if np.ndim(want) == 0 else np.ndarray)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the exact pattern meets both caps with equality, so these edges test them
+    assert _minimum_rule_gain(exact, 100.0, 0.0) == exact.g_max_dbi - exact.sla_v_db
+    assert _minimum_rule_gain(exact, 100.0, 10.0) == exact.g_max_dbi - exact.front_back_db

@@ -118,6 +118,23 @@ def test_associate_matches_brute_force(rng):
         assert got_nl == (row[best] < -110.0)
 
 
+def test_associate_serving_cl_bit_identical_to_take_along_axis_rule(rng):
+    cls = rng.uniform(-160.0, -60.0, size=(600, 57))
+    cls[::7, 40] = cls[::7, 3] = cls[::7].max(axis=1)  # exact ties
+    cls[1::7, :] = -np.inf
+    cls[2::7, 9] = np.nan
+    cls[3::7, :] = -1.0
+    cls[3::7, 5], cls[3::7, 6] = -0.0, 0.0  # a tie of signed zeros: -0.0 serves
+    cls[4::7, 56] = np.inf
+    for cl in (cls, cls[:1], cls[:0], np.asfortranarray(cls), cls[:, ::2], cls[:, :1]):
+        serving, serving_cl, noise_limited = associate(cl, -110.0)
+        want = np.take_along_axis(cl, np.argmax(cl, axis=1)[:, None], axis=1)[:, 0]
+        assert serving_cl.shape == want.shape == (len(cl),)
+        assert serving_cl.tobytes() == want.tobytes()
+        assert noise_limited.tobytes() == (want < -110.0).tobytes()
+    assert np.signbit(associate(cls, -110.0)[1][3::7]).all()
+
+
 def test_associate_shift_invariance(rng):
     cls = rng.uniform(-160.0, -60.0, size=(100, 57))
     a = associate(cls, -110.0)

@@ -162,6 +162,26 @@ def test_o2i_bit_identical_to_scalar_base_rule(rng):
     assert type(o2i_loss(28.0, 7.0, 2.5, -4.0)) is np.float64
 
 
+def test_los_probability_bit_identical_to_maximum_rule(rng):
+    # the 18 m floor of the ratio as np.maximum against the scalar bound
+    def want(d):
+        d = np.asarray(d, dtype=float)
+        decay = np.exp(-d / 36.0)
+        return 18.0 / np.maximum(d, 18.0) * (1.0 - decay) + decay
+
+    edges = np.array([0.0, -0.0, 1e-300, 17.0, 18.0, np.nextafter(18.0, -np.inf),
+                      np.nextafter(18.0, np.inf), 36.0, 1e3, 1e6, 1e300, np.inf])
+    d = rng.uniform(0.0, 400.0, size=(600, 19))
+    d[::5, 3] = 18.0
+    for value in (d, edges, edges[:, None] + np.zeros(3)):
+        got = los_probability(value)
+        assert got.shape == value.shape
+        assert got.tobytes() == want(value).tobytes()
+    for value in edges:
+        assert type(los_probability(value)) is float
+        assert np.float64(los_probability(value)).tobytes() == want(value).tobytes()
+
+
 def test_o2i_composite_between_branches(rng):
     # with random shadow draws the composite sits strictly between the noisy
     # branches and within 3.02 dB of the larger one
