@@ -626,23 +626,34 @@ def _write_links(path: Path, links: dict, g_sm_db: float):
     go out in blocks of whole stations, about ``_WRITE_BLOCK_ROWS`` rows
     each.  A block formats the per-site text of each (station, site) pair
     once, by one ``%`` call, and puts it into the rows of the site's
-    sectors as one ``%s`` field; ``g_sm`` is formatted once, into the row
-    format.  The block's rows are then formatted by one ``%`` call on the
-    row format repeated once per row, from ``ndarray.tolist()`` values.
+    sectors as one ``%s`` field.  The block's rows are then formatted by
+    one ``%`` call that fills four fields a row, the site text, ``g_tx``,
+    ``coupling_loss`` and ``p_rx``, from ``ndarray.tolist()`` values.  The
+    rest of each row is literal text of the block's format: the
+    ``sector_id`` digits and the ``g_sm`` text, written once per call into
+    the row tails of one station, and the ``ms_id``, joined as
+    ``str(ms)`` in front of each tail once per station.  ``str`` of a
+    Python int is the text ``%d`` gives it.  The id goes in as the
+    separator of a join, not in place of a placeholder, so no formatted
+    number can be taken for where it goes.
     Every value is thus formatted by its column's own field from a Python
     float, int or bool, so the bytes equal those of formatting each value
     alone with ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format``
     share CPython's float-to-text conversion (``nan``, ``inf`` and ``-0``
     included), and ``%d`` of a Python int or bool is its decimal digits.
-    A formatted number holds no ``%`` or line break, so the ``g_sm`` text
-    is safe in a format and each pair's text is one line of its block's.
+    A formatted number holds no ``%`` or line break, so the ids and the
+    ``g_sm`` text are safe in a format and each pair's text is one line of
+    its block's.
     The file is written under a temporary name and moved into place whole.
     """
     n_ms, n_sites = links["d_2d"].shape
     n_sectors = links["g_tx"].shape[1]
     per_site = n_sectors // n_sites
     site_fmt = "%.10g,%.10g,%d,%.10g,%.10g,%.10g\n"
-    row_fmt = "%d,%d,%s,%.10g," + "%.10g" % float(g_sm_db) + ",%.10g,%.10g\n"
+    g_sm = "%.10g" % float(g_sm_db)
+    # a station's rows but their ms_id: str(ms).join(tails) puts the id in
+    # front of each tail, the leading "" giving the first row its id
+    tails = ["", *(f",{s},%s,%.10g,{g_sm},%.10g,%.10g\n" for s in range(n_sectors))]
     step = max(1, _WRITE_BLOCK_ROWS // n_sectors)
     with _replacing(path) as fh:
         fh.write(",".join(LINK_CSV_COLUMNS) + "\n")
@@ -653,15 +664,14 @@ def _write_links(path: Path, links: dict, g_sm_db: float):
             for k, key in enumerate(_SITE_TERMS):
                 site_values[k::6] = links[key][lo:hi].ravel().tolist()
             texts = (site_fmt * n_pairs % tuple(site_values)).splitlines()
-            # six fields a row: ms_id, sector_id, site text and the sector terms
-            values = [None] * (n_rows * 6)
-            values[0::6] = [ms for ms in range(lo, hi) for _ in range(n_sectors)]
-            values[1::6] = list(range(n_sectors)) * (hi - lo)
+            # four fields a row: the site text and the sector terms
+            values = [None] * (n_rows * 4)
             for k in range(per_site):  # sector k of each site takes the site's text
-                values[6 * k + 2::6 * per_site] = texts
-            for k, key in enumerate(_SECTOR_TERMS, 3):
-                values[k::6] = links[key][lo:hi].ravel().tolist()
-            fh.write(row_fmt * n_rows % tuple(values))
+                values[4 * k::4 * per_site] = texts
+            for k, key in enumerate(_SECTOR_TERMS, 1):
+                values[k::4] = links[key][lo:hi].ravel().tolist()
+            rows = "".join([str(ms).join(tails) for ms in range(lo, hi)])
+            fh.write(rows % tuple(values))
 
 
 @functools.lru_cache(maxsize=1)

@@ -526,11 +526,12 @@ def test_sweep_saves_build_the_cdf_rows_once(tmp_path):
     assert (info.misses, info.hits) == (1, 19)
 
 
-@pytest.mark.parametrize("n_stations", [0, 1, STATION_BLOCK, STATION_BLOCK + 1])
+# 1,005 stations: ids of 1 to 4 digits over 15 blocks, the last one short
+@pytest.mark.parametrize("n_stations", [0, 1, STATION_BLOCK, STATION_BLOCK + 1, 1005])
 def test_write_table_matches_per_value_rule(tmp_path, n_stations):
     links = random_links(n_stations, n_stations)
     path = tmp_path / "links.csv"
-    for g_sm_db in (0.0, -0.0, 1e-300, -7.25):
+    for g_sm_db in (0.0, -0.0, 1e-300, -7.25, 1000.0, -1e-7):
         _write_links(path, links, g_sm_db)
         assert path.read_bytes() == reference_links_csv(links, g_sm_db), g_sm_db
 
