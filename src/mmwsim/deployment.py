@@ -25,6 +25,7 @@ _SITE_COORDS = (
 _WRAP_COORDS = ((3, 2), (-2, 5), (-5, 3), (-3, -2), (2, -5), (5, -3))
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
+STOREY_HEIGHT_M = 3.0  # floor f of a building stands (f - 1) storeys up
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     ``environment="indoor"`` each station draws a building floor count
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on
-    [0, indoor_depth_max_m]; station height is 3*(floor-1) + ms_height_m.
+    [0, indoor_depth_max_m]; it stands ``floor - 1`` storeys above ms_height_m.
     Outdoor stations stand at ``ms_height_m`` on floor 1 with zero depth.
 
     Returns a ``MobileDrop`` of arrays ``(xy (n, 2), height_m (n,),
@@ -246,4 +247,4 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     n_floors = rng.integers(params.floor_count_min, params.floor_count_max + 1, size=count)
     floor = rng.integers(1, n_floors + 1)
     depth = rng.uniform(0.0, params.indoor_depth_max_m, size=count)
-    return MobileDrop(xy, 3.0 * (floor - 1) + params.ms_height_m, depth, floor)
+    return MobileDrop(xy, STOREY_HEIGHT_M * (floor - 1) + params.ms_height_m, depth, floor)

@@ -79,12 +79,13 @@ class ScenarioConfig:
                 f"leaves so little of the footprint that {self.ms_per_sector} stations "
                 f"per sector need more than {budget} sampling rounds per drop")
         # The shortest link pairs min_distance_m with the station height
-        # closest to the BS: ms_height_m outdoors, 3k + ms_height_m indoors
+        # closest to the BS: ms_height_m outdoors, k storeys above it indoors
         # for floors k + 1 = 1..floor_count_max.
         heights = np.array([dep.ms_height_m])
         if self.environment == "indoor":
-            k = np.floor((dep.bs_height_m - dep.ms_height_m) / 3.0) + np.arange(2.0)
-            heights = 3.0 * np.clip(k, 0, dep.floor_count_max - 1) + dep.ms_height_m
+            storey = deployment_mod.STOREY_HEIGHT_M
+            k = np.floor((dep.bs_height_m - dep.ms_height_m) / storey) + np.arange(2.0)
+            heights = storey * np.clip(k, 0, dep.floor_count_max - 1) + dep.ms_height_m
         d3d_min = np.hypot(dep.min_distance_m, np.abs(dep.bs_height_m - heights).min())
         if d3d_min < 1.0:
             raise ConfigError(
@@ -107,9 +108,10 @@ class ScenarioConfig:
 
 def _read_block(cls, data, prefix: str):
     """``cls`` built, and so checked, from the mapping ``data`` of a config
-    file.  A block is read the same way, a null one (a YAML block whose
-    children are all commented out) as its defaults; a YAML list stands
-    for a loss pair."""
+    file.  A block is read the same way.  A null, the file's or a block's
+    (an empty file, or a YAML block whose children are all commented out),
+    reads as ``{}``, the defaults; a YAML list stands for a loss pair."""
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'} must be a mapping, "
                           f"got {type(data).__name__}")
@@ -120,8 +122,7 @@ def _read_block(cls, data, prefix: str):
     values = {name: data[name] for name in types if name in data}
     for name, value in values.items():
         if types[name] in _BLOCKS:
-            values[name] = _read_block(_BLOCKS[types[name]], {} if value is None else value,
-                                       f"{prefix}{name}.")
+            values[name] = _read_block(_BLOCKS[types[name]], value, f"{prefix}{name}.")
         elif types[name] == PAIR and isinstance(value, list):
             values[name] = tuple(value)
     return cls(**values)
@@ -145,14 +146,15 @@ class RunResult:
     ``runtime_s`` is the wall time from the start of the run's setup to the
     end of its finish.  A sweep sets up every run at its start, so there an
     entry's ``runtime_s`` runs from the sweep's start to that run's finish,
-    at any worker count.  ``links``, when collected, holds the link terms
-    at the shapes ``link_budget`` returns them, one row per station in
-    drop-major order: the arrays the drops wrote into, not copies.
-    ``d_2d``, ``d_3d``, ``is_los`` (bool), ``pl``, ``l_o2i`` and ``l_oa``
-    are ``(n_ms, n_sites)``; ``g_tx``, ``coupling_loss`` and ``p_rx`` are
+    at any worker count.  ``links``, when collected, holds the terms that
+    ``link_budget`` returns, at its shapes, one row per station in
+    drop-major order: the arrays the drops wrote into, not copies.  Of
+    those, ``d_2d``, ``d_3d``, ``is_los`` (bool), ``pl``, ``l_o2i`` and
+    ``l_oa`` are ``(n_ms, n_sites)``; ``g_tx`` and ``coupling_loss`` are
     ``(n_ms, n_sectors)``, whose column ``3i + k`` is sector ``k`` of site
     ``i``.  The other ``links.csv`` columns are derived: ``ms_id`` is the
-    row, ``sector_id`` the sector column and ``g_sm`` is ``config.g_sm_db``.
+    row, ``sector_id`` the column's sector, ``g_sm`` is ``config.g_sm_db``
+    and ``p_rx`` is ``coupling_loss + power.p_tx_dbm``.
     """
 
     config: ScenarioConfig
@@ -275,7 +277,7 @@ def _sector_columns(per_sector: np.ndarray) -> np.ndarray:
 # The terms of RunResult.links, in links.csv order: per (station, site) and
 # per (station, sector); the columns of links.csv, as _write_links writes them
 _SITE_TERMS = ("d_2d", "d_3d", "is_los", "pl", "l_o2i", "l_oa")
-_SECTOR_TERMS = ("g_tx", "coupling_loss", "p_rx")
+_SECTOR_TERMS = ("g_tx", "coupling_loss")
 LINK_CSV_COLUMNS = ("ms_id", "sector_id", *_SITE_TERMS, "g_tx", "g_sm", "coupling_loss", "p_rx")
 
 
@@ -289,7 +291,7 @@ _BLOCK_STATIONS = 600
 
 def _simulate_drop(run: _Run, drop_index: int) -> None:
     """Write one drop of ``run`` into the run's arrays: the serving CL and
-    GM of each station and, if the run collects them, its ``links.csv``
+    GM of each station and, if the run collects them, its ``link_budget``
     terms, each at the shape ``link_budget`` returns.
 
     The stations and shadow terms are drawn for the whole drop, each on its
@@ -303,9 +305,9 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
     uniforms from the drop's LoS substream in turn: a uniform takes one
     64-bit output, so the blocks' draws are the whole drop's draw.  A block
     holds only what its next step reads: once its terms are stored, or
-    when no links are collected, it keeps CL alone, and P_rx is formed in
-    CL's buffer.  A block raises on its first non-finite CL, then GM, so a
-    run's error is that of its first failing drop in drop order.
+    when no links are collected, it keeps CL alone, and forms GM's P_rx,
+    which the table derives, in CL's buffer.  A block raises on its first
+    non-finite CL, then GM, so a run's error is its first failing drop's.
     """
     config, dep = run.config, run.dep
     count = config.ms_per_sector * dep.n_sectors
@@ -345,8 +347,6 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
             raise RuntimeError(
                 f"non-finite geometry metric (drop {drop_index}, ms {lo + bad[0]}): "
                 f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
-        if run.links is not None:
-            run.links["p_rx"][first:last] = p_rx
         del cl, p_rx  # one buffer, released before the next block's budget
 
 
@@ -396,9 +396,9 @@ def _pin_heap_thresholds() -> None:
 class _Run(NamedTuple):
     """What every drop of one run shares, fixed by ``_setup_run``, and the
     arrays its drops fill in drop-major station order: ``serving_cl``,
-    ``gm`` and, unless ``None``, the ``links`` terms, one row per station
-    (``RunResult``).  Each drop writes only its own rows, so the worker
-    threads need no lock."""
+    ``gm`` and, unless ``None``, the ``links`` terms of ``link_budget``,
+    one row per station (``RunResult``; ``p_rx`` is derived).  Each drop
+    writes only its own rows, so the worker threads need no lock."""
 
     config: ScenarioConfig
     t0: float  # perf_counter() at the start of setup
@@ -617,33 +617,33 @@ def _replacing(path: Path):
         raise
 
 
-def _write_links(path: Path, links: dict, g_sm_db: float):
+def _write_links(path: Path, links: dict, g_sm_db: float, p_tx_dbm: float):
     """Write the links table ``links`` (``RunResult``) as ``links.csv``.
 
-    Each row reads ``ms_id,sector_id`` as ``%d``, the six per-site terms
-    of the sector's site, ``g_tx``, ``g_sm``, ``coupling_loss`` and
-    ``p_rx``, every float as ``%.10g`` and ``is_los`` as ``%d``.  The rows
-    go out in blocks of whole stations, about ``_WRITE_BLOCK_ROWS`` rows
-    each.  A block formats the per-site text of each (station, site) pair
-    once, by one ``%`` call, and puts it into the rows of the site's
-    sectors as one ``%s`` field.  The block's rows are then formatted by
-    one ``%`` call that fills four fields a row, the site text, ``g_tx``,
-    ``coupling_loss`` and ``p_rx``, from ``ndarray.tolist()`` values.  The
-    rest of each row is literal text of the block's format: the
-    ``sector_id`` digits and the ``g_sm`` text, written once per call into
-    the row tails of one station, and the ``ms_id``, joined as
-    ``str(ms)`` in front of each tail once per station.  ``str`` of a
-    Python int is the text ``%d`` gives it.  The id goes in as the
-    separator of a join, not in place of a placeholder, so no formatted
-    number can be taken for where it goes.
-    Every value is thus formatted by its column's own field from a Python
-    float, int or bool, so the bytes equal those of formatting each value
-    alone with ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format``
-    share CPython's float-to-text conversion (``nan``, ``inf`` and ``-0``
-    included), and ``%d`` of a Python int or bool is its decimal digits.
-    A formatted number holds no ``%`` or line break, so the ids and the
-    ``g_sm`` text are safe in a format and each pair's text is one line of
-    its block's.
+    Each row reads ``ms_id,sector_id`` as ``%d``, the six per-site terms of
+    the sector's site, ``g_tx``, ``g_sm``, ``coupling_loss`` and ``p_rx``,
+    every float as ``%.10g`` and ``is_los`` as ``%d``.  ``p_rx``, derived as
+    the ids and ``g_sm`` are, is ``coupling_loss + p_tx_dbm``: the add by
+    which the drops form GM's P_rx, so its bits.  The rows go out in blocks
+    of whole stations, about ``_WRITE_BLOCK_ROWS`` rows each.  A block
+    formats the per-site text of each (station, site) pair once, by one
+    ``%`` call, and puts it into the rows of the site's sectors as one
+    ``%s`` field.  The block's rows are then formatted by one ``%`` call
+    that fills four fields a row, the site text, ``g_tx``, ``coupling_loss``
+    and ``p_rx``, from ``ndarray.tolist()`` values.  The rest of each row is
+    literal text of the block's format: the ``sector_id`` digits and the
+    ``g_sm`` text, written once per call into the row tails of one station,
+    and the ``ms_id``, joined as ``str(ms)`` in front of each tail once per
+    station.  ``str`` of a Python int is the text ``%d`` gives it.  The id
+    goes in as the separator of a join, not in place of a placeholder, so no
+    formatted number can be taken for where it goes.  Every value is thus
+    formatted by its column's own field from a Python float, int or bool, so
+    the bytes equal those of formatting each value alone with
+    ``f"{v:.10g}"`` or ``str(int(v))``: ``%`` and ``format`` share CPython's
+    float-to-text conversion (``nan``, ``inf`` and ``-0`` included), and
+    ``%d`` of a Python int or bool is its decimal digits.  A formatted number
+    holds no ``%`` or line break, so the ids and the ``g_sm`` text are safe
+    in a format and each pair's text is one line of its block's.
     The file is written under a temporary name and moved into place whole.
     """
     n_ms, n_sites = links["d_2d"].shape
@@ -670,6 +670,7 @@ def _write_links(path: Path, links: dict, g_sm_db: float):
                 values[4 * k::4 * per_site] = texts
             for k, key in enumerate(_SECTOR_TERMS, 1):
                 values[k::4] = links[key][lo:hi].ravel().tolist()
+            values[3::4] = (links["coupling_loss"][lo:hi] + p_tx_dbm).ravel().tolist()
             rows = "".join([str(ms).join(tails) for ms in range(lo, hi)])
             fh.write(rows % tuple(values))
 
@@ -742,6 +743,6 @@ def save_results(result: RunResult, outdir) -> list[Path]:
 
     if result.links is not None:
         path = outdir / "links.csv"
-        _write_links(path, result.links, result.config.g_sm_db)
+        _write_links(path, result.links, result.config.g_sm_db, result.power.p_tx_dbm)
         written.append(path)
     return written

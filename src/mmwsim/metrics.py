@@ -75,6 +75,4 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
     interference = lin.sum(axis=-1)
     noise_lin = 10.0 ** (noise_total_dbm / 10.0)
     gm = 10.0 * np.log10(serving_lin / (noise_lin + interference))
-    if np.ndim(p_rx_dbm) == 1:
-        return float(gm[0])
-    return gm
+    return float(gm[0]) if np.ndim(p_rx_dbm) == 1 else gm

@@ -316,6 +316,32 @@ def test_empty_config_block_reads_as_its_defaults(tmp_path, block):
     assert summaries[0] == summaries[1] == summaries[2]
 
 
+def test_null_config_file_reads_as_the_defaults(tmp_path):
+    # an empty or fully commented-out file loads as null and reads as {},
+    # as a null block does; it used to exit 2 ("got NoneType")
+    summaries = []
+    for name, text in (("mapping", "{}\n"), ("empty", ""),
+                       ("commented_out", "# f_c_ghz: 30.0\n# n_drops: 1\n")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0, name
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert json.loads(summaries[0])["config"]["n_drops"] == 20
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]\n", "list"), ("30.0\n", "float"),
+                                        ("run\n", "str")], ids=["list", "number", "string"])
+def test_config_that_is_not_a_mapping_exits_2_without_output(tmp_path, capsys, text, kind):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config must be a mapping, got {kind}\n"
+    assert not out.exists()
+
+
 def test_sweep_refuses_an_empty_scheme_list(tmp_path, capsys):
     # "," parses to no scheme; it used to run the config's scheme and exit 0
     cfg = write_config(tmp_path, n_drops=1)

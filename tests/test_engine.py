@@ -1,9 +1,11 @@
 import collections
 import concurrent.futures
+import copy
 import dataclasses
 import importlib
 import json
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
 from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expected_sample_rounds
 from mmwsim.engine import (_SECTOR_TERMS, _SITE_TERMS, _WRITE_BLOCK_ROWS, LINK_CSV_COLUMNS,
                            DeploymentParams, _stream, _write_links)
-from mmwsim.metrics import CdfSeries
+from mmwsim.metrics import CdfSeries, geometry_metric
 
 
 def small(**kw):
@@ -224,6 +226,21 @@ def test_checked_oxygen_table_is_read_only():
     assert type(cfg.to_dict()["propagation"]["oxygen_delta_db_per_km"]) is dict
 
 
+def test_copies_and_pickles_of_a_config_are_equal_and_read_only():
+    # a copy or a pickle rebuilds the oxygen table whole (_FrozenTable.__reduce__);
+    # item by item, its refused __setitem__ would fail the copy
+    cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", seed=9,
+                         propagation=PropagationParams(oxygen_delta_db_per_km={60.0: 14.0,
+                                                                               2.0: 0.5}))
+    for other in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert other == cfg and hash(other) == hash(cfg)
+        table = other.propagation.oxygen_delta_db_per_km
+        assert type(table) is propagation._FrozenTable
+        assert table == {60.0: 14.0, 2.0: 0.5}
+        with pytest.raises(TypeError, match="read-only"):
+            table[60.0] = 1.0
+
+
 def test_config_yaml_roundtrip(tmp_path):
     cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", seed=77,
                          propagation=PropagationParams(sigma_o2i_low_db=3.0,
@@ -313,15 +330,35 @@ def test_coupling_loss_is_scheme_independent():
     assert not np.array_equal(a.gm_cdf.samples, b.gm_cdf.samples)
 
 
-def test_received_power_shifts_by_tx_power_between_schemes():
+def links_csv_column(path, name) -> list[str]:
+    """The text of column ``name`` of the links.csv at ``path``, row by row."""
+    header, *rows = path.read_text().splitlines()
+    k = header.split(",").index(name)
+    return [row.split(",")[k] for row in rows]
+
+
+def saved_p_rx(result, outdir) -> np.ndarray:
+    """The P_rx of ``result``'s links, ``p_tx + CL``, checked to be what its
+    saved links.csv holds in the ``p_rx`` column."""
+    save_results(result, outdir)
+    p_rx = result.power.p_tx_dbm + result.links["coupling_loss"]
+    assert links_csv_column(outdir / "links.csv", "p_rx") == [
+        f"{v:.10g}" for v in p_rx.ravel().tolist()]
+    return p_rx
+
+
+def test_received_power_shifts_by_tx_power_between_schemes(tmp_path):
     a = run_scenario(small(f_c_ghz=60.0, power_scheme="scaled", n_drops=1),
                      collect_links=True)
     b = run_scenario(small(f_c_ghz=60.0, power_scheme="constant", n_drops=1),
                      collect_links=True)
     delta = a.power.p_tx_dbm - b.power.p_tx_dbm
     assert delta == 61.0 - 44.0
-    assert np.array_equal(a.links["p_rx"] - b.links["p_rx"],
-                          np.full_like(a.links["p_rx"], delta))
+    # the tables hold no power: both schemes share them
+    assert a.links.keys() == b.links.keys()
+    assert all(np.array_equal(a.links[key], b.links[key]) for key in a.links)
+    p_rx_a, p_rx_b = saved_p_rx(a, tmp_path / "a"), saved_p_rx(b, tmp_path / "b")
+    assert np.array_equal(p_rx_a - p_rx_b, np.full_like(p_rx_a, delta))
 
 
 def test_oxygen_toggle_shifts_cl_down():
@@ -350,7 +387,7 @@ def test_threshold_matches_power_and_noise():
     assert res.cl_snr0_threshold_db == res.noise_total_dbm - res.power.p_tx_dbm
 
 
-def test_links_table_invariants():
+def test_links_table_invariants(tmp_path):
     res = run_scenario(small(environment="indoor", f_c_ghz=60.0, n_drops=2),
                        collect_links=True)
     L = res.links
@@ -362,7 +399,10 @@ def test_links_table_invariants():
     lhs = L["coupling_loss"]
     rhs = L["g_tx"] + 0.0 - (pl + l_o2i + l_oa - res.config.g_sm_db)
     assert np.array_equal(lhs, rhs)
-    assert np.array_equal(L["p_rx"], res.power.p_tx_dbm + L["coupling_loss"])
+    # the written p_rx is p_tx + CL, and is the P_rx the drops' GM read
+    p_rx = saved_p_rx(res, tmp_path)
+    gm = geometry_metric(p_rx, lhs.argmax(axis=1), res.noise_total_dbm)
+    assert np.array_equal(np.sort(gm), res.gm_cdf.samples)
     assert np.all(L["d_3d"] >= L["d_2d"])
     assert L["is_los"].dtype == bool and set(np.unique(L["is_los"])) <= {0, 1}
     # serving samples are the per-station maxima of the link table
@@ -422,15 +462,16 @@ def reference_csv(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def reference_links_csv(links, g_sm_db) -> bytes:
+def reference_links_csv(links, g_sm_db, p_tx_dbm) -> bytes:
     """``reference_csv`` of the links table ``links``, one entry per
     (station, sector) row: ``ms_id`` and ``sector_id`` from the row and
-    column, the per-site terms over the sectors of each site and ``g_sm``
-    from the config."""
+    column, the per-site terms over the sectors of each site, ``g_sm``
+    from the config and ``p_rx`` as ``p_tx_dbm + coupling_loss``."""
     n_ms, n_sectors = links["g_tx"].shape
     derived = {"ms_id": np.repeat(np.arange(n_ms), n_sectors),
                "sector_id": np.tile(np.arange(n_sectors), n_ms),
-               "g_sm": np.full(n_ms * n_sectors, float(g_sm_db))}
+               "g_sm": np.full(n_ms * n_sectors, float(g_sm_db)),
+               "p_rx": (p_tx_dbm + links["coupling_loss"]).reshape(-1)}
     return reference_csv(LINK_CSV_COLUMNS, [
         derived[c] if c in derived else
         np.repeat(links[c], n_sectors // links[c].shape[1], axis=1).reshape(-1)
@@ -470,7 +511,7 @@ def test_saved_outputs_golden_bytes(tmp_path):
     save_results(res, tmp_path)
     assert len(res.links["g_tx"]) % STATION_BLOCK != 0  # the last block is short
     assert (tmp_path / "links.csv").read_bytes() == reference_links_csv(
-        res.links, res.config.g_sm_db)
+        res.links, res.config.g_sm_db, res.power.p_tx_dbm)
     for name, series in (("cl_cdf.csv", res.cl_cdf), ("gm_cdf.csv", res.gm_cdf)):
         assert (tmp_path / name).read_bytes() == reference_cdf(series.samples)
 
@@ -531,9 +572,10 @@ def test_sweep_saves_build_the_cdf_rows_once(tmp_path):
 def test_write_table_matches_per_value_rule(tmp_path, n_stations):
     links = random_links(n_stations, n_stations)
     path = tmp_path / "links.csv"
-    for g_sm_db in (0.0, -0.0, 1e-300, -7.25, 1000.0, -1e-7):
-        _write_links(path, links, g_sm_db)
-        assert path.read_bytes() == reference_links_csv(links, g_sm_db), g_sm_db
+    for g_sm_db, p_tx_dbm in zip((0.0, -0.0, 1e-300, -7.25, 1000.0, -1e-7),
+                                 (44.0, -0.0, 1e-300, 61.0, -1000.0, 0.1)):
+        _write_links(path, links, g_sm_db, p_tx_dbm)
+        assert path.read_bytes() == reference_links_csv(links, g_sm_db, p_tx_dbm), g_sm_db
 
 
 def test_write_table_formats_runs_like_single_values(tmp_path):
@@ -554,41 +596,41 @@ def test_write_table_formats_runs_like_single_values(tmp_path):
     links["l_o2i"] = np.zeros((n, 19))
     links["l_oa"] = runs(38)[:, ::2]  # strided
     links.update((c, runs(57)) for c in _SECTOR_TERMS)
-    links["p_rx"][:, 3:9] = np.nan  # a run of NaN along a station's sectors
+    links["coupling_loss"][:, 3:9] = np.nan  # a run of NaN along a station's sectors
     assert not links["l_oa"].flags.c_contiguous
     for stations in (0, 1, 2, 3, n):
         path = tmp_path / f"t{stations}.csv"
         part = {c: a[:stations] for c, a in links.items()}
-        _write_links(path, part, -0.0)
-        assert path.read_bytes() == reference_links_csv(part, -0.0), stations
+        _write_links(path, part, -0.0, -0.0)  # -0.0 + x keeps the sign of a zero x
+        assert path.read_bytes() == reference_links_csv(part, -0.0, -0.0), stations
 
 
 def test_write_table_replaces_files_whole(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("old\n")
-    # formatting fails in the second block: %.10g of None
+    # the second block fails: p_tx + None
     links = random_links(STATION_BLOCK + 5, 1)
-    bad = {**links, "p_rx": links["p_rx"].astype(object)}
-    bad["p_rx"][STATION_BLOCK + 2, 7] = None
+    bad = {**links, "coupling_loss": links["coupling_loss"].astype(object)}
+    bad["coupling_loss"][STATION_BLOCK + 2, 7] = None
     with pytest.raises(TypeError):
-        _write_links(path, bad, 0.0)
+        _write_links(path, bad, 0.0, 44.0)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["t.csv"]
     new = tmp_path / "new.csv"
     with pytest.raises(TypeError):
-        _write_links(new, bad, 0.0)
+        _write_links(new, bad, 0.0, 44.0)
     assert os.listdir(tmp_path) == ["t.csv"]
     one = random_links(1, 2)
-    _write_links(path, one, 0.0)
-    assert path.read_bytes() == reference_links_csv(one, 0.0)
+    _write_links(path, one, 0.0, 44.0)
+    assert path.read_bytes() == reference_links_csv(one, 0.0, 44.0)
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_failed_save_leaves_no_partial_file(tmp_path):
     res = run_scenario(small(n_drops=1), collect_links=True)
-    # formatting fails in the second block of links.csv: %.10g of None
-    res.links["p_rx"] = res.links["p_rx"].astype(object)
-    res.links["p_rx"][STATION_BLOCK + 1, 0] = None
+    # the second block of links.csv fails: p_tx + None
+    res.links["coupling_loss"] = res.links["coupling_loss"].astype(object)
+    res.links["coupling_loss"][STATION_BLOCK + 1, 0] = None
     with pytest.raises(TypeError):
         save_results(res, tmp_path)
     # the files before links.csv are complete, links.csv is absent
@@ -704,14 +746,15 @@ def test_links_write_memory_stays_per_block(tmp_path):
     assert res.links["g_tx"].size == 64_980
     tracemalloc.start()
     try:
-        _write_links(tmp_path / "links.csv", res.links, res.config.g_sm_db)
+        _write_links(tmp_path / "links.csv", res.links, res.config.g_sm_db,
+                     res.power.p_tx_dbm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = (tmp_path / "links.csv").stat().st_size
     assert size > 6e6
     # one block of 71 stations, 4,047 rows, is 0.42 MB of text; with its row
-    # format, Python values and site texts the writer peaks at 1.7 MB
+    # format, Python values and site texts the writer peaks at 1.79 MB
     assert peak < 2.5e6, peak
 
 
@@ -736,13 +779,15 @@ def test_cdf_write_memory_stays_per_block(tmp_path):
 
 def test_infeasible_min_distance_raises():
     # min_distance_m above the 115.5 m circumradius at ISD 200 m admits no
-    # point: validation rejects it, and the sampler's round budget stops a
-    # direct call instead of looping for ever
+    # point: validation rejects it
     with pytest.raises(ConfigError, match="min_distance_m"):
         run_scenario(small(deployment=DeploymentParams(min_distance_m=150.0)))
-    with pytest.raises(ConfigError, match="min_distance_m"):
+    # just below the circumradius the params are valid, but almost no point
+    # is far enough from its site: the sampler's round budget stops a direct
+    # call instead of looping for ever
+    with pytest.raises(ConfigError, match="sampling rounds"):
         drop_mobiles(generate_layout(200.0), "outdoor", 57, np.random.default_rng(0),
-                     DeploymentParams(min_distance_m=150.0))
+                     DeploymentParams(min_distance_m=115.4))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1361,7 +1406,7 @@ def test_sweep_drop_working_set_stays_bounded():
 
 
 def test_links_run_holds_its_table_once():
-    # 4 indoor 60 GHz drops of 570 stations: a 4.9 MB links table, written
+    # 4 indoor 60 GHz drops of 570 stations: a 3.9 MB links table, written
     # in place by the drops; joined from per-block copies it peaked at 2.01x
     # the table, and a second copy of the table passes the bound
     cfg = ScenarioConfig(f_c_ghz=60.0, environment="indoor", n_drops=4, ms_per_sector=10)
@@ -1372,8 +1417,9 @@ def test_links_run_holds_its_table_once():
     finally:
         tracemalloc.stop()
     table = sum(a.nbytes for a in res.links.values())
-    # per station: 5 float and 1 bool per-site terms, 3 float per-sector terms
-    assert table == 4 * 570 * (5 * 19 * 8 + 19 + 3 * 57 * 8)
+    # per station: 5 float and 1 bool per-site terms, 2 float per-sector
+    # terms, 1,691 bytes
+    assert table == 4 * 570 * (5 * 19 * 8 + 19 + 2 * 57 * 8) == 4 * 570 * 1_691
     assert peak - table < 5.0e6, peak - table
 
 
