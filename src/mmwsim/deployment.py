@@ -50,6 +50,26 @@ class DeploymentParams:
         if not 1 <= self.floor_count_min <= self.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy 1 <= min <= max")
 
+    def check_drop(self, environment: str, ms_per_sector: int) -> None:
+        """Refuse drops that ``drop_mobiles`` cannot make within its round budget, or
+        whose shortest link, ``min_distance_m`` from the station storey nearest the BS
+        (at a half storey both are as near), is below the 1 m close-in distance."""
+        rounds = _expected_sample_rounds(self.isd_m, self.min_distance_m, ms_per_sector)
+        if rounds > _MAX_SAMPLE_ROUNDS:
+            raise ConfigError(
+                f"deployment.min_distance_m={self.min_distance_m:g} at isd_m={self.isd_m:g} "
+                f"leaves so little of the footprint that {ms_per_sector} stations "
+                f"per sector need more than {_MAX_SAMPLE_ROUNDS} sampling rounds per drop")
+        storeys = min(max(round((self.bs_height_m - self.ms_height_m) / STOREY_HEIGHT_M), 0),
+                      self.floor_count_max - 1) if environment == "indoor" else 0
+        dz = self.bs_height_m - (STOREY_HEIGHT_M * storeys + self.ms_height_m)
+        d3d_min = math.hypot(self.min_distance_m, dz)
+        if d3d_min < 1.0:
+            raise ConfigError(
+                f"deployment.min_distance_m={self.min_distance_m:g} with bs_height_m="
+                f"{self.bs_height_m:g} admits links with d_3d = {d3d_min:g} m, below the "
+                f"1 m close-in reference distance")
+
 
 class MobileDrop(NamedTuple):
     """Stations of one drop, one array entry per station."""
@@ -173,8 +193,8 @@ def _expected_sample_rounds(isd_m: float, min_distance_m: float, ms_per_sector: 
     where A is the part of a cell within ``r = min_distance_m`` of its site:
     ``pi r^2`` up to the inradius ``a = isd/2``, less six circular segments
     ``r^2 acos(a/r) - a sqrt(r^2 - a^2)`` beyond the cell edges above it.
-    Each round draws ``max(2 * missing, 64)`` candidates.  A ``ScenarioConfig``
-    that needs more rounds than the budget is refused as it is built.
+    Each round draws ``max(2 * missing, 64)`` candidates.  A config that
+    needs more rounds than the budget is refused as it is built (``check_drop``).
     """
     n_sites, a, r = len(_SITE_COORDS), isd_m / 2.0, min_distance_m
     hex_area = math.sqrt(3.0) / 2.0 * isd_m ** 2

@@ -69,29 +69,9 @@ class ScenarioConfig:
             if f.type in _BLOCKS and not isinstance(value, _BLOCKS[f.type]):
                 raise ConfigError(f"{f.name} must be a {f.type}, got {type(value).__name__}")
         check_power(self.power_scheme, self.f_c_ghz, self.bandwidth_hz, self.tx_power_dbm)
+        self.propagation.check_carrier(self.f_c_ghz)
         check_environment(self.environment)
-        dep = self.deployment
-        budget = deployment_mod._MAX_SAMPLE_ROUNDS
-        if deployment_mod._expected_sample_rounds(
-                dep.isd_m, dep.min_distance_m, self.ms_per_sector) > budget:
-            raise ConfigError(
-                f"deployment.min_distance_m={dep.min_distance_m:g} at isd_m={dep.isd_m:g} "
-                f"leaves so little of the footprint that {self.ms_per_sector} stations "
-                f"per sector need more than {budget} sampling rounds per drop")
-        # The shortest link pairs min_distance_m with the station height
-        # closest to the BS: ms_height_m outdoors, k storeys above it indoors
-        # for floors k + 1 = 1..floor_count_max.
-        heights = np.array([dep.ms_height_m])
-        if self.environment == "indoor":
-            storey = deployment_mod.STOREY_HEIGHT_M
-            k = np.floor((dep.bs_height_m - dep.ms_height_m) / storey) + np.arange(2.0)
-            heights = storey * np.clip(k, 0, dep.floor_count_max - 1) + dep.ms_height_m
-        d3d_min = np.hypot(dep.min_distance_m, np.abs(dep.bs_height_m - heights).min())
-        if d3d_min < 1.0:
-            raise ConfigError(
-                f"deployment.min_distance_m={dep.min_distance_m:g} with bs_height_m="
-                f"{dep.bs_height_m:g} admits links with d_3d = {d3d_min:g} m, below the "
-                f"1 m close-in reference distance")
+        self.deployment.check_drop(self.environment, self.ms_per_sector)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)

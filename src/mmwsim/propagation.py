@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import carrier_key, check_block
-from .errors import FrequencyRangeWarning
+from .errors import ConfigError, FrequencyRangeWarning
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 #: validity range of the path-loss models, in GHz
 FREQ_VALID_GHZ = (0.5, 100.0)
+
+#: the 60 GHz oxygen absorption complex, in GHz, where delta(f) is large
+#: throughout (ITU-R P.676); ``PropagationParams.check_carrier`` reads it
+OXYGEN_COMPLEX_GHZ = (50.0, 70.0)
 
 _MATERIALS = ("glass", "irr_glass", "concrete")
 
@@ -76,6 +80,18 @@ class PropagationParams:
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         object.__setattr__(self, "oxygen_delta_db_per_km", _FrozenTable(
             (float(k), float(v)) for k, v in self.oxygen_delta_db_per_km.items()))
+
+    def check_carrier(self, f_c_ghz: float) -> None:
+        """Refuse a carrier inside ``OXYGEN_COMPLEX_GHZ`` that a non-empty oxygen
+        table has no key for (``carrier_key``), where ``oxygen_absorption``
+        would silently apply 0 dB/km."""
+        lo, hi = OXYGEN_COMPLEX_GHZ
+        table = self.oxygen_delta_db_per_km
+        if table and lo <= f_c_ghz <= hi and carrier_key(table, f_c_ghz) is None:
+            raise ConfigError(
+                f"f_c_ghz={f_c_ghz!r} lies in the {lo:g}-{hi:g} GHz oxygen absorption "
+                f"complex but propagation.oxygen_delta_db_per_km has no key for it: add "
+                f"the carrier's delta in dB/km, or set the table to {{}} to switch oxygen off")
 
 
 DEFAULT_PARAMS = PropagationParams()
@@ -263,7 +279,8 @@ def _exp10(x):
 def oxygen_absorption(f_c_ghz: float, d_m,
                       params: PropagationParams = DEFAULT_PARAMS):
     """Atmospheric oxygen loss, delta(f_c) dB/km over the full travel distance;
-    delta is 0 where ``carrier_key`` finds no key for f_c."""
+    delta is 0 where ``carrier_key`` finds no key for f_c (a config refuses
+    such a carrier inside ``OXYGEN_COMPLEX_GHZ``)."""
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 0):
         raise ValueError("d_m must be non-negative")

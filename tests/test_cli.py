@@ -2,6 +2,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 
@@ -102,6 +103,9 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(n_drops=1, propagation=dict(sigma_los_db=float("nan"))), "propagation.sigma_los_db"),
     (dict(deployment=dict(isd_m=1e300)), "deployment.isd_m"),
     (dict(f_c_ghz=300.0), "bandwidth_hz"),
+    # a carrier in the oxygen complex without its own oxygen key used to get 0 dB/km
+    (dict(f_c_ghz=59.0, bandwidth_hz=1e9, tx_power_dbm=60.0),
+     "propagation.oxygen_delta_db_per_km has no key"),
     # a model constant in float range that overflowed the linear powers late
     (dict(propagation=dict(abg_beta_db=-1.0e300)), "propagation.abg_beta_db"),
     # each value is typed and bounded as it is read, and named by its dotted path
@@ -121,6 +125,7 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
         "min_distance_near_infeasible", "received_power_overflow", "hpbw_inf",
         "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table",
+        "carrier_in_oxygen_complex",
         "abg_beta_1e300", "sigma_str", "sigma_negative", "g_max_null", "hpbw_zero",
         "loss_pair_str", "loss_pair_bool", "oxygen_str"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
@@ -135,6 +140,25 @@ def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field)
     assert time.perf_counter() - t0 < 1.0
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("table", [{59.0: 14.0}, {}], ids=["own_key", "oxygen_off"])
+def test_carrier_in_the_oxygen_complex_runs_with_its_own_key_or_oxygen_off(tmp_path, table):
+    cfg = write_config(tmp_path, f_c_ghz=59.0, bandwidth_hz=1e9, tx_power_dbm=60.0, n_drops=1,
+                       propagation=dict(oxygen_delta_db_per_km=table))
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out), "--links"]) == 0
+    d_3d, l_oa = np.loadtxt(out / "links.csv", delimiter=",", skiprows=1, usecols=(3, 7)).T
+    assert np.allclose(l_oa, 14.0 * d_3d / 1000.0 if table else 0.0, rtol=1e-9, atol=0.0)
+
+
+def test_sweep_reports_a_carrier_in_the_oxygen_complex_per_entry(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_drops=1, bandwidth_hz=1e9, tx_power_dbm=60.0)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", "59,60"]) == 3
+    assert "sweep f59ghz_scaled: FAILED: ConfigError: f_c_ghz=59.0 lies in the 50-70 GHz" \
+        in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["f60ghz_scaled"]
 
 
 @pytest.mark.parametrize("n_drops, ms_per_sector", [(20, 10**13), (10**20, 1), (1, 10**400)],

@@ -1,4 +1,8 @@
+import collections
+import inspect
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +10,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwsim import (AntennaPattern, ConfigError, DeploymentParams, MobileDrop,
-                    ScenarioConfig, ShadowDraws, coupling_loss, drop_mobiles,
-                    generate_layout, in_footprint, link_budget, wrap_displacements)
+                    PropagationParams, ScenarioConfig, ShadowDraws, coupling_loss,
+                    deployment, drop_mobiles, engine, generate_layout, in_footprint,
+                    link_budget, wrap_displacements)
 from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
 ISD = 200.0
@@ -396,3 +401,66 @@ def test_drop_errors(dep, rng):
         drop_mobiles(dep, "outdoor", 0, rng)
     with pytest.raises(ConfigError):
         drop_mobiles(dep, "underwater", 10, rng)
+
+
+def _reference_drop_refusal(params, environment, ms_per_sector):
+    """The message of the numpy rule by which a config refused a drop before
+    ``check_drop``, or None: the sampler's round budget, then the shortest
+    link over the floor at or below the BS and the floor above it."""
+    budget = deployment._MAX_SAMPLE_ROUNDS
+    if deployment._expected_sample_rounds(params.isd_m, params.min_distance_m,
+                                          ms_per_sector) > budget:
+        return (f"deployment.min_distance_m={params.min_distance_m:g} at "
+                f"isd_m={params.isd_m:g} leaves so little of the footprint that "
+                f"{ms_per_sector} stations per sector need more than {budget} sampling "
+                f"rounds per drop")
+    heights = np.array([params.ms_height_m])
+    if environment == "indoor":
+        storey = deployment.STOREY_HEIGHT_M
+        k = np.floor((params.bs_height_m - params.ms_height_m) / storey) + np.arange(2.0)
+        heights = storey * np.clip(k, 0, params.floor_count_max - 1) + params.ms_height_m
+    d3d_min = np.hypot(params.min_distance_m, np.abs(params.bs_height_m - heights).min())
+    if d3d_min < 1.0:
+        return (f"deployment.min_distance_m={params.min_distance_m:g} with bs_height_m="
+                f"{params.bs_height_m:g} admits links with d_3d = {d3d_min:g} m, below "
+                f"the 1 m close-in reference distance")
+    return None
+
+
+def test_check_drop_matches_the_numpy_rule():
+    # the pinned cases (112 and 113 m at ISD 200 m, 115.4 m, a 1.6 m BS over a
+    # 1.5 m station, an indoor 10.5 m BS, indoor 0.8 m) among half storeys
+    # (BS 3 and 6 m over 1.5 m), clipped floors and both refusals
+    outcomes = collections.Counter()
+    for isd, min_d, bs, ms, (f_min, f_max), environment, ms_per_sector in itertools.product(
+            (200.0, 20.0), (0.0, 0.6, 0.8, 1.0, 10.0, 112.0, 113.0, 115.4),
+            (1.0, 1.6, 2.3, 3.0, 6.0, 10.0, 10.5, 40.0), (0.5, 1.5), ((1, 1), (3, 3), (4, 8)),
+            ("outdoor", "indoor"), (1, 10, 100)):
+        try:
+            params = DeploymentParams(isd_m=isd, min_distance_m=min_d, bs_height_m=bs,
+                                      ms_height_m=ms, floor_count_min=f_min,
+                                      floor_count_max=f_max)
+        except ConfigError:  # min_distance_m beyond the circumradius
+            continue
+        want = _reference_drop_refusal(params, environment, ms_per_sector)
+        try:
+            params.check_drop(environment, ms_per_sector)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == want, (params, environment, ms_per_sector)
+        outcomes["ok" if want is None else want.split(" ")[-1]] += 1
+    assert set(outcomes) == {"ok", "drop", "distance"}, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_config_construction_calls_no_numpy():
+    # a config's checks are plain Python, and only deployment knows its drop rules
+    checks = (ScenarioConfig.__post_init__, DeploymentParams.__post_init__,
+              DeploymentParams.check_drop, deployment._expected_sample_rounds,
+              PropagationParams.__post_init__, PropagationParams.check_carrier,
+              AntennaPattern.__post_init__)
+    for check in checks:
+        assert "np" not in check.__code__.co_names, check.__qualname__
+    names = set(re.findall(r"\w+", inspect.getsource(engine)))
+    assert not names & {"_MAX_SAMPLE_ROUNDS", "_expected_sample_rounds", "STOREY_HEIGHT_M"}

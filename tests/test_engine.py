@@ -949,6 +949,48 @@ def test_sector_layout_matches_station_site_sector_composition(environment):
         assert budget[key].tobytes() == want.reshape(600, 57).tobytes(), key
 
 
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_wrapped_cluster_maps_onto_itself_under_a_120_degree_rotation(environment):
+    # rotated by 120 degrees about the centre site, the wrapped cluster maps
+    # site i onto site sigma(i) and its sector k onto sector (k + 1) mod 3
+    # (boresights 30 -> 150 -> 270 -> 30): with each link's LoS uniform and
+    # shadows carried to its image, every link term and station follows
+    cfg = small(f_c_ghz=60.0, environment=environment)
+    dep, rng = generate_layout(200.0), np.random.default_rng(120)
+    drop = drop_mobiles(dep, environment, 570, rng, cfg.deployment)
+    los_u = rng.uniform(size=(570, 19))
+    draws = propagation.draw_shadows(rng, (570, 19), cfg.propagation,
+                                     o2i=environment == "indoor")
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    rotation = np.array([[c, -s], [s, c]])
+    gap = np.hypot(*(dep.site_xy[None, :, :] - (dep.site_xy @ rotation.T)[:, None, :]).T)
+    sigma = gap.argmin(axis=0)
+    assert sorted(sigma) == list(range(19)) and gap.min(axis=0).max() < 1e-9
+
+    def carried(per_site):
+        out = np.empty_like(per_site)
+        out[:, sigma] = per_site
+        return out
+
+    rotated = link_budget(cfg, dep, MobileDrop(drop.xy @ rotation.T, *drop[1:]),
+                          carried(los_u), ShadowDraws(**{
+                              name: carried(value) if np.ndim(value) else value
+                              for name, value in vars(draws).items()}))
+    budget = link_budget(cfg, dep, drop, los_u, draws)
+    sectors = np.array([3 * sigma[i] + (k + 1) % 3 for i in range(19) for k in range(3)])
+    assert_allclose(rotated["coupling_loss"][:, sectors], budget["coupling_loss"],
+                    rtol=0.0, atol=1e-9)
+    assert_allclose(rotated["d_2d"][:, sigma], budget["d_2d"], rtol=0.0, atol=1e-9)
+    assert np.array_equal(rotated["is_los"][:, sigma], budget["is_los"])
+    alloc = linkbudget.power_allocation(cfg.power_scheme, cfg.f_c_ghz)
+    noise = linkbudget.noise_power(alloc.bandwidth_hz, cfg.noise_figure_db)
+    cls = budget["coupling_loss"], rotated["coupling_loss"]
+    serving = [linkbudget.associate(cl, 0.0)[0] for cl in cls]
+    assert np.array_equal(serving[1], sectors[serving[0]])
+    gm = [geometry_metric(cl + alloc.p_tx_dbm, serv, noise) for cl, serv in zip(cls, serving)]
+    assert_allclose(gm[1], gm[0], rtol=0.0, atol=1e-9)
+
+
 def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
     dep = generate_layout(200.0)
     drop = drop_mobiles(dep, "outdoor", 57, np.random.default_rng(5))
@@ -959,14 +1001,15 @@ def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
     assert (alloc.bandwidth_hz, alloc.p_tx_dbm) == (1e9, 61.0)
     budget = link_budget(near, dep, drop, los_u, ShadowDraws())
     assert np.array_equal(budget["l_oa"], 15.0 * budget["d_3d"] / 1000.0)
-    # ... and 5e-7 GHz off neither does: a carrier off the power table gets
-    # no oxygen absorption either
+    # ... and 5e-7 GHz off neither does: a carrier off the power table finds
+    # no oxygen key either, so inside the oxygen complex a config refuses it
     off = 60.0 + 5e-7
     with pytest.raises(ConfigError, match="is not a standard carrier"):
         ScenarioConfig(f_c_ghz=off)
-    cfg = ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0)
-    assert checks.carrier_key(cfg.propagation.oxygen_delta_db_per_km, off) is None
-    assert np.all(link_budget(cfg, dep, drop, los_u, ShadowDraws())["l_oa"] == 0.0)
+    with pytest.raises(ConfigError, match="propagation.oxygen_delta_db_per_km has no key"):
+        ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0)
+    assert checks.carrier_key(near.propagation.oxygen_delta_db_per_km, off) is None
+    assert np.all(propagation.oxygen_absorption(off, budget["d_3d"], near.propagation) == 0.0)
 
 
 @pytest.mark.parametrize("environment", ["outdoor", "indoor"])
