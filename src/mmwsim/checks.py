@@ -101,9 +101,9 @@ def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
         raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
     key = carrier_key(BANDWIDTH_HZ, f_c_ghz)
     if key is None and bandwidth_hz is None:
-        raise ConfigError(f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set bandwidth_hz")
+        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set bandwidth_hz")
     if key is None and tx_power_dbm is None and scheme == "scaled":
-        raise ConfigError(f"f_c_ghz={f_c_ghz:g} is not a standard carrier; set tx_power_dbm")
+        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set tx_power_dbm")
     return key
 
 

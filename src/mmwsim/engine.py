@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -121,32 +120,50 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass(eq=False)  # array fields: compare them with np.array_equal
 class RunResult:
-    """Everything produced by one scenario run.
+    """The one record of a scenario run: ``_setup_run`` builds it, the
+    drops write into it, and ``_finish_run`` sets ``cl_cdf``, ``gm_cdf`` and
+    ``runtime_s`` once every drop is in.
 
-    ``runtime_s`` is the wall time from the start of the run's setup to the
-    end of its finish.  A sweep sets up every run at its start, so there an
-    entry's ``runtime_s`` runs from the sweep's start to that run's finish,
-    at any worker count.  ``links``, when collected, holds the terms that
-    ``link_budget`` returns, at its shapes, one row per station in
-    drop-major order: the arrays the drops wrote into, not copies.  Of
-    those, ``d_2d``, ``d_3d``, ``is_los`` (bool), ``pl``, ``l_o2i`` and
-    ``l_oa`` are ``(n_ms, n_sites)``; ``g_tx`` and ``coupling_loss`` are
-    ``(n_ms, n_sectors)``, whose column ``3i + k`` is sector ``k`` of site
-    ``i``.  The other ``links.csv`` columns are derived: ``ms_id`` is the
-    row, ``sector_id`` the column's sector, ``g_sm`` is ``config.g_sm_db``
-    and ``p_rx`` is ``coupling_loss + power.p_tx_dbm``.
+    ``serving_cl`` and ``gm`` hold each station's serving CL and GM,
+    ``(n_drops * count,)`` in drop-major order (station ``s`` of drop ``d``
+    at row ``d * count + s``), and ``links``, when collected, the terms
+    that ``link_budget`` returns, at its shapes, one row per station in the
+    same order.  Each drop writes only its own rows, so the worker threads
+    need no lock.  Of the links, ``d_2d``, ``d_3d``, ``is_los`` (bool),
+    ``pl``, ``l_o2i`` and ``l_oa`` are ``(n_ms, n_sites)``; ``g_tx`` and
+    ``coupling_loss`` are ``(n_ms, n_sectors)``, whose column ``3i + k`` is
+    sector ``k`` of site ``i``.  The other ``links.csv`` columns are
+    derived: ``ms_id`` is the row, ``sector_id`` the column's sector,
+    ``g_sm`` is ``config.g_sm_db`` and ``p_rx`` is ``coupling_loss +
+    power.p_tx_dbm``.  ``runtime_s`` runs from the start of the run's setup
+    to the end of its finish; a sweep sets up every run at its start, so
+    there it runs from the sweep's start, at any worker count.
     """
 
     config: ScenarioConfig
-    cl_cdf: CdfSeries
-    gm_cdf: CdfSeries
-    drop_seeds: list[int]
-    regime_fractions: dict[str, float]
     power: linkbudget.PowerAllocation
     noise_total_dbm: float
     cl_snr0_threshold_db: float
-    runtime_s: float
-    links: dict[str, np.ndarray] | None = None
+    serving_cl: np.ndarray
+    gm: np.ndarray
+    links: dict[str, np.ndarray] | None
+    cl_cdf: CdfSeries | None = None
+    gm_cdf: CdfSeries | None = None
+    runtime_s: float | None = None
+
+    @property
+    def drop_seeds(self) -> list[int]:
+        return [drop_seed_id(self.config.seed, d) for d in range(self.config.n_drops)]
+
+    @property
+    def noise_limited(self) -> np.ndarray:
+        """Each station's noise-limited flag, by ``associate``'s comparison."""
+        return self.serving_cl < self.cl_snr0_threshold_db
+
+    @property
+    def regime_fractions(self) -> dict[str, float]:
+        frac_nl = float(self.noise_limited.mean())
+        return {NOISE_LIMITED: frac_nl, INTERFERENCE_LIMITED: 1.0 - frac_nl}
 
 
 @dataclass(eq=False)  # holds a RunResult
@@ -269,10 +286,11 @@ LINK_CSV_COLUMNS = ("ms_id", "sector_id", *_SITE_TERMS, "g_tx", "g_sm", "couplin
 _BLOCK_STATIONS = 600
 
 
-def _simulate_drop(run: _Run, drop_index: int) -> None:
-    """Write one drop of ``run`` into the run's arrays: the serving CL and
-    GM of each station and, if the run collects them, its ``link_budget``
-    terms, each at the shape ``link_budget`` returns.
+def _simulate_drop(run: RunResult, drop_index: int) -> None:
+    """Write one drop of ``run`` into the run's own rows of its record: the
+    serving CL and GM of each station and, if the run collects them, its
+    ``link_budget`` terms, each at the shape ``link_budget`` returns.  The
+    site lattice is ``generate_layout`` of the config's ``isd_m``.
 
     The stations and shadow terms are drawn for the whole drop, each on its
     own substream.  The link budget, association, GM and the finite checks
@@ -289,7 +307,8 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
     which the table derives, in CL's buffer.  A block raises on its first
     non-finite CL, then GM, so a run's error is its first failing drop's.
     """
-    config, dep = run.config, run.dep
+    config = run.config
+    dep = deployment_mod.generate_layout(config.deployment.isd_m)
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(dep, config.environment, count,
                                        _stream(config.seed, drop_index, 0), config.deployment)
@@ -315,8 +334,8 @@ def _simulate_drop(run: _Run, drop_index: int) -> None:
             for key, value in budget.items():
                 run.links[key][first:last] = value
         del budget  # from here the block reads CL alone
-        serving, run.serving_cl[first:last], _ = linkbudget.associate(cl, run.threshold_db)
-        p_rx = np.add(cl, run.alloc.p_tx_dbm, out=cl)  # the bits of p_tx + cl
+        serving, run.serving_cl[first:last], _ = linkbudget.associate(cl, run.cl_snr0_threshold_db)
+        p_rx = np.add(cl, run.power.p_tx_dbm, out=cl)  # the bits of p_tx + cl
         # errstate is per thread, so it sits here, on the drop's thread: the
         # finite check below is the one report of an overflow
         with np.errstate(over="ignore", invalid="ignore"):
@@ -373,39 +392,15 @@ def _pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-class _Run(NamedTuple):
-    """What every drop of one run shares, fixed by ``_setup_run``, and the
-    arrays its drops fill in drop-major station order: ``serving_cl``,
-    ``gm`` and, unless ``None``, the ``links`` terms of ``link_budget``,
-    one row per station (``RunResult``; ``p_rx`` is derived).  Each drop
-    writes only its own rows, so the worker threads need no lock."""
-
-    config: ScenarioConfig
-    t0: float  # perf_counter() at the start of setup
-    dep: deployment_mod.Deployment
-    alloc: linkbudget.PowerAllocation
-    noise_total_dbm: float
-    threshold_db: float
-    serving_cl: np.ndarray
-    gm: np.ndarray
-    links: dict[str, np.ndarray] | None
-
-    @property
-    def noise_limited(self) -> np.ndarray:
-        """Each station's noise-limited flag, by ``associate``'s comparison."""
-        return self.serving_cl < self.threshold_db
-
-
-def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
-    """Fix the layout, power, noise and threshold that all drops of ``config``
-    share, and allocate the arrays they fill (a ``ConfigError`` if too large)."""
-    t0 = time.perf_counter()
+def _setup_run(config: ScenarioConfig, collect_links: bool) -> RunResult:
+    """The record of a run of ``config``: the power, noise and threshold that
+    all its drops share, and the arrays they fill (a ``ConfigError`` if too large)."""
     _pin_heap_thresholds()
     dep = deployment_mod.generate_layout(config.deployment.isd_m)
-    alloc = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
+    power = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
                                         config.bandwidth_hz, config.tx_power_dbm)
-    noise_total = linkbudget.noise_power(alloc.bandwidth_hz, config.noise_figure_db)
-    threshold = linkbudget.cl_snr0_threshold(alloc.p_tx_dbm, noise_total)
+    noise_total = float(linkbudget.noise_power(power.bandwidth_hz, config.noise_figure_db))
+    threshold = float(linkbudget.cl_snr0_threshold(power.p_tx_dbm, noise_total))
     n_ms = config.n_drops * config.ms_per_sector * dep.n_sectors
     try:
         links = {key: np.empty((n_ms, dep.n_sites if key in _SITE_TERMS else dep.n_sectors),
@@ -415,28 +410,17 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> _Run:
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
         raise ConfigError(f"n_drops={config.n_drops}, ms_per_sector={config.ms_per_sector}: "
                           f"{n_ms} stations are too many to allocate") from exc
-    return _Run(config, t0, dep, alloc, noise_total, threshold, *arrays, links)
+    return RunResult(config, power, noise_total, threshold, *arrays, links)
 
 
-def _finish_run(run: _Run, drops) -> RunResult:
-    """Wait for ``drops``, the run's drops in drop order, and build the
-    run's result from the arrays they filled."""
+def _finish_run(run: RunResult, drops, t0: float) -> RunResult:
+    """Wait for ``drops``, the run's drops in drop order, and set the CDFs of
+    the arrays they filled and the run's time since ``t0``."""
     collections.deque(drops, maxlen=0)
-    config = run.config
-    frac_nl = float(run.noise_limited.mean())
-    return RunResult(
-        config=config,
-        cl_cdf=metrics.empirical_cdf(run.serving_cl),
-        gm_cdf=metrics.empirical_cdf(run.gm),
-        drop_seeds=[drop_seed_id(config.seed, d) for d in range(config.n_drops)],
-        regime_fractions={NOISE_LIMITED: frac_nl,
-                          INTERFERENCE_LIMITED: 1.0 - frac_nl},
-        power=run.alloc,
-        noise_total_dbm=float(run.noise_total_dbm),
-        cl_snr0_threshold_db=float(run.threshold_db),
-        runtime_s=time.perf_counter() - run.t0,
-        links=run.links,
-    )
+    run.cl_cdf = metrics.empirical_cdf(run.serving_cl)
+    run.gm_cdf = metrics.empirical_cdf(run.gm)
+    run.runtime_s = time.perf_counter() - t0
+    return run
 
 
 def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
@@ -462,28 +446,30 @@ def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
         import concurrent.futures
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     try:
-        started = collections.deque()  # (run or setup error, drop futures)
+        started = collections.deque()  # (run or setup error, setup start, drop futures)
         for make_config in make_configs:
             try:
-                run = _setup_run(make_config(), collect_links)
+                config = make_config()
+                t0 = time.perf_counter()
+                run = _setup_run(config, collect_links)
             except Exception as exc:  # reported per run
-                started.append((exc, []))
+                started.append((exc, None, []))
                 continue
             # _simulate_drop is looked up at submit or call time
-            started.append((run, [] if pool is None else
+            started.append((run, t0, [] if pool is None else
                             [pool.submit(_simulate_drop, run, d)
                              for d in range(run.config.n_drops)]))
         outcomes = []
         while started:
-            # popped, so each run's _Run and futures are freed once it is finished
-            run, futures = started.popleft()
+            # popped, so each run's futures are freed once it is finished
+            run, t0, futures = started.popleft()
             if isinstance(run, Exception):
                 outcomes.append((None, run))
                 continue
             drops = ((f.result() for f in futures) if pool is not None else
                      (_simulate_drop(run, d) for d in range(run.config.n_drops)))
             try:
-                outcomes.append((_finish_run(run, drops), None))
+                outcomes.append((_finish_run(run, drops, t0), None))
             except Exception as exc:  # reported per run
                 for f in futures:
                     f.cancel()

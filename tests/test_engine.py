@@ -168,6 +168,16 @@ def test_construction_refuses_bad_values_through_replace():
     assert replace(cfg, seed=12).seed == 12
 
 
+def test_off_table_carrier_is_named_by_its_repr():
+    # 5e-7 GHz off 60 is off the carrier table, and "%g" printed it as 60
+    with pytest.raises(ConfigError, match=r"^f_c_ghz=60\.0000005 is not a standard carrier; "
+                                          r"set bandwidth_hz$"):
+        small(f_c_ghz=60.0000005)
+    with pytest.raises(ConfigError, match=r"^f_c_ghz=60\.0000005 is not a standard carrier; "
+                                          r"set tx_power_dbm$"):
+        small(f_c_ghz=60.0000005, bandwidth_hz=1e9)
+
+
 def test_construction_calls_no_layer_function(monkeypatch, tmp_path):
     # perfbench's tracer wraps every public function of a layer module in a
     # span, so building a config outside a traced run must call none of them
@@ -1053,9 +1063,9 @@ def test_public_names_resolve_once():
     assert len(mmwsim.__all__) == len(set(mmwsim.__all__))
     for name in mmwsim.__all__:
         assert getattr(mmwsim, name) is not None, name
-    for gone in ("link_loss", "LinkGeometry", "LinkRecord", "GeometryResult",
+    for gone in ("link_loss", "LinkGeometry", "LinkRecord", "GeometryResult", "_Run",
                  "classify_regime", "wrap_displacement", "ms_gain", "Site", "Sector"):
-        assert not hasattr(mmwsim, gone), gone
+        assert not hasattr(mmwsim, gone) and not hasattr(engine, gone), gone
     assert not hasattr(ScenarioConfig, "validate")  # a config is checked as it is built
 
 
@@ -1162,14 +1172,19 @@ def test_sweep_checks_the_base_seed(seed):
 
 
 def _assert_same_run(a, b):
-    """Every field of two RunResults equal, arrays bit for bit, but runtime_s."""
+    """Every field of two RunResults equal, arrays bit for bit, but runtime_s,
+    and the drop seeds and regime fractions they derive."""
     for f in dataclasses.fields(engine.RunResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, CdfSeries):
             x, y = x.samples, y.samples
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
         elif f.name != "runtime_s":
             assert x == y, f.name
+    assert a.drop_seeds == b.drop_seeds
+    assert a.regime_fractions == b.regime_fractions
 
 
 def test_sweep_gives_the_same_bits_at_any_worker_count(monkeypatch):
@@ -1311,9 +1326,9 @@ def test_run_rejects_invalid_config(workers):
 
 
 def _drops_by_cap(monkeypatch, cap, cfg, workers):
-    """The ``_Run`` every ``_simulate_drop`` call wrote into, the number of
-    ``link_budget`` calls of each drop, and the result, with blocks of at
-    most ``cap`` stations."""
+    """The number of ``link_budget`` calls of each drop, and the result, with
+    blocks of at most ``cap`` stations: the record every ``_simulate_drop``
+    call wrote into."""
     monkeypatch.setattr(engine, "_BLOCK_STATIONS", cap)
     real_drop, real_budget = engine._simulate_drop, engine.link_budget
     runs, budget_drops, current = [], [], threading.local()
@@ -1332,8 +1347,8 @@ def _drops_by_cap(monkeypatch, cap, cfg, workers):
     result = run_scenario(cfg, workers=workers, collect_links=True)
     monkeypatch.setattr(engine, "_simulate_drop", real_drop)
     monkeypatch.setattr(engine, "link_budget", real_budget)
-    assert len(runs) == cfg.n_drops and all(run is runs[0] for run in runs)
-    return runs[0], collections.Counter(budget_drops), result
+    assert len(runs) == cfg.n_drops and all(run is result for run in runs)
+    return collections.Counter(budget_drops), result
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1342,11 +1357,11 @@ def test_station_blocks_give_the_bits_of_whole_drops(monkeypatch, environment, w
     # 171 stations per drop: a cap of 7 cuts each drop into 25 blocks of 6
     # or 7 stations, a cap of 1,000 leaves it whole
     cfg = small(f_c_ghz=60.0, environment=environment, n_drops=3, ms_per_sector=3)
-    whole, whole_blocks, whole_run = _drops_by_cap(monkeypatch, 1000, cfg, workers)
-    blocked, blocked_blocks, blocked_run = _drops_by_cap(monkeypatch, 7, cfg, workers)
+    whole_blocks, whole_run = _drops_by_cap(monkeypatch, 1000, cfg, workers)
+    blocked_blocks, blocked_run = _drops_by_cap(monkeypatch, 7, cfg, workers)
     assert whole_blocks == {0: 1, 1: 1, 2: 1} and blocked_blocks == {0: 25, 1: 25, 2: 25}
     for key in ("serving_cl", "gm", "noise_limited"):
-        a, b = getattr(whole, key), getattr(blocked, key)
+        a, b = getattr(whole_run, key), getattr(blocked_run, key)
         assert a.dtype == b.dtype and a.shape == (3 * 171,) and a.tobytes() == b.tobytes(), key
     assert whole_run.links.keys() == blocked_run.links.keys()
     for key in whole_run.links:
@@ -1358,6 +1373,28 @@ def test_station_blocks_give_the_bits_of_whole_drops(monkeypatch, environment, w
         assert np.array_equal(getattr(whole_run, series).samples,
                               getattr(blocked_run, series).samples)
     assert whole_run.regime_fractions == blocked_run.regime_fractions
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_keeps_each_stations_serving_cl_and_gm_in_drop_order(workers):
+    # 100 GHz at constant power: about a quarter of the stations noise-limited
+    cfg = small(f_c_ghz=100.0, power_scheme="constant", ms_per_sector=2)
+    count = 2 * 57
+    one = run_scenario(replace(cfg, n_drops=1), workers=workers)
+    res = run_scenario(replace(cfg, n_drops=2), workers=workers, collect_links=True)
+    assert res.serving_cl.shape == res.gm.shape == (2 * count,)
+    for key in ("serving_cl", "gm"):  # drop 0 comes first
+        a, b = getattr(one, key), getattr(res, key)[:count]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+    assert np.sort(res.serving_cl).tobytes() == res.cl_cdf.samples.tobytes()
+    assert np.sort(res.gm).tobytes() == res.gm_cdf.samples.tobytes()
+    frac = float(res.noise_limited.mean())
+    assert 0.0 < frac < 1.0
+    assert res.regime_fractions == {"noise_limited": frac, "interference_limited": 1.0 - frac}
+    # a gather at the serving sector, not max, which may return either zero
+    cl = res.links["coupling_loss"]
+    serving_cl = cl[np.arange(len(cl)), cl.argmax(axis=1)]
+    assert res.serving_cl.tobytes() == serving_cl.tobytes()
 
 
 def test_block_sizes_are_near_equal_and_cover_the_drop(monkeypatch):
