@@ -72,12 +72,12 @@ class DeploymentParams:
 
 
 class MobileDrop(NamedTuple):
-    """Stations of one drop, one array entry per station."""
+    """Stations of one drop, one array entry per station.  A station's floor
+    is in its height: floor ``f`` stands ``f - 1`` storeys above ``ms_height_m``."""
 
     xy: np.ndarray  # (n, 2) positions in metres
     height_m: np.ndarray  # (n,) antenna heights in metres
     indoor_depth_m: np.ndarray  # (n,) d_2D-in; 0 for outdoor stations
-    floor: np.ndarray  # (n,) floor index; 1 for outdoor stations
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compare them with np.array_equal
@@ -250,10 +250,10 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on
     [0, indoor_depth_max_m]; it stands ``floor - 1`` storeys above ms_height_m.
-    Outdoor stations stand at ``ms_height_m`` on floor 1 with zero depth.
+    Outdoor stations stand at ``ms_height_m`` with zero depth.
 
     Returns a ``MobileDrop`` of arrays ``(xy (n, 2), height_m (n,),
-    indoor_depth_m (n,), floor (n,))`` with ``n = count``.
+    indoor_depth_m (n,))`` with ``n = count``; the floor is kept in the height only.
     """
     check_environment(environment)
     if count <= 0:
@@ -261,10 +261,9 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
 
     xy = _sample_positions(deployment, count, params.min_distance_m, rng)
     if environment == "outdoor":
-        return MobileDrop(xy, np.full(count, params.ms_height_m, dtype=float),
-                          np.zeros(count), np.ones(count, dtype=np.int64))
+        return MobileDrop(xy, np.full(count, params.ms_height_m, dtype=float), np.zeros(count))
 
     n_floors = rng.integers(params.floor_count_min, params.floor_count_max + 1, size=count)
     floor = rng.integers(1, n_floors + 1)
     depth = rng.uniform(0.0, params.indoor_depth_max_m, size=count)
-    return MobileDrop(xy, STOREY_HEIGHT_M * (floor - 1) + params.ms_height_m, depth, floor)
+    return MobileDrop(xy, STOREY_HEIGHT_M * (floor - 1) + params.ms_height_m, depth)

@@ -31,7 +31,7 @@ from .antenna import AntennaPattern
 from .checks import PAIR, check_block, check_environment, check_fields, check_power
 from .deployment import DeploymentParams
 from .errors import ConfigError
-from .metrics import INTERFERENCE_LIMITED, NOISE_LIMITED, CdfSeries
+from .metrics import CdfSeries
 from .propagation import PropagationParams
 
 SUMMARY_PERCENTILES = (5, 20, 35, 48, 50, 75, 90, 95)
@@ -157,13 +157,14 @@ class RunResult:
 
     @property
     def noise_limited(self) -> np.ndarray:
-        """Each station's noise-limited flag, by ``associate``'s comparison."""
+        """Each station's flag by the one CL_SNR=0 rule: noise-limited where its
+        serving CL is strictly below ``cl_snr0_threshold_db``, else interference-limited."""
         return self.serving_cl < self.cl_snr0_threshold_db
 
     @property
     def regime_fractions(self) -> dict[str, float]:
         frac_nl = float(self.noise_limited.mean())
-        return {NOISE_LIMITED: frac_nl, INTERFERENCE_LIMITED: 1.0 - frac_nl}
+        return {"noise_limited": frac_nl, "interference_limited": 1.0 - frac_nl}
 
 
 @dataclass(eq=False)  # holds a RunResult
@@ -334,7 +335,7 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
             for key, value in budget.items():
                 run.links[key][first:last] = value
         del budget  # from here the block reads CL alone
-        serving, run.serving_cl[first:last], _ = linkbudget.associate(cl, run.cl_snr0_threshold_db)
+        serving, run.serving_cl[first:last] = linkbudget.associate(cl)
         p_rx = np.add(cl, run.power.p_tx_dbm, out=cl)  # the bits of p_tx + cl
         # errstate is per thread, so it sits here, on the drop's thread: the
         # finite check below is the one report of an overflow

@@ -55,25 +55,23 @@ def cl_snr0_threshold(p_tx_dbm: float, noise_total_dbm: float) -> float:
     """Coupling loss at which received power equals total noise power.
 
     Links with coupling loss below this value operate noise-limited,
-    at or above it interference-limited.
+    at or above it interference-limited; ``RunResult.noise_limited`` is
+    where that rule is applied.
     """
     return noise_total_dbm - p_tx_dbm
 
 
-def associate(cl, threshold_db: float):
+def associate(cl):
     """Serving sector of every station from its coupling losses.
 
     Parameters
     ----------
     cl : (n, n_sectors) coupling losses in dB, sector ids along axis 1.
-    threshold_db : the CL_SNR=0 threshold (see ``cl_snr0_threshold``).
 
     Returns
     -------
     serving : (n,) sector of maximum CL; ties go to the lowest sector id.
     serving_cl : (n,) the serving CL in dB.
-    noise_limited : (n,) True where the serving CL is strictly below the
-        threshold; at or above it the station is interference-limited.
     """
     cl = np.asarray(cl, dtype=float)
     if cl.ndim != 2 or cl.shape[1] == 0:
@@ -81,5 +79,4 @@ def associate(cl, threshold_db: float):
                            f"got shape {cl.shape}")
     serving = np.argmax(cl, axis=1)
     # direct fancy indexing: take_along_axis builds its index in Python
-    serving_cl = cl[np.arange(len(cl)), serving]
-    return serving, serving_cl, serving_cl < threshold_db
+    return serving, cl[np.arange(len(cl)), serving]

@@ -7,10 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NOISE_LIMITED = "noise_limited"
-INTERFERENCE_LIMITED = "interference_limited"
-
-
 @dataclass(frozen=True, eq=False)  # array field: compare it with np.array_equal
 class CdfSeries:
     """Sorted empirical distribution with percentile and fraction queries."""

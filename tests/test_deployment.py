@@ -59,7 +59,7 @@ def test_boresights_and_downtilt(dep):
     cfg = ScenarioConfig(f_c_ghz=30.0)
     az = np.radians(SECTOR_BORESIGHTS_DEG)
     xy = dep.site_xy[4] + 30.0 * np.stack([np.cos(az), np.sin(az)], axis=1)
-    drop = MobileDrop(xy, np.full(3, 1.5), np.zeros(3), np.ones(3, dtype=int))
+    drop = MobileDrop(xy, np.full(3, 1.5), np.zeros(3))
     budget = link_budget(cfg, dep, drop, np.zeros((3, 19)), ShadowDraws())
     cl = budget["coupling_loss"]
     assert cl.shape == (3, 57)
@@ -332,9 +332,15 @@ def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     depth = rng.uniform(0.0, 25.0, size=count)
     got = drop_mobiles(dep, "indoor", count, np.random.default_rng(seed), params)
     assert np.array_equal(got.xy, want)
-    assert np.array_equal(got.floor, floor)
+    assert np.array_equal(_floors(got), floor)
     assert np.array_equal(got.indoor_depth_m, depth)
     assert np.array_equal(got.height_m, [float(3.0 * (f - 1) + 1.5) for f in floor])
+
+
+def _floors(drop):
+    """Each station's floor, read from its height at the default 1.5 m
+    ``ms_height_m`` and 3 m storeys: floor f stands f - 1 storeys up."""
+    return (drop.height_m - 1.5) / 3.0 + 1
 
 
 def test_drop_outdoor_attributes(dep, rng):
@@ -344,7 +350,7 @@ def test_drop_outdoor_attributes(dep, rng):
     # outdoor stations have no in-building segment
     assert np.all(drop.height_m == 1.5)
     assert np.all(drop.indoor_depth_m == 0.0)
-    assert np.all(drop.floor == 1)
+    assert np.all(_floors(drop) == 1)
 
 
 def test_drop_positions_inside_footprint(dep, rng):
@@ -360,7 +366,8 @@ def test_drop_min_distance(dep, rng):
 
 def test_drop_indoor_attributes(dep, rng):
     drop = drop_mobiles(dep, "indoor", 2000, rng)
-    floors, depth, heights = drop.floor, drop.indoor_depth_m, drop.height_m
+    floors, depth, heights = _floors(drop), drop.indoor_depth_m, drop.height_m
+    assert np.array_equal(floors, np.rint(floors))  # integral, and exact
     assert floors.min() >= 1 and floors.max() <= 8
     assert floors.max() >= 5  # floor counts reach 8, so top floors occur
     assert depth.min() >= 0.0 and depth.max() <= 25.0

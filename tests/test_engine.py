@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pickle
 import platform
@@ -22,7 +23,7 @@ from numpy.testing import assert_allclose
 
 import mmwsim
 import mmwsim.engine as engine
-from mmwsim import checks, linkbudget, propagation
+from mmwsim import checks, linkbudget, metrics, propagation
 from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
                     ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
@@ -916,7 +917,7 @@ def test_azimuth_wrap_matches_mod_rule():
                       [s[0] - 40.0, s[1] - 1e-9], [-40.0, -0.0]])
     xy = np.vstack([edges, drop_mobiles(dep, "outdoor", 570, np.random.default_rng(3)).xy])
     n = len(xy)
-    drop = MobileDrop(xy, np.full(n, 1.5), np.zeros(n), np.ones(n, dtype=int))
+    drop = MobileDrop(xy, np.full(n, 1.5), np.zeros(n))
 
     # the reference rule: phi = 180 - mod(180 - (azimuth - boresight), 360)
     disp, d2d = wrap_displacements(dep, xy)
@@ -995,10 +996,70 @@ def test_wrapped_cluster_maps_onto_itself_under_a_120_degree_rotation(environmen
     alloc = linkbudget.power_allocation(cfg.power_scheme, cfg.f_c_ghz)
     noise = linkbudget.noise_power(alloc.bandwidth_hz, cfg.noise_figure_db)
     cls = budget["coupling_loss"], rotated["coupling_loss"]
-    serving = [linkbudget.associate(cl, 0.0)[0] for cl in cls]
+    serving = [linkbudget.associate(cl)[0] for cl in cls]
     assert np.array_equal(serving[1], sectors[serving[0]])
     gm = [geometry_metric(cl + alloc.p_tx_dbm, serv, noise) for cl, serv in zip(cls, serving)]
     assert_allclose(gm[1], gm[0], rtol=0.0, atol=1e-9)
+
+
+def _hand_gain(theta_deg, phi_deg):
+    """TR 36.814's 3D sector gain in plain ``math``, at the default pattern:
+    17.6 dBi peak, 102 degree tilt, 10.2 and 70 degree HPBWs, 13 dB SLA_V and
+    A_m = 25 dB capping the sum of the two attenuations."""
+    a_v = min(12.0 * ((theta_deg - 102.0) / 10.2) ** 2, 13.0)
+    return 17.6 - min(a_v + 12.0 * (phi_deg / 70.0) ** 2, 25.0)
+
+
+def _hand_budget(x, y):
+    """``link_budget`` of one 1.5 m outdoor station at (x, y) m, default 60 GHz
+    config, every link LoS and no shadowing."""
+    drop = MobileDrop(np.array([[x, y]]), np.full(1, 1.5), np.zeros(1))
+    return link_budget(ScenarioConfig(f_c_ghz=60.0), generate_layout(200.0), drop,
+                       np.zeros((1, 19)), ShadowDraws())
+
+
+def test_hand_case_on_boresight_at_the_tilt_angle():
+    # 8.5 m below a 10 m BS, at d_2D = 8.5 / tan 12 deg on sector 0's 30 degree
+    # boresight of the centre site, the station sits at theta = 102 degrees,
+    # the electrical tilt: sector 0 sends its peak gain
+    d2d = 8.5 / math.tan(math.radians(12.0))
+    assert abs(d2d - 39.989) < 1e-3
+    budget = _hand_budget(d2d * math.cos(math.radians(30.0)), d2d * math.sin(math.radians(30.0)))
+    assert abs(budget["d_2d"][0, 0] - d2d) < 1e-9
+    assert abs(budget["d_3d"][0, 0] - math.hypot(d2d, 8.5)) < 1e-9
+    assert abs(math.degrees(math.acos(-8.5 / math.hypot(d2d, 8.5))) - 102.0) < 1e-9
+    assert abs(budget["g_tx"][0, 0] - 17.6) < 1e-9
+
+
+def test_hand_case_behind_the_site():
+    # 60 m from the centre site at azimuth 210 degrees, phi = 180 off sector
+    # 0's boresight: A_H = 12 (180 / 70)^2 alone passes A_m, so the gain is
+    # g_max - A_m
+    az = math.radians(210.0)
+    budget = _hand_budget(60.0 * math.cos(az), 60.0 * math.sin(az))
+    assert abs(budget["d_2d"][0, 0] - 60.0) < 1e-9
+    assert budget["g_tx"][0, 0] == 17.6 - 25.0
+
+
+def test_hand_case_just_past_a_wrap_edge():
+    # (490, 0) m lies 90 m outward from ring-2 site (400, 0), beyond the
+    # cluster's edge: the centre site's nearest image is then its wrap copy
+    # at (800, 200 sqrt 3) m, not the site itself 490 m away
+    copy_x, copy_y = 800.0, 200.0 * math.sqrt(3.0)
+    d2d = math.hypot(490.0 - copy_x, 0.0 - copy_y)
+    assert abs(d2d - math.hypot(310.0, 200.0 * math.sqrt(3.0))) < 1e-12
+    assert abs(d2d - 464.87) < 1e-2
+    budget = _hand_budget(490.0, 0.0)
+    assert abs(budget["d_2d"][0, 0] - d2d) < 1e-9
+    disp, _ = wrap_displacements(generate_layout(200.0), np.array([[490.0, 0.0]]))
+    assert abs(disp[0, 0, 0] - (490.0 - copy_x)) < 1e-9
+    assert abs(disp[1, 0, 0] - (0.0 - copy_y)) < 1e-9
+    # the centre site's three sectors see the station from the copy's side
+    theta = math.degrees(math.acos(-8.5 / math.hypot(d2d, 8.5)))
+    azimuth = math.degrees(math.atan2(0.0 - copy_y, 490.0 - copy_x))
+    for k, boresight in enumerate((30.0, 150.0, 270.0)):
+        phi = (azimuth - boresight + 180.0) % 360.0 - 180.0
+        assert abs(budget["g_tx"][0, k] - _hand_gain(theta, phi)) < 1e-9, k
 
 
 def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
@@ -1067,6 +1128,9 @@ def test_public_names_resolve_once():
                  "classify_regime", "wrap_displacement", "ms_gain", "Site", "Sector"):
         assert not hasattr(mmwsim, gone) and not hasattr(engine, gone), gone
     assert not hasattr(ScenarioConfig, "validate")  # a config is checked as it is built
+    # the CL_SNR=0 rule lives on RunResult.noise_limited, the floor in height_m
+    assert not hasattr(metrics, "NOISE_LIMITED") and not hasattr(metrics, "INTERFERENCE_LIMITED")
+    assert MobileDrop._fields == ("xy", "height_m", "indoor_depth_m")
 
 
 def test_sweep_degenerate_equals_run():
@@ -1079,16 +1143,27 @@ def test_sweep_degenerate_equals_run():
     assert np.array_equal(entry.result.gm_cdf.samples, direct.gm_cdf.samples)
 
 
-def test_sweep_scheme_pairs_share_seeds():
+def test_sweep_scheme_pairs_share_seeds(tmp_path):
     base = small(n_drops=2, f_c_ghz=2.0)
-    entries = run_sweep(base, [2.0, 30.0], ["scaled", "constant"])
-    a, b = entries[:2]
-    assert a.result.config.seed == b.result.config.seed
-    assert np.array_equal(a.result.gm_cdf.samples, b.result.gm_cdf.samples)
-    # every carrier and scheme runs at the base seed, on the same drops
-    for e in entries:
-        assert e.result.config.seed == base.seed
-        assert e.result.drop_seeds == a.result.drop_seeds
+    for workers in (1, 2):
+        entries = run_sweep(base, [2.0, 30.0], ["scaled", "constant"], workers=workers)
+        a, b = entries[:2]
+        assert a.result.config.seed == b.result.config.seed
+        assert np.array_equal(a.result.gm_cdf.samples, b.result.gm_cdf.samples)
+        # every carrier and scheme runs at the base seed, on the same drops
+        for e in entries:
+            assert e.result.config.seed == base.seed
+            assert e.result.drop_seeds == a.result.drop_seeds
+        # at 30 GHz the schemes' powers differ (58 against 44 dBm): CL, which
+        # no power enters, is the same bits; GM, where power meets noise, is not
+        scaled, constant = (e.result for e in entries[2:])
+        assert (scaled.power.p_tx_dbm, constant.power.p_tx_dbm) == (58.0, 44.0)
+        assert scaled.serving_cl.tobytes() == constant.serving_cl.tobytes()
+        saved = [save_results(res, tmp_path / f"{workers}_{res.config.power_scheme}")[0]
+                 for res in (scaled, constant)]
+        assert saved[0].name == "cl_cdf.csv"
+        assert saved[0].read_bytes() == saved[1].read_bytes()
+        assert not np.array_equal(scaled.gm, constant.gm)
 
 
 def test_sweep_continues_past_failure():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import associate, empirical_cdf, geometry_metric
+from mmwsim import (RunResult, ScenarioConfig, associate, empirical_cdf, geometry_metric,
+                    power_allocation)
 
 
 def test_geometry_metric_example():
@@ -148,19 +149,29 @@ def test_percentile_domain():
         cdf.percentile(1.5)
 
 
+def _record(serving_cl):
+    """A hand-built run record of these serving CLs, its CL_SNR=0 threshold
+    at -135.99 dB."""
+    config = ScenarioConfig()
+    power = power_allocation(config.power_scheme, config.f_c_ghz)
+    serving_cl = np.asarray(serving_cl, dtype=float)
+    return RunResult(config, power, -135.99 + power.p_tx_dbm, -135.99,
+                     serving_cl, np.zeros_like(serving_cl), None)
+
+
 def test_classify_regime():
-    cl = np.array([[-140.0, -150.0], [-120.0, -150.0], [-135.99, -150.0]])
-    serving, serving_cl, noise_limited = associate(cl, -135.99)
+    res = _record([-140.0, -120.0, -135.99])
     # noise-limited below the threshold, interference-limited above it
-    assert noise_limited.tolist()[:2] == [True, False]
+    assert res.noise_limited.tolist()[:2] == [True, False]
     # boundary goes to interference-limited
-    assert not noise_limited[2]
+    assert not res.noise_limited[2]
+    assert res.regime_fractions == {"noise_limited": 1 / 3, "interference_limited": 1 - 1 / 3}
 
 
 def test_associate_serving_record():
     cl = np.full((1, 57), -150.0)
     cl[0, 17] = -140.0
-    serving, serving_cl, noise_limited = associate(cl, -135.99)
+    serving, serving_cl = associate(cl)
     assert serving[0] == 17
     assert serving_cl[0] == -140.0
-    assert noise_limited[0]
+    assert _record(serving_cl).noise_limited[0]

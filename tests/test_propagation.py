@@ -267,8 +267,7 @@ def budget_at(cfg, xy, los_u, depth=0.0, draws=ShadowDraws()):
     1 every link NLoS."""
     n = len(xy)
     drop = MobileDrop(np.asarray(xy, dtype=float), np.full(n, 1.5),
-                      np.broadcast_to(np.asarray(depth, dtype=float), (n,)),
-                      np.ones(n, dtype=int))
+                      np.broadcast_to(np.asarray(depth, dtype=float), (n,)))
     return link_budget(cfg, DEP, drop,
                        np.broadcast_to(np.asarray(los_u, dtype=float), (n, 19)), draws)
 
