@@ -7,17 +7,17 @@ transmit-power allocation.
 """
 
 from .antenna import AntennaPattern, sector_gain
+from .checks import ConfigError
 from .deployment import (Deployment, MobileDrop, drop_mobiles, generate_layout,
                          in_footprint, wrap_displacements)
 from .engine import (DeploymentParams, RunResult, ScenarioConfig, SweepEntry,
                      link_budget, load_config, run_scenario, run_sweep, save_results)
-from .errors import ConfigError, FrequencyRangeWarning
 from .linkbudget import (PowerAllocation, associate, cl_snr0_threshold, coupling_loss,
                          noise_power, power_allocation)
 from .metrics import CdfSeries, empirical_cdf, geometry_metric
-from .propagation import (PropagationParams, ShadowDraws, draw_shadows, fspl,
-                          los_probability, material_loss, o2i_loss, oxygen_absorption,
-                          pl_los_ci, pl_nlos_abg)
+from .propagation import (FrequencyRangeWarning, PropagationParams, ShadowDraws,
+                          draw_shadows, fspl, los_probability, material_loss, o2i_loss,
+                          oxygen_absorption, pl_los_ci, pl_nlos_abg)
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,10 @@
-"""The rules a scenario config's values must meet: each field's type by its
-annotation and each number's range by the field's dotted name, applied by one
-walker, ``check_fields``, the environment by ``check_environment``, the power
-scheme by ``check_power`` and a carrier's table key by ``carrier_key``.  Each
-config block checks itself with them as it is built (``check_block``, which
-also stores a numpy number as a Python one); ``generate_layout``,
-``drop_mobiles`` and ``power_allocation`` check their bare values the same way."""
+"""The rules a scenario config's values must meet, and ``ConfigError``: each
+field's type by its annotation and each number's range by the field's dotted
+name, applied by one walker, ``check_fields``, the environment by
+``check_environment`` and a carrier's key in the power and oxygen tables by
+``carrier_key``.  Each config block checks itself with them as it is built
+(``check_block``, which also stores a numpy number as a Python one);
+``generate_layout`` and ``drop_mobiles`` check their bare values the same way."""
 
 from __future__ import annotations
 
@@ -13,7 +13,10 @@ import math
 import numbers
 import sys
 
-from .errors import ConfigError
+
+class ConfigError(ValueError):
+    """Invalid scenario or model configuration; message names the offending field."""
+
 
 # Bound on the dB settings that reach 10 ** (x / 10): far inside the float
 # range (overflow near 3,080 dB), far outside any physical setting.
@@ -84,27 +87,9 @@ FIELD_TYPES = {
 }
 
 
-#: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
-BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
-SCALED_PTX_DBM = {2.0: 44.0, 10.0: 55.8, 30.0: 58.0, 60.0: 61.0, 100.0: 64.0}
-
-
 def carrier_key(table, f_c_ghz):
     """The key of ``table`` (carriers in GHz) within 1e-9 GHz of ``f_c_ghz``, or None."""
     return next((k for k in table if abs(f_c_ghz - k) < 1e-9), None)
-
-
-def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
-    """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier off the
-    table without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``; its table key or None."""
-    if scheme not in ("scaled", "constant"):
-        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
-    key = carrier_key(BANDWIDTH_HZ, f_c_ghz)
-    if key is None and bandwidth_hz is None:
-        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set bandwidth_hz")
-    if key is None and tx_power_dbm is None and scheme == "scaled":
-        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set tx_power_dbm")
-    return key
 
 
 def check_environment(environment):

@@ -7,9 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checks import BANDWIDTH_HZ
+from .checks import ConfigError
 from .engine import load_config, run_scenario, run_sweep, save_results
-from .errors import ConfigError
+from .linkbudget import BANDWIDTH_HZ
 
 
 def _parse_floats(text: str) -> list[float]:

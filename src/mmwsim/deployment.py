@@ -8,8 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_block, check_environment, check_fields
-from .errors import ConfigError
+from .checks import ConfigError, check_block, check_environment, check_fields
 
 # Axial (i, j) lattice coordinates of the 19-site cluster: centre, ring 1, ring 2.
 _SITE_COORDS = (

@@ -28,9 +28,9 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, check_block, check_environment, check_fields, check_power
+from .checks import PAIR, ConfigError, check_block, check_environment, check_fields
 from .deployment import DeploymentParams
-from .errors import ConfigError
+from .linkbudget import check_power
 from .metrics import CdfSeries
 from .propagation import PropagationParams
 

@@ -1,4 +1,6 @@
-"""Per-link budget: power allocation, noise, coupling loss and cell association."""
+"""Per-link budget: the paper's two power allocation schemes (``scaled``, per
+carrier from ``BANDWIDTH_HZ`` and ``SCALED_PTX_DBM``, and ``constant``, at
+``CONSTANT_PTX_DBM``), noise, coupling loss and cell association."""
 
 from __future__ import annotations
 
@@ -6,11 +8,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import BANDWIDTH_HZ, SCALED_PTX_DBM, check_power
+from .checks import ConfigError, carrier_key
 
+#: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
+BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
+SCALED_PTX_DBM = {2.0: 44.0, 10.0: 55.8, 30.0: 58.0, 60.0: 61.0, 100.0: 64.0}
 CONSTANT_PTX_DBM = 44.0
 
 NOISE_DENSITY_DBM_HZ = -174.0
+
+
+def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
+    """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier off the
+    table without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``; its table key or None."""
+    if scheme not in ("scaled", "constant"):
+        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
+    key = carrier_key(BANDWIDTH_HZ, f_c_ghz)
+    if key is None and bandwidth_hz is None:
+        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set bandwidth_hz")
+    if key is None and tx_power_dbm is None and scheme == "scaled":
+        raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set tx_power_dbm")
+    return key
 
 
 @dataclass(frozen=True)

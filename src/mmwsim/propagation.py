@@ -4,8 +4,8 @@ Implements the close-in (CI) line-of-sight path loss, the alpha-beta-gamma
 (ABG) non-line-of-sight path loss, a distance-based LoS probability,
 composite outdoor-to-indoor penetration loss and oxygen absorption, each
 with its log-normal shadow term.  All functions accept scalars or numpy
-arrays, take the carrier in GHz (``f_c_ghz``) and return dB values.
-"""
+arrays, take the carrier in GHz (``f_c_ghz``) and return dB values; the
+path-loss models warn with ``FrequencyRangeWarning`` outside 0.5-100 GHz."""
 
 from __future__ import annotations
 
@@ -15,13 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import carrier_key, check_block
-from .errors import ConfigError, FrequencyRangeWarning
+from .checks import ConfigError, carrier_key, check_block
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 #: validity range of the path-loss models, in GHz
 FREQ_VALID_GHZ = (0.5, 100.0)
+
+
+class FrequencyRangeWarning(UserWarning):
+    """Carrier frequency outside the 0.5-100 GHz validity range of the path-loss models."""
+
 
 #: the 60 GHz oxygen absorption complex, in GHz, where delta(f) is large
 #: throughout (ITU-R P.676); ``PropagationParams.check_carrier`` reads it

@@ -3,6 +3,7 @@ import concurrent.futures
 import copy
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -1131,6 +1132,12 @@ def test_public_names_resolve_once():
     # the CL_SNR=0 rule lives on RunResult.noise_limited, the floor in height_m
     assert not hasattr(metrics, "NOISE_LIMITED") and not hasattr(metrics, "INTERFERENCE_LIMITED")
     assert MobileDrop._fields == ("xy", "height_m", "indoor_depth_m")
+    # both power schemes live in linkbudget; each exception type with its rules
+    assert importlib.util.find_spec("mmwsim.errors") is None
+    assert mmwsim.ConfigError is checks.ConfigError
+    assert mmwsim.FrequencyRangeWarning is propagation.FrequencyRangeWarning
+    for name in ("BANDWIDTH_HZ", "SCALED_PTX_DBM", "check_power"):
+        assert not hasattr(checks, name) and hasattr(linkbudget, name), name
 
 
 def test_sweep_degenerate_equals_run():

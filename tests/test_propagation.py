@@ -50,6 +50,8 @@ def test_ci_los_values():
 def test_ci_los_reference_distance_error():
     with pytest.raises(ValueError):
         pl_los_ci(30.0, 0.5)
+    with pytest.raises(ValueError, match="^d_m below the 1 m reference distance$"):
+        pl_nlos_abg(30.0, 0.5)
 
 
 def test_abg_nlos_values():
@@ -112,6 +114,10 @@ def test_material_loss():
     assert_allclose(material_loss("irr_glass", 0.0), 23.0, atol=1e-12)
     with pytest.raises(ValueError):
         material_loss("wood", 28.0)
+    with pytest.raises(ValueError, match="^f_c_ghz must be non-negative$"):
+        material_loss("glass", -1.0)
+    with pytest.raises(ValueError, match="^d_2d_in_m must be non-negative$"):
+        o2i_loss(28.0, -1.0)
 
 
 def test_o2i_values():
@@ -221,7 +227,8 @@ def test_every_stage_takes_the_carrier_in_ghz():
             if "f_c_ghz" in params:
                 takes_carrier.add(name)
     assert takes_carrier == {"fspl", "pl_los_ci", "pl_nlos_abg", "material_loss",
-                             "o2i_loss", "oxygen_absorption", "power_allocation"}
+                             "o2i_loss", "oxygen_absorption", "power_allocation",
+                             "check_power"}
 
 
 def test_shadow_draw_statistics():
