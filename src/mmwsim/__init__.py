@@ -8,8 +8,7 @@ transmit-power allocation.
 
 from .antenna import AntennaPattern, sector_gain
 from .checks import ConfigError
-from .deployment import (Deployment, MobileDrop, drop_mobiles, generate_layout,
-                         in_footprint, wrap_displacements)
+from .deployment import MobileDrop, drop_mobiles, in_footprint, wrap_displacements
 from .engine import (DeploymentParams, RunResult, ScenarioConfig, SweepEntry,
                      link_budget, load_config, run_scenario, run_sweep, save_results)
 from .linkbudget import (PowerAllocation, associate, cl_snr0_threshold, coupling_loss,
@@ -22,14 +21,13 @@ from .propagation import (FrequencyRangeWarning, PropagationParams, ShadowDraws,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaPattern", "CdfSeries", "ConfigError", "Deployment",
-    "DeploymentParams", "FrequencyRangeWarning", "MobileDrop", "PowerAllocation",
+    "AntennaPattern", "CdfSeries", "ConfigError", "DeploymentParams",
+    "FrequencyRangeWarning", "MobileDrop", "PowerAllocation",
     "PropagationParams", "RunResult", "ScenarioConfig", "ShadowDraws",
     "SweepEntry", "associate", "cl_snr0_threshold", "coupling_loss",
-    "draw_shadows", "drop_mobiles", "empirical_cdf", "fspl", "generate_layout",
-    "geometry_metric", "in_footprint", "link_budget", "load_config",
-    "los_probability", "material_loss", "noise_power", "o2i_loss",
-    "oxygen_absorption", "pl_los_ci", "pl_nlos_abg", "power_allocation",
-    "run_scenario", "run_sweep", "save_results", "sector_gain",
-    "wrap_displacements",
+    "draw_shadows", "drop_mobiles", "empirical_cdf", "fspl", "geometry_metric",
+    "in_footprint", "link_budget", "load_config", "los_probability",
+    "material_loss", "noise_power", "o2i_loss", "oxygen_absorption",
+    "pl_los_ci", "pl_nlos_abg", "power_allocation", "run_scenario", "run_sweep",
+    "save_results", "sector_gain", "wrap_displacements",
 ]

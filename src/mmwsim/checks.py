@@ -3,8 +3,10 @@ field's type by its annotation and each number's range by the field's dotted
 name, applied by one walker, ``check_fields``, the environment by
 ``check_environment`` and a carrier's key in the power and oxygen tables by
 ``carrier_key``.  Each config block checks itself with them as it is built
-(``check_block``, which also stores a numpy number as a Python one);
-``generate_layout`` and ``drop_mobiles`` check their bare values the same way."""
+(``check_block``, which also stores a numpy number as a Python one), so the
+``deployment`` block that ``drop_mobiles`` and ``wrap_displacements`` take is
+checked once; ``drop_mobiles`` checks its environment with
+``check_environment``, and the engine its ``workers`` with ``_is_int``."""
 
 from __future__ import annotations
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import ConfigError, check_block, check_environment, check_fields
+from .checks import ConfigError, check_block, check_environment
 
 # Axial (i, j) lattice coordinates of the 19-site cluster: centre, ring 1, ring 2.
 _SITE_COORDS = (
@@ -29,7 +30,20 @@ STOREY_HEIGHT_M = 3.0  # floor f of a building stands (f - 1) storeys up
 
 @dataclass(frozen=True)
 class DeploymentParams:
-    """Layout and drop geometry knobs."""
+    """The 19-site cluster and the drop geometry.
+
+    Sites sit on a hex lattice with nearest-neighbour spacing ``isd_m``: the
+    centre site at the origin, six ring-1 sites at ``isd_m`` and twelve
+    ring-2 sites at ``sqrt(3) * isd_m`` and ``2 * isd_m``.  Site ``i`` sits
+    at ``site_xy[i]`` and carries sectors ``3i``, ``3i + 1`` and ``3i + 2``,
+    whose boresights are ``SECTOR_BORESIGHTS_DEG``.  ``wrap_vectors`` are the
+    six wrap-around translations ``(6, 2)`` that tile the plane with copies
+    of the cluster, in metres.  Both arrays are read-only and built once per
+    block, on first use; copies and pickles carry the fields only.
+    """
+
+    n_sites = len(_SITE_COORDS)
+    n_sectors = 3 * len(_SITE_COORDS)
 
     isd_m: float = 200.0
     bs_height_m: float = 10.0
@@ -48,6 +62,17 @@ class DeploymentParams:
                 f"isd_m/sqrt(3) = {circumradius:g} m, got {self.min_distance_m}")
         if not 1 <= self.floor_count_min <= self.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy 1 <= min <= max")
+
+    @functools.cached_property
+    def site_xy(self) -> np.ndarray:
+        return _lattice_array(_SITE_COORDS, self.isd_m)
+
+    @functools.cached_property
+    def wrap_vectors(self) -> np.ndarray:
+        return _lattice_array(_WRAP_COORDS, self.isd_m)
+
+    def __getstate__(self):  # the fields: a copy builds its own read-only lattice
+        return {k: v for k, v in vars(self).items() if k not in ("site_xy", "wrap_vectors")}
 
     def check_drop(self, environment: str, ms_per_sector: int) -> None:
         """Refuse drops that ``drop_mobiles`` cannot make within its round budget, or
@@ -79,53 +104,19 @@ class MobileDrop(NamedTuple):
     indoor_depth_m: np.ndarray  # (n,) d_2D-in; 0 for outdoor stations
 
 
-@dataclass(frozen=True, eq=False)  # array fields: compare them with np.array_equal
-class Deployment:
-    """The 19-site cluster as arrays.
-
-    Site ``i`` sits at ``site_xy[i]`` and carries sectors ``3i``, ``3i + 1``
-    and ``3i + 2``, whose boresights are ``SECTOR_BORESIGHTS_DEG``.
-    ``wrap_vectors`` are the six wrap-around translations ``(6, 2)`` of the
-    cluster, in metres.  It holds the lattice only: ``link_budget`` reads
-    the BS height from the run's config.
-    """
-
-    site_xy: np.ndarray  # (n_sites, 2) site positions in metres
-    isd_m: float
-    wrap_vectors: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_xy)
-
-    @property
-    def n_sectors(self) -> int:
-        return 3 * self.n_sites
-
-
 def _lattice_xy(i, j, isd_m: float):
     # basis a = isd * (1, 0), b = isd * (1/2, sqrt(3)/2); i, j scalars or arrays
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
-def generate_layout(isd_m: float) -> Deployment:
-    """Build the 19-site hexagonal cluster with three sectors per site.
-
-    Sites sit on a hex lattice with nearest-neighbour spacing ``isd_m``:
-    the centre site at the origin, six ring-1 sites at ``isd_m`` and twelve
-    ring-2 sites at ``sqrt(3) * isd_m`` and ``2 * isd_m``.  Sector boresights
-    point at 30, 150 and 270 degrees.  The six wrap-around translation
-    vectors tile the plane with copies of the cluster.  The BS height is no
-    part of the layout: ``link_budget`` reads ``config.deployment.bs_height_m``.
-    ``isd_m`` is checked as a config's ``deployment.isd_m`` is.
-    """
-    check_fields(DeploymentParams, {"isd_m": isd_m}, "deployment.")
-    sites = np.array([_lattice_xy(i, j, isd_m) for i, j in _SITE_COORDS])
-    wrap = np.array([_lattice_xy(i, j, isd_m) for i, j in _WRAP_COORDS])
-    return Deployment(site_xy=sites, isd_m=isd_m, wrap_vectors=wrap)
+def _lattice_array(coords, isd_m: float) -> np.ndarray:
+    """The read-only ``(len(coords), 2)`` positions of axial ``coords``."""
+    xy = np.array([_lattice_xy(i, j, isd_m) for i, j in coords])
+    xy.flags.writeable = False
+    return xy
 
 
-def wrap_displacements(deployment: Deployment, ms_xy: np.ndarray):
+def wrap_displacements(deployment: DeploymentParams, ms_xy: np.ndarray):
     """Minimum-norm wrap-around displacements for all site/station pairs.
 
     Parameters
@@ -172,7 +163,7 @@ def _axial_cells(points, isd_m: float):
     return i, np.where(~fix_i & (dj > dk), -i - k, j)
 
 
-def in_footprint(points, deployment: Deployment) -> np.ndarray:
+def in_footprint(points, deployment: DeploymentParams) -> np.ndarray:
     """True for points inside the 19 cells: the cube-rounded cell ``(i, j)`` of
     the nearest site has ``|i|, |j|, |i + j| <= 2``.  Points on an edge between
     two of the cells are inside; points on the outer boundary may round either way."""
@@ -213,7 +204,7 @@ def _expected_sample_rounds(isd_m: float, min_distance_m: float, ms_per_sector: 
     return rounds
 
 
-def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
+def _sample_positions(deployment: DeploymentParams, count: int,
                       rng: np.random.Generator) -> np.ndarray:
     margin = deployment.isd_m / math.sqrt(3.0)  # hex circumradius
     lo, hi = deployment.site_xy.min(axis=0) - margin, deployment.site_xy.max(axis=0) + margin
@@ -226,25 +217,21 @@ def _sample_positions(deployment: Deployment, count: int, min_distance_m: float,
         i, j = _axial_cells(pts, deployment.isd_m)
         site_x, site_y = _lattice_xy(i, j, deployment.isd_m)  # same bits as site_xy
         dx, dy = pts[:, 0] - site_x, pts[:, 1] - site_y
-        out = np.concatenate([out, pts[np.sqrt(dx * dx + dy * dy) >= min_distance_m]])
+        out = np.concatenate([out, pts[np.sqrt(dx * dx + dy * dy) >= deployment.min_distance_m]])
         if len(out) >= count:
             return out[:count]
     raise ConfigError(
-        f"min_distance_m={min_distance_m:g} leaves too little of the footprint: "
+        f"min_distance_m={deployment.min_distance_m:g} leaves too little of the footprint: "
         f"{len(out)} of {count} stations placed in {_MAX_SAMPLE_ROUNDS} sampling rounds "
         f"(the cell circumradius is {margin:g} m)")
 
 
-def drop_mobiles(deployment: Deployment, environment: str, count: int,
-                 rng: np.random.Generator,
-                 params: DeploymentParams = DeploymentParams()) -> MobileDrop:
-    """Drop stations uniformly over the cluster footprint.
+def drop_mobiles(deployment: DeploymentParams, environment: str, count: int,
+                 rng: np.random.Generator) -> MobileDrop:
+    """Drop stations uniformly over the cluster footprint of ``deployment``.
 
-    ``params`` gives the drop geometry; its ``isd_m`` and ``bs_height_m``
-    are not read, as ``deployment`` fixes the layout and ``link_budget``
-    reads the BS height.  Positions are rejection-sampled over the union
-    of the 19 cells, keeping at least ``min_distance_m`` horizontal
-    clearance from every site.  For
+    Positions are rejection-sampled over the union of the 19 cells, keeping
+    at least ``min_distance_m`` horizontal clearance from every site.  For
     ``environment="indoor"`` each station draws a building floor count
     uniformly in {floor_count_min..floor_count_max}, its floor uniformly
     within the building, and an in-building depth uniform on
@@ -258,11 +245,13 @@ def drop_mobiles(deployment: Deployment, environment: str, count: int,
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
 
-    xy = _sample_positions(deployment, count, params.min_distance_m, rng)
+    xy = _sample_positions(deployment, count, rng)
     if environment == "outdoor":
-        return MobileDrop(xy, np.full(count, params.ms_height_m, dtype=float), np.zeros(count))
+        return MobileDrop(xy, np.full(count, deployment.ms_height_m, dtype=float),
+                          np.zeros(count))
 
-    n_floors = rng.integers(params.floor_count_min, params.floor_count_max + 1, size=count)
+    n_floors = rng.integers(deployment.floor_count_min, deployment.floor_count_max + 1,
+                            size=count)
     floor = rng.integers(1, n_floors + 1)
-    depth = rng.uniform(0.0, params.indoor_depth_max_m, size=count)
-    return MobileDrop(xy, STOREY_HEIGHT_M * (floor - 1) + params.ms_height_m, depth)
+    depth = rng.uniform(0.0, deployment.indoor_depth_max_m, size=count)
+    return MobileDrop(xy, STOREY_HEIGHT_M * (floor - 1) + deployment.ms_height_m, depth)

@@ -28,7 +28,7 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, ConfigError, check_block, check_environment, check_fields
+from .checks import PAIR, ConfigError, _is_int, check_block, check_environment, check_fields
 from .deployment import DeploymentParams
 from .linkbudget import check_power
 from .metrics import CdfSeries
@@ -195,12 +195,12 @@ def drop_seed_id(seed: int, drop_index: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
+def link_budget(config: ScenarioConfig, drop, los_u, draws) -> dict:
     """Every link-budget term of one drop: a pure function of the stations,
     the ``(n, n_sites)`` LoS uniforms ``los_u`` and the shadow ``draws``.
 
-    ``dep`` gives only the site lattice; every setting, the BS height and
-    the propagation constants included, is read from ``config``.
+    Every setting, the site lattice and BS height of ``config.deployment``
+    and the propagation constants included, is read from ``config``.
 
     A link is LoS where ``los_u`` is below ``los_probability`` of d_2D-out;
     indoor links add O2I loss over the in-building depth clipped to d_2D;
@@ -216,12 +216,12 @@ def link_budget(config: ScenarioConfig, dep, drop, los_u, draws) -> dict:
     ``g_tx`` and CL are copied once each to their ``3i + k`` columns on
     return; each element goes through the same operations either way.
     """
-    f_c, params = config.f_c_ghz, config.propagation
+    f_c, params, dep = config.f_c_ghz, config.propagation, config.deployment
     disp, d2d = deployment_mod.wrap_displacements(dep, drop.xy)  # (2, n, s), (n, s)
     is_los = los_u < propagation.los_probability(
         np.maximum(d2d - drop.indoor_depth_m[:, None], 0.0))
 
-    dz = drop.height_m[:, None] - config.deployment.bs_height_m
+    dz = drop.height_m[:, None] - dep.bs_height_m
     d3d = np.hypot(d2d, dz)
     pl = np.where(is_los,
                   propagation.pl_los_ci(f_c, d3d, draws.x_los_db, params),
@@ -291,7 +291,7 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
     """Write one drop of ``run`` into the run's own rows of its record: the
     serving CL and GM of each station and, if the run collects them, its
     ``link_budget`` terms, each at the shape ``link_budget`` returns.  The
-    site lattice is ``generate_layout`` of the config's ``isd_m``.
+    stations are ``drop_mobiles`` of the config's ``deployment`` block.
 
     The stations and shadow terms are drawn for the whole drop, each on its
     own substream.  The link budget, association, GM and the finite checks
@@ -309,10 +309,10 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
     non-finite CL, then GM, so a run's error is its first failing drop's.
     """
     config = run.config
-    dep = deployment_mod.generate_layout(config.deployment.isd_m)
+    dep = config.deployment
     count = config.ms_per_sector * dep.n_sectors
     drop = deployment_mod.drop_mobiles(dep, config.environment, count,
-                                       _stream(config.seed, drop_index, 0), config.deployment)
+                                       _stream(config.seed, drop_index, 0))
     los_rng = _stream(config.seed, drop_index, 1)
     draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), (count, dep.n_sites),
                                      config.propagation, o2i=config.environment == "indoor")
@@ -323,7 +323,7 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
         rows = slice(lo, hi)  # basic slices: views, no copies
         block_draws = replace(draws, **{name: value[rows] for name, value
                                         in vars(draws).items() if np.ndim(value)})
-        budget = link_budget(config, dep, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
+        budget = link_budget(config, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
                              los_rng.uniform(size=(hi - lo, dep.n_sites)), block_draws)
         cl = budget["coupling_loss"]
         if not np.isfinite(cl).all():
@@ -397,7 +397,7 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> RunResult:
     """The record of a run of ``config``: the power, noise and threshold that
     all its drops share, and the arrays they fill (a ``ConfigError`` if too large)."""
     _pin_heap_thresholds()
-    dep = deployment_mod.generate_layout(config.deployment.isd_m)
+    dep = config.deployment
     power = linkbudget.power_allocation(config.power_scheme, config.f_c_ghz,
                                         config.bandwidth_hz, config.tx_power_dbm)
     noise_total = float(linkbudget.noise_power(power.bandwidth_hz, config.noise_figure_db))
@@ -440,7 +440,10 @@ def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
     ``KeyboardInterrupt``, cancels the queued drops and joins the pool's
     threads before it propagates.  The pool class is looked up as
     ``concurrent.futures.ThreadPoolExecutor`` when the pool is built.
+    A ``workers`` that is not a positive integer is a ``ConfigError``.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     pool = None
     if workers > 1:
         # imported here: it loads logging, which a one-worker run never needs
@@ -507,6 +510,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     ``"ExceptionType: message"`` and the sweep continues; the entries,
     their results and their errors are the same at any worker count.
     """
+    for name, value in (("frequencies", frequencies), ("schemes", schemes)):
+        if isinstance(value, str):
+            raise ConfigError(f"{name} must be a list, not the string {value!r}")
     frequencies, schemes = list(frequencies), list(schemes)
     if not frequencies or not schemes:
         raise ConfigError("frequencies and schemes must be non-empty")

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from mmwsim import (ScenarioConfig, drop_mobiles, empirical_cdf, fspl,
-                    generate_layout, geometry_metric, noise_power, o2i_loss,
+from mmwsim import (DeploymentParams, ScenarioConfig, drop_mobiles, empirical_cdf, fspl,
+                    geometry_metric, noise_power, o2i_loss,
                     oxygen_absorption, pl_nlos_abg, run_scenario,
                     save_results, wrap_displacements)
 
@@ -47,7 +47,7 @@ def test_criterion_01_deterministic_oracles():
 def test_criterion_02_abg_frequency_slope():
     # expected value from the slope identity itself: 21.3 * log10(50)
     expected = 21.3 * math.log10(50.0)
-    dep = generate_layout(200.0)
+    dep = DeploymentParams()
     drop = drop_mobiles(dep, "outdoor", 570, np.random.default_rng(ACCEPT_SEED))
     _, d2d = wrap_displacements(dep, drop.xy)
     d3d = np.hypot(d2d, 1.5 - 10.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mmwsim import (AntennaPattern, ScenarioConfig, drop_mobiles, generate_layout, run_scenario,
+from mmwsim import (AntennaPattern, DeploymentParams, ScenarioConfig, drop_mobiles, run_scenario,
                     sector_gain, wrap_displacements)
 from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
@@ -103,7 +103,7 @@ def _minimum_rule_gain(pattern, theta, phi):
 def test_sector_gain_bit_identical_to_minimum_rule():
     # the angles of a 600-station drop, at the shapes a drop's link budget
     # passes: theta (n, 19) against phi (3, n, 19)
-    dep = generate_layout(200.0)
+    dep = DeploymentParams()
     drop = drop_mobiles(dep, "indoor", 600, np.random.default_rng(11))
     disp, d2d = wrap_displacements(dep, drop.xy)
     dz = drop.height_m[:, None] - ScenarioConfig().deployment.bs_height_m

@@ -1,9 +1,14 @@
 import collections
+import copy
 import inspect
 import itertools
 import math
+import pickle
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mmwsim import (AntennaPattern, ConfigError, DeploymentParams, MobileDrop,
                     PropagationParams, ScenarioConfig, ShadowDraws, coupling_loss,
-                    deployment, drop_mobiles, engine, generate_layout, in_footprint,
+                    deployment, drop_mobiles, engine, in_footprint,
                     link_budget, wrap_displacements)
 from mmwsim.deployment import SECTOR_BORESIGHTS_DEG
 
@@ -20,7 +25,7 @@ ISD = 200.0
 
 @pytest.fixture(scope="module")
 def dep():
-    return generate_layout(ISD)
+    return DeploymentParams(isd_m=ISD)
 
 
 def test_layout_counts(dep):
@@ -60,7 +65,7 @@ def test_boresights_and_downtilt(dep):
     az = np.radians(SECTOR_BORESIGHTS_DEG)
     xy = dep.site_xy[4] + 30.0 * np.stack([np.cos(az), np.sin(az)], axis=1)
     drop = MobileDrop(xy, np.full(3, 1.5), np.zeros(3))
-    budget = link_budget(cfg, dep, drop, np.zeros((3, 19)), ShadowDraws())
+    budget = link_budget(cfg, drop, np.zeros((3, 19)), ShadowDraws())
     cl = budget["coupling_loss"]
     assert cl.shape == (3, 57)
     assert list(np.argmax(cl, axis=1)) == [12, 13, 14]
@@ -80,24 +85,81 @@ def test_wrap_vector_magnitude(dep):
 
 
 def test_layout_deterministic(dep):
-    other = generate_layout(ISD)
+    other = DeploymentParams(isd_m=ISD)
     assert_array_equal(other.site_xy, dep.site_xy)
     assert_array_equal(other.wrap_vectors, dep.wrap_vectors)
     assert other.isd_m == dep.isd_m
 
 
+def test_lattice_is_read_only(dep):
+    for array in (dep.site_xy, dep.wrap_vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    assert dep.site_xy[0, 0] == 0.0
+
+
+def test_configs_replaced_from_one_base_share_one_lattice(monkeypatch):
+    base = ScenarioConfig(n_drops=1, ms_per_sector=1)
+    other = replace(base, f_c_ghz=60.0, power_scheme="constant")
+    assert other.deployment.site_xy is base.deployment.site_xy
+    assert other.deployment.wrap_vectors is base.deployment.wrap_vectors
+    # so the 10 runs of a 5 x 2 sweep build the lattice once: one site and
+    # one wrap array
+    built = []
+    real = deployment._lattice_array
+    monkeypatch.setattr(deployment, "_lattice_array",
+                        lambda *args: built.append(args) or real(*args))
+    fresh = ScenarioConfig(n_drops=1, ms_per_sector=1)
+    entries = engine.run_sweep(fresh, [2.0, 10.0, 30.0, 60.0, 100.0], ["scaled", "constant"])
+    assert [e.error for e in entries] == [None] * 10
+    assert [coords for coords, _ in built] == [deployment._SITE_COORDS,
+                                               deployment._WRAP_COORDS]
+
+
+def test_lattice_first_built_on_many_threads_reads_the_same(dep):
+    # a run builds its block's lattice on first use, on whichever drop worker
+    # gets there first: more threads than cores, switching as often as they can
+    block = DeploymentParams(isd_m=ISD)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = list(pool.map(lambda _: (block.site_xy, block.wrap_vectors), range(64),
+                                 timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for site_xy, wrap_vectors in seen:
+        assert np.array_equal(site_xy, dep.site_xy) and not site_xy.flags.writeable
+        assert np.array_equal(wrap_vectors, dep.wrap_vectors)
+        assert not wrap_vectors.flags.writeable
+
+
+def test_copies_and_pickles_keep_the_config():
+    cfg = ScenarioConfig(deployment=DeploymentParams(isd_m=150.0))
+    site_xy = cfg.deployment.site_xy  # built before the copies are made
+    for clone in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert clone == cfg and hash(clone) == hash(cfg)
+        assert clone.deployment == cfg.deployment
+        assert hash(clone.deployment) == hash(cfg.deployment)
+        assert_array_equal(clone.deployment.site_xy, site_xy)
+        assert_array_equal(clone.deployment.wrap_vectors, cfg.deployment.wrap_vectors)
+        assert not clone.deployment.site_xy.flags.writeable
+        assert not clone.deployment.wrap_vectors.flags.writeable
+    assert clone.to_dict() == cfg.to_dict()
+
+
 def test_invalid_isd():
     with pytest.raises(ConfigError):
-        generate_layout(0.0)
+        DeploymentParams(isd_m=0.0)
     with pytest.raises(ConfigError):
-        generate_layout(-5.0)
+        DeploymentParams(isd_m=-5.0)
 
 
 @pytest.mark.parametrize("isd", [float("inf"), float("nan"), 0, 2.0e6])
 def test_layout_checks_isd_as_the_config_does(isd):
     # inf used to give a layout of infinite coordinates
     with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
-        generate_layout(isd)
+        DeploymentParams(isd_m=isd)
     with pytest.raises(ConfigError, match=r"^deployment\.isd_m must "):
         ScenarioConfig(deployment=DeploymentParams(isd_m=isd, min_distance_m=0.0))
 
@@ -213,8 +275,8 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
     disp, _ = wrap_displacements(dep, ms)
     assert np.array_equal(disp[:, :, 0].T, ms)  # the site itself wins
     # two neighbouring images tie on integer wrap vectors (halves are exact)
-    idep = replace(dep, wrap_vectors=tuple((float(round(x)), float(round(y)))
-                                           for x, y in dep.wrap_vectors))
+    idep = SimpleNamespace(site_xy=dep.site_xy, n_sites=dep.n_sites,
+                           wrap_vectors=np.round(dep.wrap_vectors))
     iv = np.asarray(idep.wrap_vectors)
     ms = (iv + np.roll(iv, -1, axis=0)) / 2.0  # between images k+1 and k+2 (mod 6)
     _, _, norms = _argmin_wrap_displacements(idep, ms)
@@ -247,7 +309,7 @@ def _projection_in_footprint(pts, dep):
 
 @pytest.mark.parametrize("isd", [200.0, 173.2])
 def test_in_footprint_matches_projection_rule(isd):
-    d = generate_layout(isd)
+    d = DeploymentParams(isd_m=isd)
     rng = np.random.default_rng(int(isd * 10))
     pts = rng.uniform(-3.5 * isd, 3.5 * isd, size=(1_000_000, 2))
     got = in_footprint(pts, d)
@@ -271,7 +333,7 @@ def _cell_edges_and_vertices(d):
 
 @pytest.mark.parametrize("isd", [200.0, 173.2])
 def test_in_footprint_edges_and_vertices(isd):
-    d = generate_layout(isd)
+    d = DeploymentParams(isd_m=isd)
     assert in_footprint(d.site_xy, d).all()
 
     def is_site(xy):
@@ -322,7 +384,7 @@ def _reference_sample_positions(dep, count, min_distance_m, rng):
 def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     want = _reference_sample_positions(dep, count, min_distance_m, np.random.default_rng(seed))
     params = DeploymentParams(min_distance_m=min_distance_m)
-    got = drop_mobiles(dep, "outdoor", count, np.random.default_rng(seed), params)
+    got = drop_mobiles(params, "outdoor", count, np.random.default_rng(seed))
     assert np.array_equal(got.xy, want)
     # indoor draws follow the positions on the same generator
     rng = np.random.default_rng(seed)
@@ -330,7 +392,7 @@ def test_drop_matches_reference_sampler(dep, count, min_distance_m, seed):
     n_floors = rng.integers(4, 9, size=count)
     floor = rng.integers(1, n_floors + 1)
     depth = rng.uniform(0.0, 25.0, size=count)
-    got = drop_mobiles(dep, "indoor", count, np.random.default_rng(seed), params)
+    got = drop_mobiles(params, "indoor", count, np.random.default_rng(seed))
     assert np.array_equal(got.xy, want)
     assert np.array_equal(_floors(got), floor)
     assert np.array_equal(got.indoor_depth_m, depth)

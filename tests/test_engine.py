@@ -9,6 +9,7 @@ import math
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ import mmwsim
 import mmwsim.engine as engine
 from mmwsim import checks, linkbudget, metrics, propagation
 from mmwsim import (AntennaPattern, ConfigError, MobileDrop, PropagationParams,
-                    ScenarioConfig, ShadowDraws, drop_mobiles, generate_layout, in_footprint,
+                    ScenarioConfig, ShadowDraws, drop_mobiles, in_footprint,
                     link_budget, load_config, los_probability, run_scenario, run_sweep,
                     save_results, sector_gain, wrap_displacements)
 from mmwsim.deployment import _MAX_SAMPLE_ROUNDS, SECTOR_BORESIGHTS_DEG, _expected_sample_rounds
@@ -281,7 +282,10 @@ def test_documented_configs_load(tmp_path):
     configs = sorted((root / "configs").glob("*.yaml"))
     assert configs
     for path in [*configs, example]:
-        load_config(path)
+        # each runs and saves, at one drop of 57 stations
+        result = run_scenario(replace(load_config(path), n_drops=1, ms_per_sector=1))
+        assert result.cl_cdf.n == 57 and np.isfinite(result.gm).all(), path
+        assert len(save_results(result, tmp_path / path.stem)) == 3, path
 
 
 def test_every_config_field_has_a_rule_and_every_range_a_field():
@@ -798,8 +802,8 @@ def test_infeasible_min_distance_raises():
     # is far enough from its site: the sampler's round budget stops a direct
     # call instead of looping for ever
     with pytest.raises(ConfigError, match="sampling rounds"):
-        drop_mobiles(generate_layout(200.0), "outdoor", 57, np.random.default_rng(0),
-                     DeploymentParams(min_distance_m=115.4))
+        drop_mobiles(DeploymentParams(min_distance_m=115.4), "outdoor", 57,
+                     np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -876,7 +880,7 @@ def test_first_failing_drop_decides_the_error(monkeypatch, workers):
 def test_sampling_acceptance_matches_closed_form():
     # count the share of the sampler's box it keeps on uniform points, and run
     # the sampler's average schedule on it, for 57 stations
-    dep = generate_layout(200.0)
+    dep = DeploymentParams()
     margin = 200.0 / np.sqrt(3.0)
     lo, hi = dep.site_xy.min(axis=0) - margin, dep.site_xy.max(axis=0) + margin
     pts = np.random.default_rng(5).uniform(lo, hi, size=(1_000_000, 2))
@@ -908,7 +912,7 @@ def test_near_infeasible_min_distance_is_refused_by_expected_rounds():
 
 def test_azimuth_wrap_matches_mod_rule():
     cfg = small(f_c_ghz=60.0)
-    dep = generate_layout(200.0)
+    dep = cfg.deployment
     s = dep.site_xy[4]
     # with y = 180 - (azimuth - boresight): due west of site 4 (y = 30 for
     # the 30-degree sector), due north (y = 360 for 270), just south of due
@@ -930,7 +934,7 @@ def test_azimuth_wrap_matches_mod_rule():
     assert 629.0 < y[2, 4, 2] < 630.0
     want = sector_gain(cfg.antenna, theta[:, :, None], 180.0 - np.mod(y, 360.0))
 
-    budget = link_budget(cfg, dep, drop, np.zeros((n, 19)), ShadowDraws())
+    budget = link_budget(cfg, drop, np.zeros((n, 19)), ShadowDraws())
     assert np.array_equal(budget["g_tx"], want.reshape(n, -1))
 
 
@@ -940,11 +944,11 @@ def test_sector_layout_matches_station_site_sector_composition(environment):
     # must equal, bit for bit, the (n, n_sites, 3) composition of the
     # public stages, flattened so that column 3i + k is sector k of site i
     cfg = small(f_c_ghz=60.0, environment=environment, ms_gain_dbi=2.0, g_sm_db=1.5)
-    dep, rng = generate_layout(200.0), np.random.default_rng(8)
-    drop = drop_mobiles(dep, environment, 600, rng, cfg.deployment)
+    dep, rng = cfg.deployment, np.random.default_rng(8)
+    drop = drop_mobiles(dep, environment, 600, rng)
     draws = propagation.draw_shadows(rng, (600, 19), cfg.propagation,
                                      o2i=environment == "indoor")
-    budget = link_budget(cfg, dep, drop, rng.uniform(size=(600, 19)), draws)
+    budget = link_budget(cfg, drop, rng.uniform(size=(600, 19)), draws)
 
     disp, d2d = wrap_displacements(dep, drop.xy)
     dz = drop.height_m[:, None] - cfg.deployment.bs_height_m
@@ -968,8 +972,8 @@ def test_wrapped_cluster_maps_onto_itself_under_a_120_degree_rotation(environmen
     # (boresights 30 -> 150 -> 270 -> 30): with each link's LoS uniform and
     # shadows carried to its image, every link term and station follows
     cfg = small(f_c_ghz=60.0, environment=environment)
-    dep, rng = generate_layout(200.0), np.random.default_rng(120)
-    drop = drop_mobiles(dep, environment, 570, rng, cfg.deployment)
+    dep, rng = cfg.deployment, np.random.default_rng(120)
+    drop = drop_mobiles(dep, environment, 570, rng)
     los_u = rng.uniform(size=(570, 19))
     draws = propagation.draw_shadows(rng, (570, 19), cfg.propagation,
                                      o2i=environment == "indoor")
@@ -984,11 +988,11 @@ def test_wrapped_cluster_maps_onto_itself_under_a_120_degree_rotation(environmen
         out[:, sigma] = per_site
         return out
 
-    rotated = link_budget(cfg, dep, MobileDrop(drop.xy @ rotation.T, *drop[1:]),
+    rotated = link_budget(cfg, MobileDrop(drop.xy @ rotation.T, *drop[1:]),
                           carried(los_u), ShadowDraws(**{
                               name: carried(value) if np.ndim(value) else value
                               for name, value in vars(draws).items()}))
-    budget = link_budget(cfg, dep, drop, los_u, draws)
+    budget = link_budget(cfg, drop, los_u, draws)
     sectors = np.array([3 * sigma[i] + (k + 1) % 3 for i in range(19) for k in range(3)])
     assert_allclose(rotated["coupling_loss"][:, sectors], budget["coupling_loss"],
                     rtol=0.0, atol=1e-9)
@@ -1015,7 +1019,7 @@ def _hand_budget(x, y):
     """``link_budget`` of one 1.5 m outdoor station at (x, y) m, default 60 GHz
     config, every link LoS and no shadowing."""
     drop = MobileDrop(np.array([[x, y]]), np.full(1, 1.5), np.zeros(1))
-    return link_budget(ScenarioConfig(f_c_ghz=60.0), generate_layout(200.0), drop,
+    return link_budget(ScenarioConfig(f_c_ghz=60.0), drop,
                        np.zeros((1, 19)), ShadowDraws())
 
 
@@ -1052,7 +1056,7 @@ def test_hand_case_just_past_a_wrap_edge():
     assert abs(d2d - 464.87) < 1e-2
     budget = _hand_budget(490.0, 0.0)
     assert abs(budget["d_2d"][0, 0] - d2d) < 1e-9
-    disp, _ = wrap_displacements(generate_layout(200.0), np.array([[490.0, 0.0]]))
+    disp, _ = wrap_displacements(DeploymentParams(), np.array([[490.0, 0.0]]))
     assert abs(disp[0, 0, 0] - (490.0 - copy_x)) < 1e-9
     assert abs(disp[1, 0, 0] - (0.0 - copy_y)) < 1e-9
     # the centre site's three sectors see the station from the copy's side
@@ -1064,14 +1068,14 @@ def test_hand_case_just_past_a_wrap_edge():
 
 
 def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
-    dep = generate_layout(200.0)
+    dep = DeploymentParams()
     drop = drop_mobiles(dep, "outdoor", 57, np.random.default_rng(5))
     los_u = np.zeros((57, 19))
     # within 1e-9 GHz of 60 GHz both the power table and oxygen apply ...
     near = ScenarioConfig(f_c_ghz=60.0 + 5e-10)
     alloc = linkbudget.power_allocation("scaled", near.f_c_ghz)
     assert (alloc.bandwidth_hz, alloc.p_tx_dbm) == (1e9, 61.0)
-    budget = link_budget(near, dep, drop, los_u, ShadowDraws())
+    budget = link_budget(near, drop, los_u, ShadowDraws())
     assert np.array_equal(budget["l_oa"], 15.0 * budget["d_3d"] / 1000.0)
     # ... and 5e-7 GHz off neither does: a carrier off the power table finds
     # no oxygen key either, so inside the oxygen complex a config refuses it
@@ -1088,10 +1092,10 @@ def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
 def test_link_budget_returns_each_term_at_its_links_shape(environment):
     # per-site terms (n, n_sites) and per-sector terms (n, n_sectors), the
     # shapes of RunResult.links, so that a drop writes them as they are
-    dep, rng = generate_layout(200.0), np.random.default_rng(2)
+    dep, rng = DeploymentParams(), np.random.default_rng(2)
     drop = drop_mobiles(dep, environment, 60, rng)
     draws = propagation.draw_shadows(rng, (60, 19), o2i=environment == "indoor")
-    budget = link_budget(small(environment=environment), dep, drop,
+    budget = link_budget(small(environment=environment), drop,
                          rng.uniform(size=(60, 19)), draws)
     assert {key: value.shape for key, value in budget.items()} == {
         **dict.fromkeys(_SITE_TERMS, (60, 19)), "g_tx": (60, 57), "coupling_loss": (60, 57)}
@@ -1138,6 +1142,9 @@ def test_public_names_resolve_once():
     assert mmwsim.FrequencyRangeWarning is propagation.FrequencyRangeWarning
     for name in ("BANDWIDTH_HZ", "SCALED_PTX_DBM", "check_power"):
         assert not hasattr(checks, name) and hasattr(linkbudget, name), name
+    # the config's deployment block is the cluster: no second layout object
+    for gone in ("Deployment", "generate_layout"):
+        assert not hasattr(mmwsim, gone) and not hasattr(mmwsim.deployment, gone), gone
 
 
 def test_sweep_degenerate_equals_run():
@@ -1185,6 +1192,27 @@ def test_sweep_continues_past_failure():
 def test_sweep_requires_nonempty_lists():
     with pytest.raises(ConfigError):
         run_sweep(small(), [], ["scaled"])
+
+
+@pytest.mark.parametrize("frequencies, schemes, name", [
+    ([60.0], "scaled", "schemes"), ("60", ["scaled"], "frequencies")])
+def test_sweep_refuses_a_bare_string(frequencies, schemes, name):
+    # "scaled" used to run as six schemes, one per character, each failing
+    with pytest.raises(ConfigError, match=f"^{name} must be a list, not the string "):
+        run_sweep(small(n_drops=1), frequencies, schemes)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True, "2", None])
+def test_api_refuses_workers_that_are_not_positive_integers(workers):
+    # 0, -2, 1.5 and True used to run, and "2" to raise a raw TypeError
+    cfg = small(n_drops=1, ms_per_sector=1)
+    message = f"^workers must be a positive integer, got {re.escape(repr(workers))}$"
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(cfg, workers=workers)
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(cfg, [30.0], ["scaled"], workers=workers)
+    # a numpy integer counts as an integer, as in a config
+    assert run_scenario(cfg, workers=np.int64(2)).gm.shape == (57,)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400,
@@ -1483,10 +1511,10 @@ def test_block_sizes_are_near_equal_and_cover_the_drop(monkeypatch):
     sizes = []
     real = engine.link_budget
 
-    def recording(config, dep, drop, los_u, draws):
+    def recording(config, drop, los_u, draws):
         sizes.append(len(drop.xy))
         assert los_u.shape == draws.x_los_db.shape == (len(drop.xy), 19)
-        return real(config, dep, drop, los_u, draws)
+        return real(config, drop, los_u, draws)
 
     monkeypatch.setattr(engine, "link_budget", recording)
     cap = engine._BLOCK_STATIONS

@@ -6,14 +6,15 @@ model as README and the stage docstrings state it, and compared with what
 The oracle's inputs are the run's own: the stations, LoS uniforms and
 shadows of drop 0, redrawn from the engine's named substreams as the drop
 draws them (positions 0, LoS uniforms 1, shadows 2), and the site lattice of
-``generate_layout``.  Everything computed from them is the oracle's own.
+the config's ``deployment`` block.  Everything computed from them is the
+oracle's own.
 """
 
 import math
 
 import pytest
 
-from mmwsim import ScenarioConfig, associate, drop_mobiles, generate_layout, run_scenario
+from mmwsim import ScenarioConfig, associate, drop_mobiles, run_scenario
 from mmwsim.engine import _stream
 
 TOL = 1e-9  # dB, m and degrees alike
@@ -124,9 +125,9 @@ def test_drop_matches_the_documented_model(environment, f_ghz, seed):
     res = run_scenario(config, collect_links=True)
     links = res.links
 
-    dep = generate_layout(config.deployment.isd_m)
+    dep = config.deployment
     count = config.ms_per_sector * dep.n_sectors
-    drop = drop_mobiles(dep, environment, count, _stream(seed, 0, 0), config.deployment)
+    drop = drop_mobiles(dep, environment, count, _stream(seed, 0, 0))
     los_u = _stream(seed, 0, 1).uniform(size=(count, dep.n_sites))
     shadow_rng, params = _stream(seed, 0, 2), config.propagation
     # draw_shadows' documented order: LoS, NLoS, then the O2I pair indoors only

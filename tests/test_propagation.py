@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from mmwsim import linkbudget, propagation
 from mmwsim import (DeploymentParams, FrequencyRangeWarning, MobileDrop, PropagationParams,
-                    ScenarioConfig, ShadowDraws, draw_shadows, fspl, generate_layout,
+                    ScenarioConfig, ShadowDraws, draw_shadows, fspl,
                     link_budget, los_probability, material_loss, o2i_loss,
                     oxygen_absorption, pl_los_ci, pl_nlos_abg)
 
@@ -265,9 +265,6 @@ def test_outdoor_shadow_draw_skips_only_the_o2i_terms():
     assert outdoor.x_o2i_low_db == 0.0 and outdoor.x_o2i_high_db == 0.0
 
 
-DEP = generate_layout(200.0)
-
-
 def budget_at(cfg, xy, los_u, depth=0.0, draws=ShadowDraws()):
     """link_budget of stations at ``xy`` (1.5 m high, floor 1, in-building
     depth ``depth``) with LoS uniforms ``los_u``: 0 makes every link LoS,
@@ -275,7 +272,7 @@ def budget_at(cfg, xy, los_u, depth=0.0, draws=ShadowDraws()):
     n = len(xy)
     drop = MobileDrop(np.asarray(xy, dtype=float), np.full(n, 1.5),
                       np.broadcast_to(np.asarray(depth, dtype=float), (n,)))
-    return link_budget(cfg, DEP, drop,
+    return link_budget(cfg, drop,
                        np.broadcast_to(np.asarray(los_u, dtype=float), (n, 19)), draws)
 
 
