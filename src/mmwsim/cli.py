@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,14 +79,16 @@ def main(argv=None) -> int:
         outdir = Path(args.output)
 
         if args.command == "run":
+            t0 = time.perf_counter()
             result = run_scenario(config, workers=args.workers,
                                   collect_links=args.links)
+            runtime_s = time.perf_counter() - t0
             written = save_results(result, outdir)
             print(f"run f_c={config.f_c_ghz:g} GHz {config.power_scheme} "
                   f"{config.environment}: {result.cl_cdf.n} samples, "
                   f"median CL {result.cl_cdf.median():.2f} dB, "
                   f"median GM {result.gm_cdf.median():.2f} dB "
-                  f"({result.runtime_s:.2f}s)")
+                  f"({runtime_s:.2f}s)")
             for path in written:
                 print(f"  wrote {path}")
             return 0

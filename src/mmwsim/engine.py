@@ -17,7 +17,6 @@ import json
 import os
 import stat
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -120,9 +119,9 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass(eq=False)  # array fields: compare them with np.array_equal
 class RunResult:
-    """The one record of a scenario run: ``_setup_run`` builds it, the
-    drops write into it, and ``_finish_run`` sets ``cl_cdf``, ``gm_cdf`` and
-    ``runtime_s`` once every drop is in.
+    """The one record of a scenario run: ``_setup_run`` builds it and the
+    drops write into it.  ``cl_cdf`` and ``gm_cdf`` are the CDFs of
+    ``serving_cl`` and ``gm``, each formed once, on its first read.
 
     ``serving_cl`` and ``gm`` hold each station's serving CL and GM,
     ``(n_drops * count,)`` in drop-major order (station ``s`` of drop ``d``
@@ -135,9 +134,7 @@ class RunResult:
     sector ``k`` of site ``i``.  The other ``links.csv`` columns are
     derived: ``ms_id`` is the row, ``sector_id`` the column's sector,
     ``g_sm`` is ``config.g_sm_db`` and ``p_rx`` is ``coupling_loss +
-    power.p_tx_dbm``.  ``runtime_s`` runs from the start of the run's setup
-    to the end of its finish; a sweep sets up every run at its start, so
-    there it runs from the sweep's start, at any worker count.
+    power.p_tx_dbm``.
     """
 
     config: ScenarioConfig
@@ -147,9 +144,14 @@ class RunResult:
     serving_cl: np.ndarray
     gm: np.ndarray
     links: dict[str, np.ndarray] | None
-    cl_cdf: CdfSeries | None = None
-    gm_cdf: CdfSeries | None = None
-    runtime_s: float | None = None
+
+    @functools.cached_property
+    def cl_cdf(self) -> CdfSeries:
+        return metrics.empirical_cdf(self.serving_cl)
+
+    @functools.cached_property
+    def gm_cdf(self) -> CdfSeries:
+        return metrics.empirical_cdf(self.gm)
 
     @property
     def drop_seeds(self) -> list[int]:
@@ -169,9 +171,9 @@ class RunResult:
 
 @dataclass(eq=False)  # holds a RunResult
 class SweepEntry:
-    """One (carrier, scheme) run of a sweep: its ``result``, equal to that of
-    ``run_scenario`` on the base config at this carrier and scheme, or the
-    ``error`` it failed with."""
+    """One (carrier, scheme) run of a sweep: its ``result``, equal field for
+    field and in its CDFs to that of ``run_scenario`` on the base config at
+    this carrier and scheme, or the ``error`` it failed with."""
 
     f_c_ghz: float
     scheme: str
@@ -414,32 +416,23 @@ def _setup_run(config: ScenarioConfig, collect_links: bool) -> RunResult:
     return RunResult(config, power, noise_total, threshold, *arrays, links)
 
 
-def _finish_run(run: RunResult, drops, t0: float) -> RunResult:
-    """Wait for ``drops``, the run's drops in drop order, and set the CDFs of
-    the arrays they filled and the run's time since ``t0``."""
-    collections.deque(drops, maxlen=0)
-    run.cl_cdf = metrics.empirical_cdf(run.serving_cl)
-    run.gm_cdf = metrics.empirical_cdf(run.gm)
-    run.runtime_s = time.perf_counter() - t0
-    return run
-
-
 def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
     """Build and run each config of ``make_configs``, zero-argument callables,
     as one scenario; ``(RunResult, None)`` or ``(None, exception)`` per
     config, in order.
 
-    Every run is set up first.  With ``workers > 1`` the drops of all runs
-    then go, in (run, drop) order, to one pool of ``workers`` threads, and
-    the runs are finished in order while the workers go on with later
-    drops; with one worker no pool is made and each run's drops are
-    simulated as it is finished.  An exception in a run's config, setup,
-    drops or finish fails that run only and cancels its drops not yet
-    started.  Each drop draws from its own substreams, so results and errors
-    are the same at any worker count.  Anything else that escapes, such as a
-    ``KeyboardInterrupt``, cancels the queued drops and joins the pool's
-    threads before it propagates.  The pool class is looked up as
-    ``concurrent.futures.ThreadPoolExecutor`` when the pool is built.
+    Every run is set up first, and its drops made one ``map`` of
+    ``_simulate_drop`` over its drop indices: the builtin ``map`` at one
+    worker, which simulates each drop as the run is drained, and at more the
+    ``map`` of one pool of ``workers`` threads, which queues the drops of all
+    runs in (run, drop) order as they are mapped.  Each run is then drained
+    in drop order.  An exception in a run's config, setup or drops fails
+    that run only; its ``map`` stops there, and the pool's cancels the run's
+    drops not yet started.  Each drop draws from its own substreams, so
+    results and errors are the same at any worker count.  Anything else that
+    escapes, such as a ``KeyboardInterrupt``, cancels the queued drops and
+    joins the pool's threads before it propagates.  The pool class is looked
+    up as ``concurrent.futures.ThreadPoolExecutor`` when the pool is built.
     A ``workers`` that is not a positive integer is a ``ConfigError``.
     """
     if not _is_int(workers) or workers < 1:
@@ -450,33 +443,27 @@ def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
         import concurrent.futures
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     try:
-        started = collections.deque()  # (run or setup error, setup start, drop futures)
+        started = collections.deque()  # (run, its drops) or (None, setup error)
         for make_config in make_configs:
             try:
-                config = make_config()
-                t0 = time.perf_counter()
-                run = _setup_run(config, collect_links)
+                run = _setup_run(make_config(), collect_links)
             except Exception as exc:  # reported per run
-                started.append((exc, None, []))
+                started.append((None, exc))
                 continue
-            # _simulate_drop is looked up at submit or call time
-            started.append((run, t0, [] if pool is None else
-                            [pool.submit(_simulate_drop, run, d)
-                             for d in range(run.config.n_drops)]))
+            # _simulate_drop is looked up here, as the run's drops are mapped
+            started.append((run, (map if pool is None else pool.map)(
+                functools.partial(_simulate_drop, run), range(run.config.n_drops))))
         outcomes = []
         while started:
-            # popped, so each run's futures are freed once it is finished
-            run, t0, futures = started.popleft()
-            if isinstance(run, Exception):
-                outcomes.append((None, run))
+            # popped, so each run's futures are freed once it is drained
+            run, drops = started.popleft()
+            if run is None:
+                outcomes.append((None, drops))
                 continue
-            drops = ((f.result() for f in futures) if pool is not None else
-                     (_simulate_drop(run, d) for d in range(run.config.n_drops)))
             try:
-                outcomes.append((_finish_run(run, drops, t0), None))
+                collections.deque(drops, maxlen=0)
+                outcomes.append((run, None))
             except Exception as exc:  # reported per run
-                for f in futures:
-                    f.cancel()
                 outcomes.append((None, exc))
         return outcomes
     finally:
@@ -486,7 +473,8 @@ def _run_all(make_configs, workers: int, collect_links: bool) -> list[tuple]:
 
 def run_scenario(config: ScenarioConfig, workers: int = 1,
                  collect_links: bool = False) -> RunResult:
-    """Run all drops of one scenario and aggregate CL and GM CDFs.
+    """Run all drops of one scenario; its CL and GM CDFs are formed from the
+    stations' rows on first read (``RunResult``).
 
     ``workers`` threads simulate the drops (``_run_all``); any worker count
     yields bit-identical results.  Raises what the run raised.
@@ -503,12 +491,12 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
 
     Each run is the base config at one carrier and scheme, at the base
     seed, so all runs are on the same drops and each entry's result equals
-    ``run_scenario`` of its config but for ``runtime_s``.  The runs go, in
-    (carrier, scheme) order, through the same scheduler as ``run_scenario``
-    (``_run_all``), so at more than one worker the drops of all runs share
-    one pool.  A failing run is recorded in its entry as
-    ``"ExceptionType: message"`` and the sweep continues; the entries,
-    their results and their errors are the same at any worker count.
+    ``run_scenario`` of its config.  The runs go, in (carrier, scheme)
+    order, through the same scheduler as ``run_scenario`` (``_run_all``),
+    so at more than one worker the drops of all runs share one pool.  A
+    failing run is recorded in its entry as ``"ExceptionType: message"``
+    and the sweep continues; the entries, their results and their errors
+    are the same at any worker count.
     """
     for name, value in (("frequencies", frequencies), ("schemes", schemes)):
         if isinstance(value, str):

@@ -1,11 +1,13 @@
 import json
 import time
+import types
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+import mmwsim.cli as cli
 from mmwsim.cli import main
 
 
@@ -31,6 +33,18 @@ def test_run_command(tmp_path, capsys):
         assert (out / name).exists()
     assert not (out / "links.csv").exists()
     assert "median CL" in capsys.readouterr().out
+
+
+def test_run_prints_the_seconds_of_its_own_clock(tmp_path, capsys, monkeypatch):
+    # the clock is read around run_scenario, and only there
+    clock = iter([100.0, 103.25])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    cfg = write_config(tmp_path, n_drops=1)
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("run f_c=30 GHz scaled outdoor: 570 samples, median CL ")
+    assert first.endswith(" dB (3.25s)")
+    assert next(clock, None) is None
 
 
 def test_run_links_flag(tmp_path):

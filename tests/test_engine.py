@@ -1121,7 +1121,8 @@ def test_every_benchmark_stage_is_called_through_its_module(monkeypatch):
         module, name = stage.split(".")
         module = importlib.import_module(f"mmwsim.{module}")
         monkeypatch.setattr(module, name, counting(stage, getattr(module, name)))
-    run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=1))
+    res = run_scenario(small(f_c_ghz=60.0, environment="indoor", n_drops=1))
+    assert res.cl_cdf.n == res.gm_cdf.n == 570  # the CDFs are formed on first read
     assert [s for s, n in calls.items() if n == 0] == []
 
 
@@ -1282,17 +1283,17 @@ def test_sweep_checks_the_base_seed(seed):
 
 
 def _assert_same_run(a, b):
-    """Every field of two RunResults equal, arrays bit for bit, but runtime_s,
-    and the drop seeds and regime fractions they derive."""
+    """Every field of two RunResults equal, arrays bit for bit, and the CDFs,
+    drop seeds and regime fractions they derive."""
     for f in dataclasses.fields(engine.RunResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, CdfSeries):
-            x, y = x.samples, y.samples
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-        elif isinstance(x, np.ndarray):
+        if isinstance(x, np.ndarray):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
-        elif f.name != "runtime_s":
+        else:
             assert x == y, f.name
+    for name in ("cl_cdf", "gm_cdf"):
+        x, y = getattr(a, name).samples, getattr(b, name).samples
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert a.drop_seeds == b.drop_seeds
     assert a.regime_fractions == b.regime_fractions
 
@@ -1407,7 +1408,8 @@ def test_sweep_interrupt_cancels_queued_drops_and_joins_the_pool(monkeypatch):
     assert len(calls) <= 1 + 2 * workers, calls
 
 
-def test_sweep_run_that_fails_cancels_its_queued_drops(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_run_that_fails_cancels_its_queued_drops(monkeypatch, workers):
     real, calls = engine._simulate_drop, []
 
     def failing(run, drop_index):
@@ -1419,14 +1421,18 @@ def test_sweep_run_that_fails_cancels_its_queued_drops(monkeypatch):
         return real(run, drop_index)
 
     monkeypatch.setattr(engine, "_simulate_drop", failing)
-    workers = 2
     failed, ok = run_sweep(small(n_drops=8, ms_per_sector=1), [2.0], ["scaled", "constant"],
                            workers=workers)
     assert failed.error == "RuntimeError: drop 0 failed" and ok.error is None
     assert sorted(d for scheme, d in calls if scheme == "constant") == list(range(8))
     # of the failed run's 8 drops, only those a worker took before the
-    # failure reached the sweep ran; the queued ones were cancelled
-    assert len([d for scheme, d in calls if scheme == "scaled"]) <= 1 + 2 * workers, calls
+    # failure reached the sweep ran; the queued ones were cancelled.  One
+    # worker's builtin map runs a drop only as the run is drained
+    scaled = [d for scheme, d in calls if scheme == "scaled"]
+    if workers == 1:
+        assert scaled == [0], calls
+    else:
+        assert len(scaled) <= 1 + 2 * workers, calls
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1505,6 +1511,28 @@ def test_run_keeps_each_stations_serving_cl_and_gm_in_drop_order(workers):
     cl = res.links["coupling_loss"]
     serving_cl = cl[np.arange(len(cl)), cl.argmax(axis=1)]
     assert res.serving_cl.tobytes() == serving_cl.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cdfs_are_formed_once_from_the_rows(monkeypatch, tmp_path, workers):
+    # perfbench's pinned empirical_cdf samples (runs x 2 x stations) count
+    # the two CDFs of each run once, however often they are read
+    real, sizes = metrics.empirical_cdf, []
+
+    def counting(samples):
+        sizes.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(metrics, "empirical_cdf", counting)
+    res = run_scenario(small(n_drops=2, ms_per_sector=2), workers=workers)
+    assert sizes == []  # no CDF is formed until it is read
+    save_results(res, tmp_path)
+    assert sizes == [2 * 2 * 57] * 2
+    for series, rows in ((res.cl_cdf, res.serving_cl), (res.gm_cdf, res.gm)):
+        assert series.samples.dtype == rows.dtype
+        assert series.samples.tobytes() == np.sort(rows).tobytes()
+    assert res.cl_cdf is res.cl_cdf and res.gm_cdf is res.gm_cdf
+    assert len(sizes) == 2
 
 
 def test_block_sizes_are_near_equal_and_cover_the_drop(monkeypatch):

@@ -23,8 +23,10 @@ LOS_TIE = 1e-12  # a LoS uniform this near its probability decides no state
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BS_HEIGHT_M = 10.0
 BORESIGHTS_DEG = (30.0, 150.0, 270.0)  # sector k of site i is column 3i + k
-# README's carrier table: (bandwidth Hz, scaled-scheme P_Tx dBm)
+# README's carrier table: (bandwidth Hz, scaled-scheme P_Tx dBm); the
+# constant scheme transmits CONSTANT_PTX_DBM at every carrier
 CARRIERS = {2.0: (20e6, 44.0), 60.0: (1000e6, 61.0), 100.0: (2000e6, 64.0)}
+CONSTANT_PTX_DBM = 44.0
 OXYGEN_DB_PER_KM = {60.0: 15.0}
 NOISE_FIGURE_DB = 9.0
 G_RX_DBI = 0.0  # stations are single-element
@@ -122,6 +124,32 @@ CASES = [("outdoor", 60.0), ("indoor", 60.0), ("outdoor", 2.0), ("indoor", 100.0
 def test_drop_matches_the_documented_model(environment, f_ghz, seed):
     config = ScenarioConfig(f_c_ghz=f_ghz, environment=environment, n_drops=1,
                             ms_per_sector=2, seed=seed)
+    check_drop_0(config, *CARRIERS[f_ghz])
+
+
+# off the table, the power is the config's own; the constant scheme keeps the
+# table's bandwidth and transmits CONSTANT_PTX_DBM, so GM meets another P_Tx
+# and noise than the scaled scheme's at the same carrier
+POWER_CASES = [
+    ("indoor", 28.0, "scaled", dict(bandwidth_hz=850e6, tx_power_dbm=57.5), 850e6, 57.5),
+    ("outdoor", 60.0, "constant", {}, CARRIERS[60.0][0], CONSTANT_PTX_DBM),
+    ("indoor", 60.0, "constant", {}, CARRIERS[60.0][0], CONSTANT_PTX_DBM),
+]
+
+
+@pytest.mark.parametrize("environment,f_ghz,scheme,settings,bandwidth,p_tx", POWER_CASES,
+                         ids=["indoor-28-off-table", "outdoor-60-constant", "indoor-60-constant"])
+def test_drop_matches_the_documented_model_at_its_power(environment, f_ghz, scheme, settings,
+                                                        bandwidth, p_tx):
+    config = ScenarioConfig(f_c_ghz=f_ghz, power_scheme=scheme, environment=environment,
+                            n_drops=1, ms_per_sector=2, seed=3, **settings)
+    check_drop_0(config, bandwidth, p_tx)
+
+
+def check_drop_0(config, bandwidth, p_tx):
+    """Drop 0 of ``config``'s run, every link term, serving sector and GM,
+    against the oracle's, at the oracle's ``bandwidth`` (Hz) and ``p_tx`` (dBm)."""
+    environment, f_ghz, seed = config.environment, config.f_c_ghz, config.seed
     res = run_scenario(config, collect_links=True)
     links = res.links
 
@@ -146,7 +174,6 @@ def test_drop_matches_the_documented_model(environment, f_ghz, seed):
     print(f"{environment} {f_ghz:g} GHz seed {seed}: {skipped} of "
           f"{count * dep.n_sites} pairs skipped (LoS uniform within {LOS_TIE:g})")
 
-    bandwidth, p_tx = CARRIERS[f_ghz]
     noise_dbm = -174.0 + 10.0 * math.log10(bandwidth) + NOISE_FIGURE_DB
     worst = dict.fromkeys(("d_2d", "d_3d", "pl", "l_o2i", "l_oa", "g_tx",
                            "coupling_loss", "serving_cl", "gm"), 0.0)
