@@ -117,7 +117,7 @@ def main(argv=None) -> int:
             print(f"{failures} of {len(entries)} sweep runs failed", file=sys.stderr)
             return 3
         return 0
-    except (ConfigError, OSError, RuntimeError) as exc:
+    except (ConfigError, MemoryError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ class DeploymentParams:
     whose boresights are ``SECTOR_BORESIGHTS_DEG``.  ``wrap_vectors`` are the
     six wrap-around translations ``(6, 2)`` that tile the plane with copies
     of the cluster, in metres.  Both arrays are read-only and built once per
-    block, on first use; copies and pickles carry the fields only.
+    ISD, on first use: every block of one ISD shares them.
     """
 
     n_sites = len(_SITE_COORDS)
@@ -63,16 +63,13 @@ class DeploymentParams:
         if not 1 <= self.floor_count_min <= self.floor_count_max:
             raise ConfigError("deployment.floor_count_min/max must satisfy 1 <= min <= max")
 
-    @functools.cached_property
+    @property
     def site_xy(self) -> np.ndarray:
-        return _lattice_array(_SITE_COORDS, self.isd_m)
+        return _lattice(self.isd_m)[0]
 
-    @functools.cached_property
+    @property
     def wrap_vectors(self) -> np.ndarray:
-        return _lattice_array(_WRAP_COORDS, self.isd_m)
-
-    def __getstate__(self):  # the fields: a copy builds its own read-only lattice
-        return {k: v for k, v in vars(self).items() if k not in ("site_xy", "wrap_vectors")}
+        return _lattice(self.isd_m)[1]
 
     def check_drop(self, environment: str, ms_per_sector: int) -> None:
         """Refuse drops that ``drop_mobiles`` cannot make within its round budget, or
@@ -109,11 +106,12 @@ def _lattice_xy(i, j, isd_m: float):
     return (isd_m * (i + 0.5 * j), isd_m * (math.sqrt(3.0) / 2.0) * j)
 
 
-def _lattice_array(coords, isd_m: float) -> np.ndarray:
-    """The read-only ``(len(coords), 2)`` positions of axial ``coords``."""
-    xy = np.array([_lattice_xy(i, j, isd_m) for i, j in coords])
-    xy.flags.writeable = False
-    return xy
+@functools.cache
+def _lattice(isd_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only site positions ``(19, 2)`` and wrap vectors ``(6, 2)`` at ``isd_m``."""
+    xy = np.array([_lattice_xy(i, j, isd_m) for i, j in _SITE_COORDS + _WRAP_COORDS])
+    xy.flags.writeable = False  # and so are its two views
+    return xy[:len(_SITE_COORDS)], xy[len(_SITE_COORDS):]
 
 
 def wrap_displacements(deployment: DeploymentParams, ms_xy: np.ndarray):

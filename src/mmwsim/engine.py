@@ -531,14 +531,16 @@ _AT_FDCWD, _RENAME_EXCHANGE = -100, 2
 @contextlib.contextmanager
 def _replacing(path: Path):
     """A text file opened under a temporary name beside ``path`` and moved
-    onto ``path`` once written whole; on any error the temporary file is
-    removed and ``path`` is left as it was.
+    onto ``path`` once written whole; on any error but a failed swap back
+    the temporary file is removed and ``path`` is left as it was.
 
     Where ``path`` is a regular file, the two names are swapped in one step
     by Linux ``renameat2`` with ``RENAME_EXCHANGE`` and the temporary name,
     which then holds the old file, is unlinked; should something other than
     a regular file have taken ``path`` after that check, it is swapped back
-    first.  In every other case (no file, a directory or a symlink at
+    first.  If that swap back fails, ``path`` holds the new file, the entry
+    that took it stays under the temporary name, and the ``OSError`` names
+    both.  In every other case (no file, a directory or a symlink at
     ``path``, no ``renameat2``, or a filesystem that cannot swap) the file
     is moved by ``os.replace``, which raises as it always has.  Either way
     readers see the old file or the new one, never a part of one, and a
@@ -555,6 +557,7 @@ def _replacing(path: Path):
     file at ``path``.  The writeback is deferred, not saved.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp_is_new = True  # the temporary name holds the new file, which a failure removes
     try:
         with open(tmp, "w") as fh:
             yield fh
@@ -571,10 +574,12 @@ def _replacing(path: Path):
             # and let os.replace raise or move, as when the check sees it
             if swap(*names) != 0:
                 err = ctypes.get_errno()
+                tmp_is_new = False
                 raise OSError(err, os.strerror(err), os.fsdecode(tmp), None, os.fsdecode(path))
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if tmp_is_new:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -241,11 +241,7 @@ def material_loss(material: str, f_c_ghz: float,
         raise ValueError(f"unknown material {material!r}, expected one of {_MATERIALS}")
     if np.any(np.asarray(f_c_ghz) < 0):
         raise ValueError("f_c_ghz must be non-negative")
-    intercept, slope = {
-        "glass": params.glass_loss_db,
-        "irr_glass": params.irr_glass_loss_db,
-        "concrete": params.concrete_loss_db,
-    }[material]
+    intercept, slope = getattr(params, f"{material}_loss_db")
     return intercept + slope * f_c_ghz
 
 

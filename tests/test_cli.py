@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mmwsim
 import mmwsim.cli as cli
 from mmwsim.cli import main
 
@@ -210,6 +215,37 @@ def test_overflow_is_reported_once_without_numpy_warnings(tmp_path, capsys, work
     assert "non-finite geometry metric" in capsys.readouterr().err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_drop_that_cannot_allocate_exits_2_without_output(tmp_path, capsys, monkeypatch,
+                                                          workers):
+    # a run whose rows fit but whose drop does not used to end in a raw traceback
+    message = "Unable to allocate 165. MiB for an array with shape (1140000, 19)"
+
+    def draw_shadows(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(mmwsim.propagation, "draw_shadows", draw_shadows)
+    cfg = write_config(tmp_path, n_drops=2)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    # a sweep records it per run, as any other failure
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", "2",
+                 "--workers", workers]) == 3
+    assert f"sweep f2ghz_scaled: FAILED: MemoryError: {message}\n" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(mmwsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "mmwsim.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mmwsim ")
 
 
 def test_summary_echoes_the_config_as_read(tmp_path):

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import inspect
 import itertools
 import math
@@ -98,22 +99,32 @@ def test_lattice_is_read_only(dep):
     assert dep.site_xy[0, 0] == 0.0
 
 
-def test_configs_replaced_from_one_base_share_one_lattice(monkeypatch):
+def test_configs_replaced_from_one_base_share_one_lattice():
     base = ScenarioConfig(n_drops=1, ms_per_sector=1)
     other = replace(base, f_c_ghz=60.0, power_scheme="constant")
     assert other.deployment.site_xy is base.deployment.site_xy
     assert other.deployment.wrap_vectors is base.deployment.wrap_vectors
     # so the 10 runs of a 5 x 2 sweep build the lattice once: one site and
     # one wrap array
-    built = []
-    real = deployment._lattice_array
-    monkeypatch.setattr(deployment, "_lattice_array",
-                        lambda *args: built.append(args) or real(*args))
+    deployment._lattice.cache_clear()
     fresh = ScenarioConfig(n_drops=1, ms_per_sector=1)
     entries = engine.run_sweep(fresh, [2.0, 10.0, 30.0, 60.0, 100.0], ["scaled", "constant"])
     assert [e.error for e in entries] == [None] * 10
-    assert [coords for coords, _ in built] == [deployment._SITE_COORDS,
-                                               deployment._WRAP_COORDS]
+    assert deployment._lattice.cache_info().misses == 1
+    site_xy, wrap_vectors = deployment._lattice(fresh.deployment.isd_m)
+    assert site_xy.shape == (len(deployment._SITE_COORDS), 2)
+    assert wrap_vectors.shape == (len(deployment._WRAP_COORDS), 2)
+
+
+def test_blocks_of_one_isd_share_one_lattice_and_hold_only_their_fields():
+    a, b = ScenarioConfig().deployment, ScenarioConfig().deployment
+    assert a is not b
+    assert a.site_xy is b.site_xy and a.wrap_vectors is b.wrap_vectors
+    # a block stores no lattice, so copies and pickles need no special case
+    assert "__getstate__" not in vars(DeploymentParams)
+    assert list(vars(a)) == [f.name for f in dataclasses.fields(DeploymentParams)]
+    assert len(vars(a)) == 7
+    assert DeploymentParams(isd_m=150.0).site_xy is not a.site_xy
 
 
 def test_lattice_first_built_on_many_threads_reads_the_same(dep):

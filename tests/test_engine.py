@@ -1,7 +1,9 @@
 import collections
 import concurrent.futures
 import copy
+import ctypes
 import dataclasses
+import errno
 import importlib
 import importlib.util
 import json
@@ -753,6 +755,69 @@ def test_symlink_at_output_name_becomes_a_file(tmp_path, two_runs):
     assert (out / "cl_cdf.csv").read_bytes() == want["cl_cdf.csv"]
     assert target.read_text() == "target\n"
     assert sorted(os.listdir(out)) == OUTPUT_NAMES
+
+
+@pytest.mark.parametrize("kind", ["directory", "symlink"])
+def test_failed_swap_back_keeps_the_entry_that_took_the_name(tmp_path, monkeypatch, kind):
+    # the check reads a regular file, the entry that took the name after it
+    # is swapped out, and the swap back fails: the cleanup used to unlink the
+    # temporary name, which then held that entry
+    target, tmp = tmp_path / "out.csv", tmp_path / f".out.csv.{os.getpid()}.tmp"
+    if kind == "directory":
+        target.mkdir()
+        (target / "keep.txt").write_text("keep\n")
+    else:
+        (tmp_path / "real.csv").write_text("real\n")
+        target.symlink_to(tmp_path / "real.csv")
+    lstat, file_stat = os.lstat, os.lstat(__file__)
+    monkeypatch.setattr(engine.os, "lstat",
+                        lambda p, *args, **kw: file_stat if p == target
+                        else lstat(p, *args, **kw))
+    calls = []
+
+    def renameat2(_, old, __, new, flags):  # swaps once, then the filesystem is busy
+        calls.append(flags)
+        if len(calls) > 1:
+            ctypes.set_errno(errno.EBUSY)
+            return -1
+        old, new, aside = os.fsdecode(old), os.fsdecode(new), tmp_path / "aside"
+        os.rename(old, aside)
+        os.rename(new, old)
+        os.rename(aside, new)
+        return 0
+
+    monkeypatch.setattr(engine, "_libc_function",
+                        lambda name: renameat2 if name == "renameat2" else None)
+    with pytest.raises(OSError) as caught:
+        with engine._replacing(target) as fh:
+            fh.write("new\n")
+    assert calls == [engine._RENAME_EXCHANGE] * 2
+    assert caught.value.errno == errno.EBUSY
+    assert (caught.value.filename, caught.value.filename2) == (str(tmp), str(target))
+    # the new file holds the name; the entry that took it keeps the temporary name
+    assert target.read_text() == "new\n"
+    if kind == "directory":
+        assert os.listdir(tmp) == ["keep.txt"]
+        assert (tmp / "keep.txt").read_text() == "keep\n"
+    else:
+        assert tmp.is_symlink() and tmp.read_text() == "real\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([tmp.name, target.name]
+                                                  + ["real.csv"] * (kind == "symlink"))
+
+
+def test_libc_function_is_none_off_linux_or_for_a_missing_symbol(monkeypatch):
+    # through __wrapped__, so that the process-wide cache is left alone
+    lookup = engine._libc_function.__wrapped__
+    assert lookup("no_such_libc_function_mmwsim") is None
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert lookup("renameat2") is None
+
+
+def test_heap_thresholds_are_left_alone_without_mallopt(monkeypatch):
+    asked = []
+    monkeypatch.setattr(engine, "_libc_function", lambda name: asked.append(name))
+    assert engine._pin_heap_thresholds.__wrapped__() is None
+    assert asked == ["mallopt"]
 
 
 def test_links_write_memory_stays_per_block(tmp_path):
