@@ -29,7 +29,8 @@ _DB_LIMIT = 1000.0
 # that an absurd magnitude is refused before the run: carrier and bandwidth
 # positive, layout lengths positive and at most 1,000 km (far beyond any cell
 # layout, far inside the range where the sampler's squared lengths overflow,
-# near 1.3e154 m), counts from 1, the seed and clearances from 0, dB values
+# near 1.3e154 m), counts from 1, floor counts up to 333,334 (their 3 m
+# storeys within that 1,000 km), the seed and clearances from 0, dB values
 # within +-_DB_LIMIT (spreads and attenuation ceilings from 0), path-loss
 # exponents and the ABG frequency slope up to 10 (ci_ple_coeff is 10 times its
 # exponent), beamwidths within the circle and the downtilt a zenith angle.
@@ -42,6 +43,8 @@ RANGES = {
     "n_drops": (1, math.inf, False),
     "ms_per_sector": (1, math.inf, False),
     "seed": (0, math.inf, False),
+    **dict.fromkeys(("deployment.floor_count_min", "deployment.floor_count_max"),
+                    (1, 333_334, False)),
     **dict.fromkeys(("deployment.min_distance_m", "deployment.indoor_depth_max_m"),
                     (0.0, math.inf, False)),
     **dict.fromkeys(("noise_figure_db", "g_sm_db", "ms_gain_dbi", "tx_power_dbm",

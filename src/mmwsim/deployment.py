@@ -60,8 +60,8 @@ class DeploymentParams:
             raise ConfigError(
                 f"deployment.min_distance_m must be below the cell circumradius "
                 f"isd_m/sqrt(3) = {circumradius:g} m, got {self.min_distance_m}")
-        if not 1 <= self.floor_count_min <= self.floor_count_max:
-            raise ConfigError("deployment.floor_count_min/max must satisfy 1 <= min <= max")
+        if self.floor_count_min > self.floor_count_max:
+            raise ConfigError("deployment.floor_count_min/max must satisfy min <= max")
 
     @property
     def site_xy(self) -> np.ndarray:

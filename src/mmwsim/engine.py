@@ -309,47 +309,51 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
     when no links are collected, it keeps CL alone, and forms GM's P_rx,
     which the table derives, in CL's buffer.  A block raises on its first
     non-finite CL, then GM, so a run's error is its first failing drop's.
+    numpy's floating-point errors are ignored throughout the drop, on its own
+    thread (errstate is per thread): those two checks are the one report.
     """
-    config = run.config
-    dep = config.deployment
-    count = config.ms_per_sector * dep.n_sectors
-    drop = deployment_mod.drop_mobiles(dep, config.environment, count,
-                                       _stream(config.seed, drop_index, 0))
-    los_rng = _stream(config.seed, drop_index, 1)
-    draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), (count, dep.n_sites),
-                                     config.propagation, o2i=config.environment == "indoor")
+    with np.errstate(all="ignore"):
+        config = run.config
+        dep = config.deployment
+        count = config.ms_per_sector * dep.n_sectors
+        drop = deployment_mod.drop_mobiles(dep, config.environment, count,
+                                           _stream(config.seed, drop_index, 0))
+        los_rng = _stream(config.seed, drop_index, 1)
+        draws = propagation.draw_shadows(_stream(config.seed, drop_index, 2), (count, dep.n_sites),
+                                         config.propagation, o2i=config.environment == "indoor")
 
-    n_blocks = -(-count // _BLOCK_STATIONS)
-    edges = [count * k // n_blocks for k in range(n_blocks + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = slice(lo, hi)  # basic slices: views, no copies
-        block_draws = replace(draws, **{name: value[rows] for name, value
-                                        in vars(draws).items() if np.ndim(value)})
-        budget = link_budget(config, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
-                             los_rng.uniform(size=(hi - lo, dep.n_sites)), block_draws)
-        cl = budget["coupling_loss"]
-        if not np.isfinite(cl).all():
-            ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
-            raise RuntimeError(f"non-finite coupling loss "
-                               f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
-        first, last = drop_index * count + lo, drop_index * count + hi
-        if run.links is not None:
-            for key, value in budget.items():
-                run.links[key][first:last] = value
-        del budget  # from here the block reads CL alone
-        serving, run.serving_cl[first:last] = linkbudget.associate(cl)
-        p_rx = np.add(cl, run.power.p_tx_dbm, out=cl)  # the bits of p_tx + cl
-        # errstate is per thread, so it sits here, on the drop's thread: the
-        # finite check below is the one report of an overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            gm = run.gm[first:last] = metrics.geometry_metric(p_rx, serving,
-                                                               run.noise_total_dbm)
-        bad = np.flatnonzero(~np.isfinite(gm))
-        if bad.size:
-            raise RuntimeError(
-                f"non-finite geometry metric (drop {drop_index}, ms {lo + bad[0]}): "
-                f"the linear powers overflow; lower tx_power_dbm or the antenna gains")
-        del cl, p_rx  # one buffer, released before the next block's budget
+        n_blocks = -(-count // _BLOCK_STATIONS)
+        edges = [count * k // n_blocks for k in range(n_blocks + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rows = slice(lo, hi)  # basic slices: views, no copies
+            block_draws = replace(draws, **{name: value[rows] for name, value
+                                            in vars(draws).items() if np.ndim(value)})
+            budget = link_budget(config, deployment_mod.MobileDrop(*(a[rows] for a in drop)),
+                                 los_rng.uniform(size=(hi - lo, dep.n_sites)), block_draws)
+            cl = budget["coupling_loss"]
+            if not np.isfinite(cl).all():
+                ms_i, sec_i = np.argwhere(~np.isfinite(cl))[0]
+                raise RuntimeError(f"non-finite coupling loss "
+                                   f"(drop {drop_index}, ms {lo + ms_i}, sector {sec_i})")
+            first, last = drop_index * count + lo, drop_index * count + hi
+            if run.links is not None:
+                for key, value in budget.items():
+                    run.links[key][first:last] = value
+            del budget  # from here the block reads CL alone
+            serving, run.serving_cl[first:last] = linkbudget.associate(cl)
+            p_rx = np.add(cl, run.power.p_tx_dbm, out=cl)  # the bits of p_tx + cl
+            gm = run.gm[first:last] = metrics.geometry_metric(p_rx, serving, run.noise_total_dbm)
+            bad = np.flatnonzero(~np.isfinite(gm))
+            if bad.size:
+                ms, ten = bad[0], np.float64(10.0)
+                raise RuntimeError(
+                    f"non-finite geometry metric (drop {drop_index}, ms {lo + ms}): " + (
+                        "the linear noise power overflows; lower bandwidth_hz or noise_figure_db"
+                        if ten ** (run.noise_total_dbm / 10.0) == np.inf else
+                        "the linear serving power underflows to 0; raise tx_power_dbm or the "
+                        "antenna gains" if ten ** (p_rx[ms, serving[ms]] / 10.0) == 0.0 else
+                        "the linear powers overflow; lower tx_power_dbm or the antenna gains"))
+            del cl, p_rx  # one buffer, released before the next block's budget
 
 
 # glibc mallopt parameters.  Arrays up to 1 MB come from a heap the process

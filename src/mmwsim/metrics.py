@@ -69,6 +69,7 @@ def geometry_metric(p_rx_dbm, serving, noise_total_dbm: float):
     serving_lin = lin[at_serving]
     lin[at_serving] = 0.0
     interference = lin.sum(axis=-1)
-    noise_lin = 10.0 ** (noise_total_dbm / 10.0)
+    # a numpy scalar power: Python's bits, but inf, not an OverflowError, past the range
+    noise_lin = np.float64(10.0) ** (noise_total_dbm / 10.0)
     gm = 10.0 * np.log10(serving_lin / (noise_lin + interference))
     return float(gm[0]) if np.ndim(p_rx_dbm) == 1 else gm

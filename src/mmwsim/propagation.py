@@ -261,10 +261,11 @@ def o2i_loss(f_c_ghz: float, d_2d_in_m, x_low_db=0.0, x_high_db=0.0,
     l_g = material_loss("glass", f_c_ghz, params)
     l_irr = material_loss("irr_glass", f_c_ghz, params)
     l_c = material_loss("concrete", f_c_ghz, params)
-    low = 5.0 - 10.0 * np.log10(0.3 * 10.0 ** (-l_g / 10.0)
-                                + 0.7 * 10.0 ** (-l_c / 10.0)) + x_low_db
-    high = 5.0 - 10.0 * np.log10(0.7 * 10.0 ** (-l_irr / 10.0)
-                                 + 0.3 * 10.0 ** (-l_c / 10.0)) + x_high_db
+    ten = np.float64(10.0)  # Python's bits, but inf, not an OverflowError, past the range
+    low = 5.0 - 10.0 * np.log10(0.3 * ten ** (-l_g / 10.0)
+                                + 0.7 * ten ** (-l_c / 10.0)) + x_low_db
+    high = 5.0 - 10.0 * np.log10(0.7 * ten ** (-l_irr / 10.0)
+                                 + 0.3 * ten ** (-l_c / 10.0)) + x_high_db
     tw = 10.0 * np.log10(0.5 * _exp10(low / 10.0) + 0.5 * _exp10(high / 10.0))
     return tw + params.indoor_loss_rate_db_per_m * d_in
 

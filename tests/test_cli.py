@@ -28,6 +28,34 @@ def write_config(tmp_path, **kw):
 # every dB setting within its bound, yet the linear received powers overflow
 OVERFLOW = dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000.0,
                 antenna=dict(g_max_dbi=1000.0))
+# configs that each ended a run in a raw traceback or printed a numpy
+# RuntimeWarning before its one report, with the start of that report now:
+# a floor count beyond int64 (refused as the config is built), and settings
+# within their bounds whose linear noise power, linear concrete wall loss,
+# serving received power (underflow) or O2I shadow leave the float range
+ONE_STATION = dict(n_drops=1, ms_per_sector=1)
+REPROS = {
+    "floor_count_beyond_int64": (
+        dict(ONE_STATION, environment="indoor", deployment=dict(floor_count_max=10**20)),
+        "deployment.floor_count_max must lie in [1, 333334], got 100000000000000000000"),
+    "noise_power_overflow": (
+        dict(ONE_STATION, f_c_ghz=60.0, bandwidth_hz=1.0e300, noise_figure_db=1000.0),
+        "non-finite geometry metric (drop 0, ms 0): the linear noise power overflows; "
+        "lower bandwidth_hz or noise_figure_db"),
+    "concrete_loss_overflow": (
+        dict(ONE_STATION, f_c_ghz=10.0, environment="indoor",
+             propagation=dict(concrete_loss_db=[5.0, -1000.0])),
+        "non-finite coupling loss (drop 0, "),
+    "received_power_underflow": (
+        dict(ONE_STATION, f_c_ghz=60.0, tx_power_dbm=-1000.0, g_sm_db=-1000.0,
+             ms_gain_dbi=-1000.0, antenna=dict(g_max_dbi=-1000.0)),
+        "non-finite geometry metric (drop 0, ms 0): the linear serving power underflows "
+        "to 0; raise tx_power_dbm or the antenna gains"),
+    "o2i_shadow_overflow": (
+        dict(ONE_STATION, f_c_ghz=60.0, environment="indoor",
+             propagation=dict(sigma_o2i_low_db=1000.0, sigma_o2i_high_db=1000.0)),
+        "non-finite coupling loss (drop 0, "),
+}
 
 
 def test_run_command(tmp_path, capsys):
@@ -137,6 +165,9 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(propagation=dict(glass_loss_db=[True, 0.2])), "propagation.glass_loss_db"),
     (dict(propagation=dict(oxygen_delta_db_per_km={60: "15"})),
      "propagation.oxygen_delta_db_per_km"),
+    # each of these used to end in a raw ValueError or OverflowError
+    *(REPROS[name] for name in ("floor_count_beyond_int64", "noise_power_overflow",
+                                "concrete_loss_overflow")),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
@@ -146,7 +177,8 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table",
         "carrier_in_oxygen_complex",
         "abg_beta_1e300", "sigma_str", "sigma_negative", "g_max_null", "hpbw_zero",
-        "loss_pair_str", "loss_pair_bool", "oxygen_str"])
+        "loss_pair_str", "loss_pair_bool", "oxygen_str", "floor_count_beyond_int64",
+        "noise_power_overflow", "concrete_loss_overflow"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"
@@ -206,14 +238,39 @@ def test_negative_seed_override_exits_2_without_output(tmp_path, capsys, command
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_overflow_is_reported_once_without_numpy_warnings(tmp_path, capsys, workers):
-    # the finite-GM check is the one report, at any worker count
-    cfg = write_config(tmp_path, **OVERFLOW)
+    # the finite-CL or finite-GM check is the one report, at any worker count
+    for name, (override, report) in [
+            ("received_power_overflow",
+             (OVERFLOW, "non-finite geometry metric (drop 0, ms 0): the linear powers "
+                        "overflow; lower tx_power_dbm or the antenna gains")),
+            *((name, REPROS[name]) for name in ("received_power_underflow",
+                                                "o2i_shadow_overflow"))]:
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, **override)
+        out = tmp_path / name / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}") and err.count("\n") == 1, name
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", list(REPROS))
+def test_repro_reaches_stderr_as_one_error_line(tmp_path, name, workers):
+    # only a child process shows all that reaches stderr, numpy's warnings
+    # included; -W error would turn any warning outside a drop into the report
+    override, report = REPROS[name]
+    cfg = write_config(tmp_path, **override)
     out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers]) == 2
-    assert "non-finite geometry metric" in capsys.readouterr().err
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "mmwsim.cli", "run", "-c",
+                           str(cfg), "-o", str(out), "--workers", workers],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {report}") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and done.stdout == ""
     assert not out.exists()
 
 
@@ -238,11 +295,29 @@ def test_drop_that_cannot_allocate_exits_2_without_output(tmp_path, capsys, monk
     assert f"sweep f2ghz_scaled: FAILED: MemoryError: {message}\n" in capsys.readouterr().err
 
 
-def test_module_runs_as_a_script():
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_any_failure_exits_2_without_output(tmp_path, capsys, monkeypatch, workers):
+    # not only the exception types the CLI once listed: any failure is one error line
+    def coupling_loss(*args, **kwargs):
+        raise ValueError("a stage failed")
+
+    monkeypatch.setattr(mmwsim.linkbudget, "coupling_loss", coupling_loss)
+    cfg = write_config(tmp_path, n_drops=2)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr() == ("", "error: a stage failed\n")
+    assert not out.exists()
+
+
+def _child_env():
+    """This process's environment, with the tested package first on PYTHONPATH."""
     src = str(Path(mmwsim.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "mmwsim.cli", "--help"], env=env,
+
+
+def test_module_runs_as_a_script():
+    done = subprocess.run([sys.executable, "-m", "mmwsim.cli", "--help"], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: mmwsim ")
@@ -264,12 +339,19 @@ def test_summary_echoes_the_config_as_read(tmp_path):
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_workers_below_1_exit_2(tmp_path, capsys, workers):
+    # argparse refuses a non-integer; the run refuses an integer below 1, by
+    # the rule of run_scenario and run_sweep
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    try:
+        code = main(["run", "-c", str(cfg), "-o", str(out), "--workers", workers])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "workers" in err
+    if workers != "two":
+        assert err == f"error: workers must be a positive integer, got {workers}\n"
     assert not out.exists()
 
 

@@ -304,6 +304,11 @@ def test_every_config_field_has_a_rule_and_every_range_a_field():
     unruled = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
                if f.type not in checks.FIELD_TYPES and f.type not in engine._BLOCKS]
     assert unruled == ["power_scheme", "environment"]
+    # and every number is bounded: an int, float, pair or table field with no
+    # row takes any magnitude its type admits
+    unbounded = [prefix + f.name for prefix, cls in blocks for f in dataclasses.fields(cls)
+                 if f.type in checks.FIELD_TYPES and prefix + f.name not in checks.RANGES]
+    assert unbounded == []
     # and every rule is some field's: a rule left behind by a deleted field is dead
     used = {f.type for _, cls in blocks for f in dataclasses.fields(cls)}
     assert set(checks.FIELD_TYPES) <= used, set(checks.FIELD_TYPES) - used
