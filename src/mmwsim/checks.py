@@ -3,7 +3,7 @@ field's type by its annotation and each number's range by the field's dotted
 name, applied by one walker, ``check_fields``, the environment by
 ``check_environment`` and a carrier's key in the power and oxygen tables by
 ``carrier_key``.  Each config block checks itself with them as it is built
-(``check_block``, which also stores a numpy number as a Python one), so the
+(``check_block``, which also stores each value at its field's type), so the
 ``deployment`` block that ``drop_mobiles`` and ``wrap_displacements`` take is
 checked once; ``drop_mobiles`` checks its environment with
 ``check_environment``, and the engine its ``workers`` with ``_is_int``."""
@@ -78,17 +78,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-# field checks by annotation string; every number, also inside the loss
-# pairs and the oxygen table, is finite
+# field rules by annotation string: test, description, and how a value that
+# passed is stored; every number, also inside the loss pairs (a tuple or a
+# list) and the oxygen table, is finite and stored as a Python int or float
 PAIR, TABLE = "tuple[float, float]", "dict[float, float]"
 FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_real, "a finite number"),
-    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
-    PAIR: (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
-           "a pair of finite numbers"),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_real, "a finite number", float),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null",
+                     lambda v: None if v is None else float(v)),
+    PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_real, v)),
+           "a pair of finite numbers", lambda v: tuple(map(float, v))),
     TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
-            "a mapping of finite numbers"),
+            "a mapping of finite numbers", lambda v: {float(k): float(x) for k, x in v.items()}),
 }
 
 
@@ -104,13 +106,13 @@ def check_environment(environment):
 
 
 def check_block(block, prefix: str):
-    """Check the fields of the frozen dataclass ``block`` (``check_fields``) and
-    store each number among them that is not a Python ``int`` or ``float``, such
-    as a numpy scalar, as its Python number, so that a saved config can write it."""
+    """Check the fields of the frozen dataclass ``block`` (``check_fields``), then
+    store each at its type by its ``FIELD_TYPES`` rule (``60`` or ``np.int64(60)`` in
+    a float field as ``60.0``, a list pair as a tuple), so equal configs save equal bytes."""
     check_fields(type(block), vars(block), prefix)
-    for name, value in vars(block).items():
-        if isinstance(value, numbers.Real) and type(value) not in (bool, int, float):
-            object.__setattr__(block, name, int(value) if _is_int(value) else float(value))
+    for f in dataclasses.fields(block):
+        if f.type in FIELD_TYPES:
+            object.__setattr__(block, f.name, FIELD_TYPES[f.type][2](getattr(block, f.name)))
 
 
 def check_fields(cls, values: dict, prefix: str):
@@ -127,7 +129,7 @@ def check_fields(cls, values: dict, prefix: str):
             continue
         low, high, open_low = RANGES[name]
         numbers = (value.values() if isinstance(value, dict)
-                   else value if isinstance(value, tuple) else (value,))
+                   else value if isinstance(value, (tuple, list)) else (value,))
         if not all(v is None or (low < v if open_low else low <= v) and v <= high
                    for v in numbers):
             raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"

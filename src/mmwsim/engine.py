@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import PAIR, ConfigError, _is_int, check_block, check_environment, check_fields
+from .checks import ConfigError, _is_int, check_block, check_environment, check_fields
 from .deployment import DeploymentParams
 from .linkbudget import check_power
 from .metrics import CdfSeries
@@ -88,7 +89,7 @@ def _read_block(cls, data, prefix: str):
     """``cls`` built, and so checked, from the mapping ``data`` of a config
     file.  A block is read the same way.  A null, the file's or a block's
     (an empty file, or a YAML block whose children are all commented out),
-    reads as ``{}``, the defaults; a YAML list stands for a loss pair."""
+    reads as ``{}``, the defaults."""
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'} must be a mapping, "
@@ -101,9 +102,18 @@ def _read_block(cls, data, prefix: str):
     for name, value in values.items():
         if types[name] in _BLOCKS:
             values[name] = _read_block(_BLOCKS[types[name]], value, f"{prefix}{name}.")
-        elif types[name] == PAIR and isinstance(value, list):
-            values[name] = tuple(value)
     return cls(**values)
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads the exponent forms of JSON and YAML
+    1.2, such as ``1e9``, ``5e-05`` and ``1.5E3``, as floats; YAML 1.1 reads
+    a float only with a dot, and with a sign in its exponent."""
+
+
+_ConfigLoader.add_implicit_resolver(  # on a copy of the resolvers: SafeLoader's stay
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -111,7 +121,7 @@ def load_config(path) -> ScenarioConfig:
     try:
         # as bytes, so that text that is not UTF-8 is YAML's ReaderError
         with open(path, "rb") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     return ScenarioConfig.from_dict(data)

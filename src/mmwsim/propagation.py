@@ -78,12 +78,15 @@ class PropagationParams:
 
     def __post_init__(self):
         check_block(self, "propagation.")
-        # the loss pairs and oxygen table as floats: YAML's {60: 15} echoes as
-        # floats; the table read-only, so that the checked config stays valid
-        for name in (f"{material}_loss_db" for material in _MATERIALS):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        object.__setattr__(self, "oxygen_delta_db_per_km", _FrozenTable(
-            (float(k), float(v)) for k, v in self.oxygen_delta_db_per_km.items()))
+        # no carrier within carrier_key's 1e-9 GHz of two keys (its delta would
+        # hang on their order); the table read-only, so the config stays valid
+        keys = sorted(self.oxygen_delta_db_per_km)
+        for low, high in zip(keys, keys[1:]):
+            if high - low < 2e-9:
+                raise ConfigError(f"propagation.oxygen_delta_db_per_km keys {low!r} and "
+                                  f"{high!r} lie within 2e-9 GHz, so a carrier could match both")
+        object.__setattr__(self, "oxygen_delta_db_per_km",
+                           _FrozenTable(self.oxygen_delta_db_per_km))
 
     def check_carrier(self, f_c_ghz: float) -> None:
         """Refuse a carrier inside ``OXYGEN_COMPLEX_GHZ`` that a non-empty oxygen

@@ -324,7 +324,8 @@ def test_module_runs_as_a_script():
 
 
 def test_summary_echoes_the_config_as_read(tmp_path):
-    # scalars keep their YAML type; loss pairs and oxygen tables hold floats
+    # each value is stored, and so echoed, at its field's type: a float field
+    # written as an integer echoes as a float, as do loss pairs and oxygen tables
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text("f_c_ghz: 30.0\nn_drops: 1\ndeployment:\n  isd_m: 200\n"
                    "propagation:\n  glass_loss_db: [2, 0]\n"
@@ -332,9 +333,25 @@ def test_summary_echoes_the_config_as_read(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "-c", str(cfg), "-o", str(out)]) == 0
     echo = json.loads((out / "summary.json").read_text())["config"]
-    assert json.dumps(echo["deployment"]["isd_m"]) == "200"
+    assert json.dumps(echo["deployment"]["isd_m"]) == "200.0"
     assert json.dumps(echo["propagation"]["glass_loss_db"]) == "[2.0, 0.0]"
     assert json.dumps(echo["propagation"]["oxygen_delta_db_per_km"]) == '{"60.0": 15.0}'
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_and_sweep_write_equal_bytes_for_integer_written_floats(tmp_path, workers):
+    # each sweep directory holds the bytes that `run` writes for its config,
+    # however the file spells the numbers: `run` echoed 60 and 200 as written
+    # where the sweep, whose carriers are floats, echoed 60.0
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text("f_c_ghz: 60\nn_drops: 2\nms_per_sector: 2\ndeployment: {isd_m: 200}\n"
+                   "propagation: {glass_loss_db: [2, 0]}\n")
+    run, sweep = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "-c", str(cfg), "-o", str(run), "--workers", workers]) == 0
+    assert main(["sweep", "-c", str(cfg), "-o", str(sweep), "--frequencies", "60",
+                 "--workers", workers]) == 0
+    for name in ("summary.json", "cl_cdf.csv", "gm_cdf.csv"):
+        assert (run / name).read_bytes() == (sweep / "f60ghz_scaled" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])

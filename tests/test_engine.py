@@ -92,7 +92,7 @@ def test_validation_messages():
          "antenna.downtilt_deg"),
         (lambda: dict(propagation=PropagationParams(glass_loss_db=(2.0, float("inf")))),
          "propagation.glass_loss_db"),
-        (lambda: dict(propagation=PropagationParams(irr_glass_loss_db=[23.0, 0.3])),
+        (lambda: dict(propagation=PropagationParams(irr_glass_loss_db=[23.0, float("nan")])),
          "propagation.irr_glass_loss_db"),
         (lambda: dict(propagation=PropagationParams(
             oxygen_delta_db_per_km={float("nan"): 1.0})),
@@ -263,6 +263,47 @@ def test_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg.to_dict()))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("text, field, want", [
+    ('{"f_c_ghz": 28.0, "bandwidth_hz": 5e8, "tx_power_dbm": 50.0}', "bandwidth_hz", 5e8),
+    (json.dumps({"f_c_ghz": 60.0, "g_sm_db": 1e-05}), "g_sm_db", 1e-05),
+    (json.dumps({"f_c_ghz": 28.0, "bandwidth_hz": 1e20, "tx_power_dbm": 50.0}),
+     "bandwidth_hz", 1e20),
+    ("f_c_ghz: 60.0\nbandwidth_hz: 1e9\n", "bandwidth_hz", 1e9),
+], ids=["json_5e8", "json_dumps_1e-05", "json_dumps_1e+20", "yaml_1e9"])
+def test_config_files_read_exponent_numbers_as_floats(tmp_path, text, field, want):
+    # YAML 1.1 reads a float only with a dot and a signed exponent: these
+    # were strings, refused as "must be a finite number"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    value = getattr(load_config(path), field)
+    assert type(value) is float and value == want
+
+
+def test_a_quoted_exponent_number_stays_a_string(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text('f_c_ghz: 60.0\nbandwidth_hz: "1e9"\n')
+    with pytest.raises(ConfigError,
+                       match="^bandwidth_hz must be a finite number or null, got '1e9'$"):
+        load_config(path)
+    # unquoted, a signed number is read and checked by its range
+    path.write_text("f_c_ghz: 60.0\nbandwidth_hz: -.5E+9\n")
+    with pytest.raises(ConfigError, match=r"^bandwidth_hz must lie in \(0, inf\), got -5"):
+        load_config(path)
+    # the config reader's float rule is its own: PyYAML's safe loader is unchanged
+    assert yaml.safe_load("bandwidth_hz: 1e9") == {"bandwidth_hz": "1e9"}
+
+
+def test_equal_configs_save_equal_bytes(tmp_path):
+    # an integer in a float field is stored as its float, so the two configs
+    # hold, echo and save the same values
+    a, b = ScenarioConfig(f_c_ghz=60), ScenarioConfig(f_c_ghz=60.0)
+    assert a == b and hash(a) == hash(b)
+    for name, cfg in (("int", a), ("float", b)):
+        save_results(run_scenario(replace(cfg, n_drops=1, ms_per_sector=1)), tmp_path / name)
+    for name in ("cl_cdf.csv", "gm_cdf.csv", "summary.json"):
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 def test_partial_config_file(tmp_path):
@@ -1310,14 +1351,15 @@ def test_numpy_numbers_in_a_config_are_stored_as_python_numbers(tmp_path, f_c):
                  deployment=DeploymentParams(isd_m=200.0),
                  propagation=PropagationParams(glass_loss_db=(2.0, 0.25)))
     assert cfg == want
-    assert type(cfg.f_c_ghz) is type(f_c.item()) and type(cfg.n_drops) is int
+    # a float field stores a float, from an integer too; an int field an int
+    assert type(cfg.f_c_ghz) is float and type(cfg.n_drops) is int
     assert type(cfg.deployment.isd_m) is float
     for c, name in ((cfg, "numpy"), (want, "python")):
         save_results(run_scenario(c), tmp_path / name)
     for name in ("cl_cdf.csv", "gm_cdf.csv", "summary.json"):
         assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
     config = json.loads((tmp_path / "numpy" / "summary.json").read_text())["config"]
-    assert type(config["f_c_ghz"]) is type(f_c.item()) and config["f_c_ghz"] == f_c.item()
+    assert type(config["f_c_ghz"]) is float and config["f_c_ghz"] == f_c.item()
     assert config["deployment"]["isd_m"] == 200.0 and config["n_drops"] == 1
 
 

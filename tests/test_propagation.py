@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mmwsim import linkbudget, propagation
-from mmwsim import (DeploymentParams, FrequencyRangeWarning, MobileDrop, PropagationParams,
-                    ScenarioConfig, ShadowDraws, draw_shadows, fspl,
+from mmwsim import (ConfigError, DeploymentParams, FrequencyRangeWarning, MobileDrop,
+                    PropagationParams, ScenarioConfig, ShadowDraws, draw_shadows, fspl,
                     link_budget, los_probability, material_loss, o2i_loss,
                     oxygen_absorption, pl_los_ci, pl_nlos_abg)
 
@@ -360,3 +360,19 @@ def test_params_hold_loss_pairs_and_oxygen_table_as_floats():
     assert all(type(v) is float for v in (*params.glass_loss_db,
                                            *params.oxygen_delta_db_per_km,
                                            *params.oxygen_delta_db_per_km.values()))
+    # a pair given as a Python list is stored as that tuple; it was refused
+    listed = PropagationParams(glass_loss_db=[2, 0], oxygen_delta_db_per_km={60: 15})
+    assert listed == params and hash(listed) == hash(params)
+    assert type(listed.glass_loss_db) is tuple
+
+
+@pytest.mark.parametrize("table", [{60: 15, 60.0000000001: 3}, {60.000000001: 3, 60.0: 15}])
+def test_oxygen_keys_a_carrier_could_match_twice_are_refused(table):
+    # carrier_key takes the first key within 1e-9 GHz: with both keys a 60 GHz
+    # run took whichever came first
+    low, high = sorted(map(float, table))
+    with pytest.raises(ConfigError, match=rf"^propagation\.oxygen_delta_db_per_km keys "
+                                          rf"{low!r} and {high!r} lie within 2e-9 GHz"):
+        PropagationParams(oxygen_delta_db_per_km=table)
+    # keys 2e-9 GHz or more apart share no carrier
+    PropagationParams(oxygen_delta_db_per_km={60.0: 15.0, 60.000000002: 3.0, 61.0: 1.0})
