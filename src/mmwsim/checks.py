@@ -1,8 +1,7 @@
 """The rules a scenario config's values must meet, and ``ConfigError``: each
 field's type by its annotation and each number's range by the field's dotted
-name, applied by one walker, ``check_fields``, the environment by
-``check_environment`` and a carrier's key in the power and oxygen tables by
-``carrier_key``.  Each config block checks itself with them as it is built
+name, applied by one walker, ``check_fields``, and the environment by
+``check_environment``.  Each config block checks itself with them as it is built
 (``check_block``, which also stores each value at its field's type), so the
 ``deployment`` block that ``drop_mobiles`` and ``wrap_displacements`` take is
 checked once; ``drop_mobiles`` checks its environment with
@@ -26,18 +25,19 @@ _DB_LIMIT = 1000.0
 
 # (low, high, low bound open) of every number in each bounded setting and
 # model constant, checked once, as the config block holding it is built, so
-# that an absurd magnitude is refused before the run: carrier and bandwidth
-# positive, layout lengths positive and at most 1,000 km (far beyond any cell
-# layout, far inside the range where the sampler's squared lengths overflow,
-# near 1.3e154 m), counts from 1, floor counts up to 333,334 (their 3 m
-# storeys within that 1,000 km), the seed and clearances from 0, dB values
-# within +-_DB_LIMIT (spreads and attenuation ceilings from 0), path-loss
-# exponents and the ABG frequency slope up to 10 (ci_ple_coeff is 10 times its
-# exponent), beamwidths within the circle and the downtilt a zenith angle.
-# None leaves bandwidth_hz and tx_power_dbm to the carrier table.
+# that an absurd magnitude is refused before the run: carrier positive,
+# bandwidth positive and at most 1e15 Hz (its noise power, at most 976 dBm,
+# is finite as a linear power), layout lengths positive and at most 1,000 km
+# (far beyond any cell layout, far inside the range where the sampler's
+# squared lengths overflow, near 1.3e154 m), counts from 1, floor counts up to
+# 333,334 (their 3 m storeys within that 1,000 km), the seed and clearances
+# from 0, dB values within +-_DB_LIMIT (spreads and attenuation ceilings from
+# 0), path-loss exponents and the ABG frequency slope up to 10 (ci_ple_coeff
+# is 10 times its exponent), beamwidths within the circle and the downtilt a
+# zenith angle.  None leaves bandwidth_hz and tx_power_dbm to the carrier table.
 RANGES = {
     "f_c_ghz": (0.0, math.inf, True),
-    "bandwidth_hz": (0.0, math.inf, True),
+    "bandwidth_hz": (0.0, 1.0e15, True),
     **dict.fromkeys(("deployment.isd_m", "deployment.bs_height_m",
                      "deployment.ms_height_m"), (0.0, 1.0e6, True)),
     "n_drops": (1, math.inf, False),
@@ -89,14 +89,10 @@ FIELD_TYPES = {
                      lambda v: None if v is None else float(v)),
     PAIR: (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_real, v)),
            "a pair of finite numbers", lambda v: tuple(map(float, v))),
-    TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()])),
-            "a mapping of finite numbers", lambda v: {float(k): float(x) for k, x in v.items()}),
+    TABLE: (lambda v: isinstance(v, dict) and all(map(_is_real, [*v, *v.values()]))
+            and all(k > 0 for k in v), "a mapping of finite numbers at positive keys",
+            lambda v: {float(k): float(x) for k, x in v.items()}),
 }
-
-
-def carrier_key(table, f_c_ghz):
-    """The key of ``table`` (carriers in GHz) within 1e-9 GHz of ``f_c_ghz``, or None."""
-    return next((k for k in table if abs(f_c_ghz - k) < 1e-9), None)
 
 
 def check_environment(environment):
@@ -125,6 +121,10 @@ def check_fields(cls, values: dict, prefix: str):
         name, value, rule = prefix + f.name, values[f.name], FIELD_TYPES.get(f.type)
         if rule is not None and not rule[0](value):
             raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+        keys = sorted(value) if f.type == TABLE else ()  # keys on one float sort side by side
+        for low, high in zip(keys, keys[1:]):
+            if float(low) == float(high):
+                raise ConfigError(f"{name} keys {low!r} and {high!r} round to one float")
         if name not in RANGES:
             continue
         low, high, open_low = RANGES[name]

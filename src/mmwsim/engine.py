@@ -108,7 +108,17 @@ def _read_block(cls, data, prefix: str):
 class _ConfigLoader(yaml.SafeLoader):
     """``yaml.SafeLoader`` that also reads the exponent forms of JSON and YAML
     1.2, such as ``1e9``, ``5e-05`` and ``1.5E3``, as floats; YAML 1.1 reads
-    a float only with a dot, and with a sign in its exponent."""
+    a float only with a dot, and with a sign in its exponent.  It refuses a
+    key given twice in one mapping, where PyYAML keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        # the keys as written, before a merge (``<<``) adds keys they override
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping, seen = super().construct_mapping(node, deep), {}
+        for k in written:  # 60 and 60.0 are one key
+            if seen.setdefault(key := self.construct_object(k), k) is not k:
+                raise ConfigError(f"key {key!r} is given twice (line {k.start_mark.line + 1})")
+        return mapping
 
 
 _ConfigLoader.add_implicit_resolver(  # on a copy of the resolvers: SafeLoader's stay
@@ -358,8 +368,6 @@ def _simulate_drop(run: RunResult, drop_index: int) -> None:
                 ms, ten = bad[0], np.float64(10.0)
                 raise RuntimeError(
                     f"non-finite geometry metric (drop {drop_index}, ms {lo + ms}): " + (
-                        "the linear noise power overflows; lower bandwidth_hz or noise_figure_db"
-                        if ten ** (run.noise_total_dbm / 10.0) == np.inf else
                         "the linear serving power underflows to 0; raise tx_power_dbm or the "
                         "antenna gains" if ten ** (p_rx[ms, serving[ms]] / 10.0) == 0.0 else
                         "the linear powers overflow; lower tx_power_dbm or the antenna gains"))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import ConfigError, carrier_key
+from .checks import ConfigError
 
 #: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
 BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
@@ -19,16 +19,14 @@ NOISE_DENSITY_DBM_HZ = -174.0
 
 
 def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
-    """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier off the
-    table without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``; its table key or None."""
+    """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier equal to
+    no table key without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``."""
     if scheme not in ("scaled", "constant"):
         raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
-    key = carrier_key(BANDWIDTH_HZ, f_c_ghz)
-    if key is None and bandwidth_hz is None:
+    if f_c_ghz not in BANDWIDTH_HZ and bandwidth_hz is None:
         raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set bandwidth_hz")
-    if key is None and tx_power_dbm is None and scheme == "scaled":
+    if f_c_ghz not in BANDWIDTH_HZ and tx_power_dbm is None and scheme == "scaled":
         raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set tx_power_dbm")
-    return key
 
 
 @dataclass(frozen=True)
@@ -47,11 +45,11 @@ def power_allocation(scheme: str, f_c_ghz: float, bandwidth_hz: float | None = N
     built-in table; any other frequency requires explicit ``bandwidth_hz``
     and, for the scaled scheme, ``p_tx_dbm`` overrides (``check_power``).
     """
-    key = check_power(scheme, f_c_ghz, bandwidth_hz, p_tx_dbm)
+    check_power(scheme, f_c_ghz, bandwidth_hz, p_tx_dbm)
     if bandwidth_hz is None:
-        bandwidth_hz = BANDWIDTH_HZ[key]
+        bandwidth_hz = BANDWIDTH_HZ[f_c_ghz]
     if p_tx_dbm is None:
-        p_tx_dbm = CONSTANT_PTX_DBM if scheme == "constant" else SCALED_PTX_DBM[key]
+        p_tx_dbm = CONSTANT_PTX_DBM if scheme == "constant" else SCALED_PTX_DBM[f_c_ghz]
     return PowerAllocation(scheme=scheme, f_c_ghz=f_c_ghz,
                            bandwidth_hz=float(bandwidth_hz), p_tx_dbm=float(p_tx_dbm))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import ConfigError, carrier_key, check_block
+from .checks import ConfigError, check_block
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -78,23 +78,17 @@ class PropagationParams:
 
     def __post_init__(self):
         check_block(self, "propagation.")
-        # no carrier within carrier_key's 1e-9 GHz of two keys (its delta would
-        # hang on their order); the table read-only, so the config stays valid
-        keys = sorted(self.oxygen_delta_db_per_km)
-        for low, high in zip(keys, keys[1:]):
-            if high - low < 2e-9:
-                raise ConfigError(f"propagation.oxygen_delta_db_per_km keys {low!r} and "
-                                  f"{high!r} lie within 2e-9 GHz, so a carrier could match both")
+        # the table read-only, so the config stays valid
         object.__setattr__(self, "oxygen_delta_db_per_km",
                            _FrozenTable(self.oxygen_delta_db_per_km))
 
     def check_carrier(self, f_c_ghz: float) -> None:
-        """Refuse a carrier inside ``OXYGEN_COMPLEX_GHZ`` that a non-empty oxygen
-        table has no key for (``carrier_key``), where ``oxygen_absorption``
-        would silently apply 0 dB/km."""
+        """Refuse a carrier inside ``OXYGEN_COMPLEX_GHZ`` that is not a key of a
+        non-empty oxygen table, where ``oxygen_absorption`` would silently
+        apply 0 dB/km."""
         lo, hi = OXYGEN_COMPLEX_GHZ
         table = self.oxygen_delta_db_per_km
-        if table and lo <= f_c_ghz <= hi and carrier_key(table, f_c_ghz) is None:
+        if table and lo <= f_c_ghz <= hi and f_c_ghz not in table:
             raise ConfigError(
                 f"f_c_ghz={f_c_ghz!r} lies in the {lo:g}-{hi:g} GHz oxygen absorption "
                 f"complex but propagation.oxygen_delta_db_per_km has no key for it: add "
@@ -283,11 +277,11 @@ def _exp10(x):
 def oxygen_absorption(f_c_ghz: float, d_m,
                       params: PropagationParams = DEFAULT_PARAMS):
     """Atmospheric oxygen loss, delta(f_c) dB/km over the full travel distance;
-    delta is 0 where ``carrier_key`` finds no key for f_c (a config refuses
-    such a carrier inside ``OXYGEN_COMPLEX_GHZ``)."""
+    delta is 0 where f_c is not a key of the table (a config refuses such a
+    carrier inside ``OXYGEN_COMPLEX_GHZ``)."""
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 0):
         raise ValueError("d_m must be non-negative")
     table = params.oxygen_delta_db_per_km
-    out = table.get(carrier_key(table, f_c_ghz), 0.0) * d / 1000.0
+    out = table.get(f_c_ghz, 0.0) * d / 1000.0
     return out if out.ndim else float(out)

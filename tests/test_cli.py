@@ -30,9 +30,10 @@ OVERFLOW = dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000
                 antenna=dict(g_max_dbi=1000.0))
 # configs that each ended a run in a raw traceback or printed a numpy
 # RuntimeWarning before its one report, with the start of that report now:
-# a floor count beyond int64 (refused as the config is built), and settings
-# within their bounds whose linear noise power, linear concrete wall loss,
-# serving received power (underflow) or O2I shadow leave the float range
+# a floor count beyond int64 and a bandwidth whose linear noise power
+# overflowed (both refused as the config is built), and settings within their
+# bounds whose linear concrete wall loss, serving received power (underflow)
+# or O2I shadow leave the float range
 ONE_STATION = dict(n_drops=1, ms_per_sector=1)
 REPROS = {
     "floor_count_beyond_int64": (
@@ -40,8 +41,7 @@ REPROS = {
         "deployment.floor_count_max must lie in [1, 333334], got 100000000000000000000"),
     "noise_power_overflow": (
         dict(ONE_STATION, f_c_ghz=60.0, bandwidth_hz=1.0e300, noise_figure_db=1000.0),
-        "non-finite geometry metric (drop 0, ms 0): the linear noise power overflows; "
-        "lower bandwidth_hz or noise_figure_db"),
+        "bandwidth_hz must lie in (0, 1e+15], got 1e+300"),
     "concrete_loss_overflow": (
         dict(ONE_STATION, f_c_ghz=10.0, environment="indoor",
              propagation=dict(concrete_loss_db=[5.0, -1000.0])),
@@ -135,6 +135,7 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     (dict(propagation=dict(glass_loss_db=5)), "glass_loss_db"),
     (dict(propagation=dict(oxygen_delta_db_per_km=[1, 2])), "oxygen_delta_db_per_km"),
     (": : :\n", "YAML"),
+    ("f_c_ghz: 60.0\nf_c_ghz: 2.0\n", "key 'f_c_ghz' is given twice (line 2)"),
     (dict(environment="indoor", deployment=dict(floor_count_max=8.5)), "floor_count_max"),
     (dict(seed=True), "seed"),
     (dict(tx_power_dbm=10 ** 400), "tx_power_dbm"),
@@ -172,7 +173,7 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
         "noise_figure_1e308", "glass_loss_scalar", "oxygen_list", "malformed_yaml",
-        "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
+        "duplicate_key", "floor_count_float", "seed_bool", "tx_int_beyond_float", "tx_1e20",
         "min_distance_near_infeasible", "received_power_overflow", "hpbw_inf",
         "loss_pair_nan", "oxygen_inf", "sigma_nan", "isd_1e300", "carrier_off_table",
         "carrier_in_oxygen_complex",

@@ -268,8 +268,8 @@ def test_config_yaml_roundtrip(tmp_path):
 @pytest.mark.parametrize("text, field, want", [
     ('{"f_c_ghz": 28.0, "bandwidth_hz": 5e8, "tx_power_dbm": 50.0}', "bandwidth_hz", 5e8),
     (json.dumps({"f_c_ghz": 60.0, "g_sm_db": 1e-05}), "g_sm_db", 1e-05),
-    (json.dumps({"f_c_ghz": 28.0, "bandwidth_hz": 1e20, "tx_power_dbm": 50.0}),
-     "bandwidth_hz", 1e20),
+    (json.dumps({"f_c_ghz": 1e20, "bandwidth_hz": 1e9, "tx_power_dbm": 50.0}),
+     "f_c_ghz", 1e20),
     ("f_c_ghz: 60.0\nbandwidth_hz: 1e9\n", "bandwidth_hz", 1e9),
 ], ids=["json_5e8", "json_dumps_1e-05", "json_dumps_1e+20", "yaml_1e9"])
 def test_config_files_read_exponent_numbers_as_floats(tmp_path, text, field, want):
@@ -289,10 +289,31 @@ def test_a_quoted_exponent_number_stays_a_string(tmp_path):
         load_config(path)
     # unquoted, a signed number is read and checked by its range
     path.write_text("f_c_ghz: 60.0\nbandwidth_hz: -.5E+9\n")
-    with pytest.raises(ConfigError, match=r"^bandwidth_hz must lie in \(0, inf\), got -5"):
+    with pytest.raises(ConfigError, match=r"^bandwidth_hz must lie in \(0, 1e\+15\], got -5"):
         load_config(path)
     # the config reader's float rule is its own: PyYAML's safe loader is unchanged
     assert yaml.safe_load("bandwidth_hz: 1e9") == {"bandwidth_hz": "1e9"}
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("f_c_ghz: 60.0\nf_c_ghz: 2.0\n", "'f_c_ghz'", 2),
+    ('{"seed": 1, "n_drops": 2, "seed": 3}', "'seed'", 1),
+    ("f_c_ghz: 60.0\npropagation:\n  oxygen_delta_db_per_km: {60: 15, 60.0: 3}\n", "60.0", 3),
+], ids=["top_level", "json", "oxygen_60_and_60.0"])
+def test_a_key_given_twice_is_refused(tmp_path, text, key, line):
+    # PyYAML kept the last value without a word: the first file ran at 2 GHz
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    message = rf"^key {re.escape(key)} is given twice \(line {line}\)$"
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_keys_a_merge_gives_may_be_overridden():
+    # YAML's merge key (<<) gives defaults that the mapping's own keys override
+    text = "base: &base {x: 1, y: 2}\nblock: {<<: *base, x: 3}\n"
+    assert yaml.load(text, Loader=engine._ConfigLoader) == {"base": {"x": 1, "y": 2},
+                                                            "block": {"x": 3, "y": 2}}
 
 
 def test_equal_configs_save_equal_bytes(tmp_path):
@@ -1182,21 +1203,32 @@ def test_one_rule_matches_a_carrier_to_the_power_and_oxygen_tables():
     dep = DeploymentParams()
     drop = drop_mobiles(dep, "outdoor", 57, np.random.default_rng(5))
     los_u = np.zeros((57, 19))
-    # within 1e-9 GHz of 60 GHz both the power table and oxygen apply ...
-    near = ScenarioConfig(f_c_ghz=60.0 + 5e-10)
-    alloc = linkbudget.power_allocation("scaled", near.f_c_ghz)
-    assert (alloc.bandwidth_hz, alloc.p_tx_dbm) == (1e9, 61.0)
-    budget = link_budget(near, drop, los_u, ShadowDraws())
-    assert np.array_equal(budget["l_oa"], 15.0 * budget["d_3d"] / 1000.0)
-    # ... and 5e-7 GHz off neither does: a carrier off the power table finds
-    # no oxygen key either, so inside the oxygen complex a config refuses it
-    off = 60.0 + 5e-7
-    with pytest.raises(ConfigError, match="is not a standard carrier"):
-        ScenarioConfig(f_c_ghz=off)
-    with pytest.raises(ConfigError, match="propagation.oxygen_delta_db_per_km has no key"):
-        ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0)
-    assert checks.carrier_key(near.propagation.oxygen_delta_db_per_km, off) is None
-    assert np.all(propagation.oxygen_absorption(off, budget["d_3d"], near.propagation) == 0.0)
+    base = ScenarioConfig(f_c_ghz=60.0)
+    want = link_budget(base, drop, los_u, ShadowDraws())
+    assert np.array_equal(want["l_oa"], 15.0 * want["d_3d"] / 1000.0)
+    # a carrier equal to a key, of any number type, gets that key's power and
+    # oxygen, and a config stores it with the bits of the key ...
+    for f_c in (60, np.int64(60), np.float32(60.0)):
+        config = ScenarioConfig(f_c_ghz=f_c)
+        assert type(config.f_c_ghz) is float and config.f_c_ghz.hex() == (60.0).hex()
+        alloc = linkbudget.power_allocation("scaled", f_c)
+        assert (alloc.bandwidth_hz, alloc.p_tx_dbm) == (1e9, 61.0)
+        l_oa = propagation.oxygen_absorption(f_c, want["d_3d"], config.propagation)
+        assert np.array_equal(l_oa, want["l_oa"])
+    # ... and a carrier equal to no key, 5e-10 GHz off 60 GHz as 5e-7 GHz off,
+    # is off both tables: inside the oxygen complex a config refuses it
+    for off in (60.0 + 5e-10, 60.0 + 5e-7):
+        with pytest.raises(ConfigError, match="is not a standard carrier"):
+            ScenarioConfig(f_c_ghz=off)
+        with pytest.raises(ConfigError, match="propagation.oxygen_delta_db_per_km has no key"):
+            ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0)
+        assert off not in base.propagation.oxygen_delta_db_per_km
+        assert np.all(propagation.oxygen_absorption(off, want["d_3d"], base.propagation) == 0.0)
+        # with its own settings and oxygen key it runs like any other carrier
+        own = ScenarioConfig(f_c_ghz=off, bandwidth_hz=1e9, tx_power_dbm=61.0,
+                             propagation=PropagationParams(oxygen_delta_db_per_km={off: 15.0}))
+        l_oa = propagation.oxygen_absorption(off, want["d_3d"], own.propagation)
+        assert np.array_equal(l_oa, want["l_oa"])
 
 
 @pytest.mark.parametrize("environment", ["outdoor", "indoor"])
@@ -1254,6 +1286,8 @@ def test_public_names_resolve_once():
     assert mmwsim.FrequencyRangeWarning is propagation.FrequencyRangeWarning
     for name in ("BANDWIDTH_HZ", "SCALED_PTX_DBM", "check_power"):
         assert not hasattr(checks, name) and hasattr(linkbudget, name), name
+    # a carrier is looked up as its table key: no rule matches it within a tolerance
+    assert not hasattr(checks, "carrier_key")
     # the config's deployment block is the cluster: no second layout object
     for gone in ("Deployment", "generate_layout"):
         assert not hasattr(mmwsim, gone) and not hasattr(mmwsim.deployment, gone), gone

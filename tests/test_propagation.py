@@ -366,13 +366,27 @@ def test_params_hold_loss_pairs_and_oxygen_table_as_floats():
     assert type(listed.glass_loss_db) is tuple
 
 
-@pytest.mark.parametrize("table", [{60: 15, 60.0000000001: 3}, {60.000000001: 3, 60.0: 15}])
-def test_oxygen_keys_a_carrier_could_match_twice_are_refused(table):
-    # carrier_key takes the first key within 1e-9 GHz: with both keys a 60 GHz
-    # run took whichever came first
-    low, high = sorted(map(float, table))
-    with pytest.raises(ConfigError, match=rf"^propagation\.oxygen_delta_db_per_km keys "
-                                          rf"{low!r} and {high!r} lie within 2e-9 GHz"):
+def test_oxygen_keys_1e_10_ghz_apart_are_two_carriers():
+    # a carrier matches the key it equals and no other, so keys however close
+    # each hold their own delta; within 2e-9 GHz they were refused
+    near = 60.0 + 1e-10
+    params = PropagationParams(oxygen_delta_db_per_km={60.0: 15.0, near: 3.0})
+    assert len(params.oxygen_delta_db_per_km) == 2
+    assert oxygen_absorption(60.0, 1000.0, params) == 15.0
+    assert oxygen_absorption(near, 1000.0, params) == 3.0
+    params.check_carrier(near)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({2**53: 1.0, 2**53 + 1: 2.0},
+     "keys 9007199254740992 and 9007199254740993 round to one float"),
+    ({2**53 + 1: 2.0, 2.0**53: 1.0},
+     "keys 9007199254740992.0 and 9007199254740993 round to one float"),
+    ({-60: 1.0}, r"must be a mapping of finite numbers at positive keys, got \{-60: 1.0\}"),
+    ({0.0: 1.0, 60.0: 15.0}, "must be a mapping of finite numbers at positive keys"),
+], ids=["ints_on_one_float", "int_and_float", "negative", "zero"])
+def test_oxygen_keys_are_positive_each_on_its_own_float(table, message):
+    # the two keys became one entry, {9007199254740992.0: 2.0}, and keys no
+    # carrier (f_c_ghz > 0) can equal were kept
+    with pytest.raises(ConfigError, match=rf"^propagation\.oxygen_delta_db_per_km {message}"):
         PropagationParams(oxygen_delta_db_per_km=table)
-    # keys 2e-9 GHz or more apart share no carrier
-    PropagationParams(oxygen_delta_db_per_km={60.0: 15.0, 60.000000002: 3.0, 61.0: 1.0})
