@@ -14,15 +14,15 @@ from .engine import (DeploymentParams, RunResult, ScenarioConfig, SweepEntry,
 from .linkbudget import (PowerAllocation, associate, cl_snr0_threshold, coupling_loss,
                          noise_power, power_allocation)
 from .metrics import CdfSeries, empirical_cdf, geometry_metric
-from .propagation import (FrequencyRangeWarning, PropagationParams, ShadowDraws,
-                          draw_shadows, fspl, los_probability, material_loss, o2i_loss,
-                          oxygen_absorption, pl_los_ci, pl_nlos_abg)
+from .propagation import (PropagationParams, ShadowDraws, draw_shadows, fspl,
+                          los_probability, material_loss, o2i_loss, oxygen_absorption,
+                          pl_los_ci, pl_nlos_abg)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern", "CdfSeries", "ConfigError", "DeploymentParams",
-    "FrequencyRangeWarning", "MobileDrop", "PowerAllocation",
+    "MobileDrop", "PowerAllocation",
     "PropagationParams", "RunResult", "ScenarioConfig", "ShadowDraws",
     "SweepEntry", "associate", "cl_snr0_threshold", "coupling_loss",
     "draw_shadows", "drop_mobiles", "empirical_cdf", "fspl", "geometry_metric",

@@ -25,7 +25,8 @@ _DB_LIMIT = 1000.0
 
 # (low, high, low bound open) of every number in each bounded setting and
 # model constant, checked once, as the config block holding it is built, so
-# that an absurd magnitude is refused before the run: carrier positive,
+# that an absurd magnitude is refused before the run: carrier in the 0.5-100 GHz
+# for which the CI and ABG path-loss models are stated (3GPP TR 38.901 §7.4),
 # bandwidth positive and at most 1e15 Hz (its noise power, at most 976 dBm,
 # is finite as a linear power), layout lengths positive and at most 1,000 km
 # (far beyond any cell layout, far inside the range where the sampler's
@@ -36,7 +37,7 @@ _DB_LIMIT = 1000.0
 # is 10 times its exponent), beamwidths within the circle and the downtilt a
 # zenith angle.  None leaves bandwidth_hz and tx_power_dbm to the carrier table.
 RANGES = {
-    "f_c_ghz": (0.0, math.inf, True),
+    "f_c_ghz": (0.5, 100.0, False),
     "bandwidth_hz": (0.0, 1.0e15, True),
     **dict.fromkeys(("deployment.isd_m", "deployment.bs_height_m",
                      "deployment.ms_height_m"), (0.0, 1.0e6, True)),

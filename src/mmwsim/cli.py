@@ -26,6 +26,15 @@ def _sweep_tag(f_c_ghz: float, scheme: str) -> str:
     return f"f{f_c_ghz:g}ghz_{scheme}"
 
 
+def _check_outdirs(outdirs) -> None:
+    """Refuse, before the run, an output directory that cannot be made: one
+    that exists and is not a directory, or whose nearest existing ancestor is not."""
+    for outdir in outdirs:
+        path = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not path.is_dir():
+            raise ConfigError(f"output directory {outdir}: {path} is not a directory")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwsim",
@@ -52,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="run a carrier x power-scheme sweep")
     sweep_p.add_argument("--frequencies", type=_parse_floats,
                          default=list(BANDWIDTH_HZ),
-                         help="comma-separated carriers in GHz "
+                         help="comma-separated carriers in GHz, 0.5-100 "
                               "(default: 2,10,30,60,100)")
     sweep_p.add_argument("--schemes", type=_parse_names, default=None,
                          help="comma-separated power schemes "
@@ -69,6 +78,7 @@ def main(argv=None) -> int:
         outdir = Path(args.output)
 
         if args.command == "run":
+            _check_outdirs([outdir])
             t0 = time.perf_counter()
             result = run_scenario(config, workers=args.workers,
                                   collect_links=args.links)
@@ -91,6 +101,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"sweep runs would share the output directory "
                               f"{', '.join(shared)}: give each carrier (to 6 "
                               f"significant digits) and scheme once")
+        _check_outdirs(outdir / tag for tag in tags)
         entries = run_sweep(config, args.frequencies, schemes,
                             workers=args.workers)
         failures = 0

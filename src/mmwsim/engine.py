@@ -529,8 +529,8 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     try:  # by the config's own rule, so that "60" and True are refused as there
         for f_c in frequencies:
             check_fields(ScenarioConfig, {"f_c_ghz": f_c}, "")
-    except ConfigError:
-        raise ConfigError(f"frequencies must be positive and finite, got {frequencies}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"frequencies {frequencies}: {exc}") from None
     keys = [(float(f_c), scheme) for f_c in frequencies for scheme in schemes]
     configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme)
                for f_c, scheme in keys]

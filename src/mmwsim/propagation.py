@@ -4,13 +4,13 @@ Implements the close-in (CI) line-of-sight path loss, the alpha-beta-gamma
 (ABG) non-line-of-sight path loss, a distance-based LoS probability,
 composite outdoor-to-indoor penetration loss and oxygen absorption, each
 with its log-normal shadow term.  All functions accept scalars or numpy
-arrays, take the carrier in GHz (``f_c_ghz``) and return dB values; the
-path-loss models warn with ``FrequencyRangeWarning`` outside 0.5-100 GHz."""
+arrays, take the carrier in GHz (``f_c_ghz``) and return dB values.  The
+path-loss models are stated for 0.5-100 GHz, the range of ``f_c_ghz`` in
+``checks.RANGES``; called directly, they compute at any positive carrier."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,14 +18,6 @@ import numpy as np
 from .checks import ConfigError, check_block
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-#: validity range of the path-loss models, in GHz
-FREQ_VALID_GHZ = (0.5, 100.0)
-
-
-class FrequencyRangeWarning(UserWarning):
-    """Carrier frequency outside the 0.5-100 GHz validity range of the path-loss models."""
-
 
 #: the 60 GHz oxygen absorption complex, in GHz, where delta(f) is large
 #: throughout (ITU-R P.676); ``PropagationParams.check_carrier`` reads it
@@ -139,15 +131,6 @@ def draw_shadows(rng: np.random.Generator, shape,
     )
 
 
-def _check_freq_validity(f_c_ghz):
-    lo, hi = FREQ_VALID_GHZ
-    f = np.asarray(f_c_ghz)
-    if np.any(f < lo) or np.any(f > hi):
-        warnings.warn(
-            f"carrier frequency outside the {lo}-{hi} GHz model validity "
-            "range", FrequencyRangeWarning, stacklevel=3)
-
-
 def fspl(f_c_ghz: float) -> float:
     """Free-space path loss at the 1 m reference distance.
 
@@ -182,7 +165,6 @@ def pl_los_ci(f_c_ghz: float, d_m, x_los_db=0.0,
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("d_m below the 1 m close-in reference distance")
-    _check_freq_validity(f_c_ghz)
     return fspl(f_c_ghz) + params.ci_ple_coeff * np.log10(d) + x_los_db
 
 
@@ -204,7 +186,6 @@ def pl_nlos_abg(f_c_ghz: float, d_m, x_nlos_db=0.0,
     d = np.asarray(d_m, dtype=float)
     if np.any(d < 1.0):
         raise ValueError("d_m below the 1 m reference distance")
-    _check_freq_validity(f_c_ghz)
     return (10.0 * params.abg_alpha * np.log10(d) + params.abg_beta_db
             + 10.0 * params.abg_gamma * np.log10(f_c_ghz) + x_nlos_db)
 

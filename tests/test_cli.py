@@ -30,10 +30,11 @@ OVERFLOW = dict(n_drops=1, tx_power_dbm=1000.0, g_sm_db=1000.0, ms_gain_dbi=1000
                 antenna=dict(g_max_dbi=1000.0))
 # configs that each ended a run in a raw traceback or printed a numpy
 # RuntimeWarning before its one report, with the start of that report now:
-# a floor count beyond int64 and a bandwidth whose linear noise power
-# overflowed (both refused as the config is built), and settings within their
-# bounds whose linear concrete wall loss, serving received power (underflow)
-# or O2I shadow leave the float range
+# a floor count beyond int64, a bandwidth whose linear noise power overflowed
+# and carriers far outside the path-loss models' range, whose reports named
+# the linear powers (all refused as the config is built), and settings within
+# their bounds whose linear concrete wall loss, serving received power
+# (underflow) or O2I shadow leave the float range
 ONE_STATION = dict(n_drops=1, ms_per_sector=1)
 REPROS = {
     "floor_count_beyond_int64": (
@@ -42,6 +43,9 @@ REPROS = {
     "noise_power_overflow": (
         dict(ONE_STATION, f_c_ghz=60.0, bandwidth_hz=1.0e300, noise_figure_db=1000.0),
         "bandwidth_hz must lie in (0, 1e+15], got 1e+300"),
+    **{f"carrier_{f_c:g}": (
+        dict(ONE_STATION, f_c_ghz=f_c, bandwidth_hz=1e9, tx_power_dbm=30.0),
+        f"f_c_ghz must lie in [0.5, 100], got {f_c!r}") for f_c in (1e-300, 1e300)},
     "concrete_loss_overflow": (
         dict(ONE_STATION, f_c_ghz=10.0, environment="indoor",
              propagation=dict(concrete_loss_db=[5.0, -1000.0])),
@@ -150,7 +154,7 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
      "propagation.oxygen_delta_db_per_km"),
     (dict(n_drops=1, propagation=dict(sigma_los_db=float("nan"))), "propagation.sigma_los_db"),
     (dict(deployment=dict(isd_m=1e300)), "deployment.isd_m"),
-    (dict(f_c_ghz=300.0), "bandwidth_hz"),
+    (dict(f_c_ghz=73.0), "bandwidth_hz"),
     # a carrier in the oxygen complex without its own oxygen key used to get 0 dB/km
     (dict(f_c_ghz=59.0, bandwidth_hz=1e9, tx_power_dbm=60.0),
      "propagation.oxygen_delta_db_per_km has no key"),
@@ -169,6 +173,11 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     # each of these used to end in a raw ValueError or OverflowError
     *(REPROS[name] for name in ("floor_count_beyond_int64", "noise_power_overflow",
                                 "concrete_loss_overflow")),
+    # a carrier outside the path-loss models' 0.5-100 GHz used to warn and run, and
+    # far outside it to fail in the drop, reported as overflowing linear powers
+    *(REPROS[name] for name in ("carrier_1e-300", "carrier_1e+300")),
+    (dict(f_c_ghz=300.0), "f_c_ghz must lie in [0.5, 100], got 300.0"),
+    (dict(f_c_ghz=0.4999, bandwidth_hz=1e9, tx_power_dbm=30.0), "f_c_ghz must lie in [0.5, 100]"),
 ], ids=["tx_nan", "tx_inf", "bw_negative", "bw_nan", "bs_height_negative",
         "ms_height_negative", "min_distance_infeasible", "d3d_below_1m",
         "n_drops_str", "n_drops_float", "ms_per_sector_float", "f_c_str", "ms_gain_str",
@@ -179,7 +188,8 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
         "carrier_in_oxygen_complex",
         "abg_beta_1e300", "sigma_str", "sigma_negative", "g_max_null", "hpbw_zero",
         "loss_pair_str", "loss_pair_bool", "oxygen_str", "floor_count_beyond_int64",
-        "noise_power_overflow", "concrete_loss_overflow"])
+        "noise_power_overflow", "concrete_loss_overflow", "carrier_1e-300", "carrier_1e+300",
+        "carrier_above_range", "carrier_below_range"])
 def test_invalid_value_exits_2_without_output(tmp_path, capsys, override, field):
     if isinstance(override, str):
         cfg = tmp_path / "scenario.yaml"
@@ -450,15 +460,43 @@ def test_sweep_refuses_runs_that_share_a_directory(tmp_path, capsys, frequencies
     assert not out.exists()
 
 
-@pytest.mark.parametrize("frequencies", ["nan", "inf", "-4", "2,0"])
-def test_sweep_refuses_carriers_that_are_not_positive_and_finite(tmp_path, capsys,
+OUT_OF_RANGE = ("-4", "2,0", "2,150", "0.4999", "100.0001")
+
+
+@pytest.mark.parametrize("frequencies", ["nan", "inf", *OUT_OF_RANGE])
+def test_sweep_refuses_carriers_that_are_not_positive_and_finite(tmp_path, capsys, monkeypatch,
                                                                  frequencies):
+    # a carrier outside the path-loss models' range is refused before any run
+    runs = []
+    monkeypatch.setattr(mmwsim.engine, "_run_all", lambda *args: runs.append(args))
     cfg = write_config(tmp_path, n_drops=1)
     out = tmp_path / "sweep"
     assert main(["sweep", "-c", str(cfg), "-o", str(out),
                  "--frequencies", frequencies]) == 2
-    assert "frequencies must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: frequencies [") and err.count("\n") == 1
+    assert ("f_c_ghz must lie in [0.5, 100], got " if frequencies in OUT_OF_RANGE
+            else "f_c_ghz must be a finite number, got ") in err
+    assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_output_path_that_cannot_be_a_directory_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, command, below):
+    # the run used to be simulated whole, then lost as its first save failed
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: calls.append(args))
+    cfg = write_config(tmp_path, n_drops=1)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if below else blocker
+    assert main([command, "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {out}")
+    assert err.endswith(f": {blocker} is not a directory\n") and err.count("\n") == 1
+    assert calls == [] and blocker.read_text() == "kept\n"
 
 
 def test_sweep_worker_counts_write_identical_directories(tmp_path):

@@ -18,12 +18,11 @@ import json
 import math
 import re
 import time
-import warnings
 
 import numpy as np
 import yaml
 
-from mmwsim import ConfigError, FrequencyRangeWarning, ScenarioConfig, load_config
+from mmwsim import ConfigError, ScenarioConfig, load_config
 from mmwsim.cli import main
 
 N_CONFIGS = 400
@@ -149,9 +148,7 @@ def test_fuzzed_configs_fail_validation_or_run_clean(tmp_path, capsys):
             assert not out.exists(), cfg
             continue
         start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FrequencyRangeWarning)  # f_c beyond 0.5-100 GHz
-            code = main(["run", "-c", str(path), "-o", str(out)])
+        code = main(["run", "-c", str(path), "-o", str(out)])
         if code == 2:
             err = capsys.readouterr().err
             assert re.search(r"non-finite (coupling loss|geometry metric) \(drop", err), (cfg, err)

@@ -268,8 +268,8 @@ def test_config_yaml_roundtrip(tmp_path):
 @pytest.mark.parametrize("text, field, want", [
     ('{"f_c_ghz": 28.0, "bandwidth_hz": 5e8, "tx_power_dbm": 50.0}', "bandwidth_hz", 5e8),
     (json.dumps({"f_c_ghz": 60.0, "g_sm_db": 1e-05}), "g_sm_db", 1e-05),
-    (json.dumps({"f_c_ghz": 1e20, "bandwidth_hz": 1e9, "tx_power_dbm": 50.0}),
-     "f_c_ghz", 1e20),
+    (json.dumps({"f_c_ghz": 60.0, "deployment": {"indoor_depth_max_m": 1e20}}),
+     "deployment.indoor_depth_max_m", 1e20),
     ("f_c_ghz: 60.0\nbandwidth_hz: 1e9\n", "bandwidth_hz", 1e9),
 ], ids=["json_5e8", "json_dumps_1e-05", "json_dumps_1e+20", "yaml_1e9"])
 def test_config_files_read_exponent_numbers_as_floats(tmp_path, text, field, want):
@@ -277,7 +277,9 @@ def test_config_files_read_exponent_numbers_as_floats(tmp_path, text, field, wan
     # were strings, refused as "must be a finite number"
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
-    value = getattr(load_config(path), field)
+    value = load_config(path)
+    for name in field.split("."):
+        value = getattr(value, name)
     assert type(value) is float and value == want
 
 
@@ -1283,7 +1285,9 @@ def test_public_names_resolve_once():
     # both power schemes live in linkbudget; each exception type with its rules
     assert importlib.util.find_spec("mmwsim.errors") is None
     assert mmwsim.ConfigError is checks.ConfigError
-    assert mmwsim.FrequencyRangeWarning is propagation.FrequencyRangeWarning
+    # the path-loss models' range is the config's rule for f_c_ghz: they warn of no carrier
+    for gone in ("FrequencyRangeWarning", "_check_freq_validity"):
+        assert not hasattr(mmwsim, gone) and not hasattr(propagation, gone), gone
     for name in ("BANDWIDTH_HZ", "SCALED_PTX_DBM", "check_power"):
         assert not hasattr(checks, name) and hasattr(linkbudget, name), name
     # a carrier is looked up as its table key: no rule matches it within a tolerance
@@ -1362,12 +1366,13 @@ def test_api_refuses_workers_that_are_not_positive_integers(workers):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -4.0, 0.0, "x", None, 10 ** 400,
-                                 "60", True])
+                                 "60", True, 0.4999, 100.0001, 150.0])
 def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
     # nan, inf and -4 used to end in a traceback from a per-carrier seed, and "x",
     # None and 10 ** 400 in a raw error from float(); "60" used to run at
-    # 60 GHz and True at 1 GHz, though a config refuses both
-    with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
+    # 60 GHz and True at 1 GHz, though a config refuses both; 150 GHz warned and ran
+    with pytest.raises(ConfigError, match=r"^frequencies \[2\.0, .*\]: f_c_ghz must (be a "
+                                          r"finite number|lie in \[0\.5, 100\]), got "):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
 
 
@@ -1415,7 +1420,7 @@ def test_config_refuses_bools_and_numbers_that_are_not_finite(bad):
         small(f_c_ghz=bad)
     with pytest.raises(ConfigError, match="^n_drops must be an integer"):
         small(n_drops=np.bool_(True))
-    with pytest.raises(ConfigError, match="frequencies must be positive and finite"):
+    with pytest.raises(ConfigError, match=r"^frequencies \[2\.0, .*\]: f_c_ghz must be a finite"):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
 
 
@@ -1657,6 +1662,25 @@ def test_run_keeps_each_stations_serving_cl_and_gm_in_drop_order(workers):
     cl = res.links["coupling_loss"]
     serving_cl = cl[np.arange(len(cl)), cl.argmax(axis=1)]
     assert res.serving_cl.tobytes() == serving_cl.tobytes()
+
+
+@pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+def test_drops_are_prefix_stable(tmp_path, environment):
+    # drop d reads only its own substreams, so the first drop of a 2-drop run
+    # is the 1-drop run, at any worker count; 11 stations a sector put 627 in
+    # a drop, across the 600-station block edge
+    cfg = small(f_c_ghz=60.0, environment=environment, ms_per_sector=11, seed=7)
+    for workers in (1, 2):
+        runs = [run_scenario(replace(cfg, n_drops=n), workers=workers, collect_links=True)
+                for n in (2, 1)]
+        for key in ("serving_cl", "gm"):
+            a, b = (getattr(run, key) for run in runs)
+            assert a.shape == (2 * 627,) and a[:627].tobytes() == b.tobytes(), key
+        # and so the 1-drop links.csv is the head of the 2-drop one
+        for n, run in zip((2, 1), runs):
+            save_results(run, tmp_path / f"{workers}_{n}")
+        long, short = ((tmp_path / f"{workers}_{n}" / "links.csv").read_bytes() for n in (2, 1))
+        assert len(short) < len(long) and long.startswith(short)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

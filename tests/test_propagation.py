@@ -1,12 +1,13 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mmwsim import linkbudget, propagation
-from mmwsim import (ConfigError, DeploymentParams, FrequencyRangeWarning, MobileDrop,
+from mmwsim import (ConfigError, DeploymentParams, MobileDrop,
                     PropagationParams, ScenarioConfig, ShadowDraws, draw_shadows, fspl,
                     link_budget, los_probability, material_loss, o2i_loss,
                     oxygen_absorption, pl_los_ci, pl_nlos_abg)
@@ -68,17 +69,21 @@ def test_abg_frequency_slope_exact(rng):
     assert_allclose(diff, 21.3 * math.log10(50.0), atol=1e-9)
 
 
-def test_frequency_validity_warning():
-    with pytest.warns(FrequencyRangeWarning):
-        pl_los_ci(0.2, 10.0)
-    with pytest.warns(FrequencyRangeWarning):
-        pl_nlos_abg(150.0, 10.0)
-    import warnings
-
+def test_carriers_outside_the_model_range_are_refused():
+    # the models' 0.5-100 GHz range is the config's rule: such a carrier used
+    # to pass with a FrequencyRangeWarning and run
+    off_table = dict(bandwidth_hz=1e9, tx_power_dbm=30.0)
+    for f_c in (0.2, 150.0, 0.4999, 100.0001):
+        with pytest.raises(ConfigError, match=r"^f_c_ghz must lie in \[0\.5, 100\], got "):
+            ScenarioConfig(f_c_ghz=f_c, **off_table)
+    # both ends of the range are accepted
+    assert ScenarioConfig(f_c_ghz=100.0).f_c_ghz == 100.0
+    assert ScenarioConfig(f_c_ghz=0.5, **off_table).f_c_ghz == 0.5
+    # called directly, the models compute at any positive carrier, and warn of none
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pl_los_ci(100.0, 10.0)  # boundary of the validity range is fine
-        pl_nlos_abg(0.5, 10.0)
+        for f_c in (0.2, 0.5, 100.0, 150.0):
+            assert math.isfinite(pl_los_ci(f_c, 10.0) + pl_nlos_abg(f_c, 10.0))
 
 
 def test_monotonic_in_distance_and_frequency(rng):
