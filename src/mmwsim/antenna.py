@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_block
+from .checks import check_block, check_range
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,8 @@ def sector_gain(pattern: AntennaPattern, theta_deg, phi_deg):
     in the 3GPP TR 36.814 3D pattern, ``front_back_db`` (A_m) caps A_H and
     the sum A_V + A_H, giving ``g_max_dbi - min(A_V + A_H, A_m)``.
     """
-    theta = np.asarray(theta_deg, dtype=float)
-    phi = np.asarray(phi_deg, dtype=float)
-    if np.any(theta < 0) or np.any(theta > 180):
-        raise ValueError("theta_deg must lie in [0, 180]")
-    if np.any(phi <= -180) or np.any(phi > 180):
-        raise ValueError("phi_deg must lie in (-180, 180]")
+    theta = check_range("theta_deg", theta_deg, 0.0, 180.0)
+    phi = check_range("phi_deg", phi_deg, -180.0, 180.0, open_low=True)
     # each cap a clip with no lower bound: with AVX-512, numpy runs minimum
     # against a scalar in a non-SIMD loop and clip in a SIMD one (same bits)
     a_v = np.clip(12.0 * ((theta - pattern.downtilt_deg) / pattern.hpbw_v_deg) ** 2,

@@ -1,11 +1,15 @@
 """The rules a scenario config's values must meet, and ``ConfigError``: each
 field's type by its annotation and each number's range by the field's dotted
-name, applied by one walker, ``check_fields``, and the environment by
-``check_environment``.  Each config block checks itself with them as it is built
-(``check_block``, which also stores each value at its field's type), so the
-``deployment`` block that ``drop_mobiles`` and ``wrap_displacements`` take is
-checked once; ``drop_mobiles`` checks its environment with
-``check_environment``, and the engine its ``workers`` with ``_is_int``."""
+name, applied by one walker, ``check_fields``, the environment by
+``check_environment`` and the power scheme by ``check_scheme``, which a sweep
+also applies to its schemes before any run.  Each config block checks itself
+with them as it is built (``check_block``, which also stores each value at its
+field's type), so the ``deployment`` block that ``drop_mobiles`` and
+``wrap_displacements`` take is checked once; ``drop_mobiles`` checks its
+environment with ``check_environment``, and the engine its ``workers`` with
+``_is_int``.  The link-budget stages refuse an argument outside their domain
+by one rule, ``check_range``, whose message writes the interval as
+``check_fields``' does."""
 
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ import dataclasses
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -102,6 +108,12 @@ def check_environment(environment):
         raise ConfigError(f"environment must be 'outdoor' or 'indoor', got {environment!r}")
 
 
+def check_scheme(scheme):
+    """Refuse a power scheme other than ``scaled`` or ``constant``."""
+    if scheme not in ("scaled", "constant"):
+        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
+
+
 def check_block(block, prefix: str):
     """Check the fields of the frozen dataclass ``block`` (``check_fields``), then
     store each at its type by its ``FIELD_TYPES`` rule (``60`` or ``np.int64(60)`` in
@@ -133,6 +145,18 @@ def check_fields(cls, values: dict, prefix: str):
                    else value if isinstance(value, (tuple, list)) else (value,))
         if not all(v is None or (low < v if open_low else low <= v) and v <= high
                    for v in numbers):
-            raise ConfigError(f"{name} must lie in {'(' if open_low else '['}"
-                              f"{low:g}, {high:g}{']' if high < math.inf else ')'}, "
-                              f"got {value!r}")
+            raise ConfigError(f"{name} must lie in {_interval(*RANGES[name])}, got {value!r}")
+
+
+def _interval(low, high, open_low) -> str:
+    return f"{'(' if open_low else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+
+
+def check_range(name: str, value, low: float, high: float = math.inf, open_low: bool = False):
+    """``value`` as a float array, or a ``ValueError`` if a non-NaN element is out of range."""
+    x = np.asarray(value, dtype=float)
+    v = np.fmin.reduce(x, axis=None, initial=math.inf)
+    if (v <= low if open_low else v < low) or high < math.inf and (
+            v := np.fmax.reduce(x, axis=None, initial=-math.inf)) > high:
+        raise ValueError(f"{name} must lie in {_interval(low, high, open_low)}, got {float(v)!r}")
+    return x

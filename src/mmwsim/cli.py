@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -28,9 +29,10 @@ def _sweep_tag(f_c_ghz: float, scheme: str) -> str:
 
 def _check_outdirs(outdirs) -> None:
     """Refuse, before the run, an output directory that cannot be made: one
-    that exists and is not a directory, or whose nearest existing ancestor is not."""
+    that exists and is not a directory, or whose nearest existing ancestor is not.
+    A dangling symlink exists here (``lexists``) and is no directory."""
     for outdir in outdirs:
-        path = next(p for p in (outdir, *outdir.parents) if p.exists())
+        path = next(p for p in (outdir, *outdir.parents) if os.path.lexists(p))
         if not path.is_dir():
             raise ConfigError(f"output directory {outdir}: {path} is not a directory")
 

@@ -28,7 +28,8 @@ from . import antenna as antenna_mod
 from . import deployment as deployment_mod
 from . import linkbudget, metrics, propagation
 from .antenna import AntennaPattern
-from .checks import ConfigError, _is_int, check_block, check_environment, check_fields
+from .checks import (ConfigError, _is_int, check_block, check_environment, check_fields,
+                     check_scheme)
 from .deployment import DeploymentParams
 from .linkbudget import check_power
 from .metrics import CdfSeries
@@ -516,6 +517,9 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     ``run_scenario`` of its config.  The runs go, in (carrier, scheme)
     order, through the same scheduler as ``run_scenario`` (``_run_all``),
     so at more than one worker the drops of all runs share one pool.  A
+    carrier or scheme its own config rule refuses is a ``ConfigError``
+    before any run; a rule that also reads the base config (an off-table
+    carrier's overrides, its oxygen key) is checked per run.  A
     failing run is recorded in its entry as ``"ExceptionType: message"``
     and the sweep continues; the entries, their results and their errors
     are the same at any worker count.
@@ -526,11 +530,15 @@ def run_sweep(base_config: ScenarioConfig, frequencies, schemes,
     frequencies, schemes = list(frequencies), list(schemes)
     if not frequencies or not schemes:
         raise ConfigError("frequencies and schemes must be non-empty")
-    try:  # by the config's own rule, so that "60" and True are refused as there
-        for f_c in frequencies:
-            check_fields(ScenarioConfig, {"f_c_ghz": f_c}, "")
-    except ConfigError as exc:
-        raise ConfigError(f"frequencies {frequencies}: {exc}") from None
+    for name, values, rule in (
+            ("frequencies", frequencies,
+             lambda f_c: check_fields(ScenarioConfig, {"f_c_ghz": f_c}, "")),
+            ("schemes", schemes, check_scheme)):
+        try:  # by the config's own rules, so that "60" and True are refused as there
+            for value in values:
+                rule(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{name} {values}: {exc}") from None
     keys = [(float(f_c), scheme) for f_c in frequencies for scheme in schemes]
     configs = [functools.partial(replace, base_config, f_c_ghz=f_c, power_scheme=scheme)
                for f_c, scheme in keys]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import ConfigError
+from .checks import ConfigError, check_range, check_scheme
 
 #: (bandwidth Hz, scaled-scheme transmit power dBm) per standard carrier, GHz keyed
 BANDWIDTH_HZ = {2.0: 20e6, 10.0: 300e6, 30.0: 500e6, 60.0: 1000e6, 100.0: 2000e6}
@@ -21,8 +21,7 @@ NOISE_DENSITY_DBM_HZ = -174.0
 def check_power(scheme, f_c_ghz, bandwidth_hz, tx_power_dbm):
     """Refuse a scheme other than ``scaled`` or ``constant``, and a carrier equal to
     no table key without ``bandwidth_hz`` or, scaled, ``tx_power_dbm``."""
-    if scheme not in ("scaled", "constant"):
-        raise ConfigError(f"power_scheme must be 'scaled' or 'constant', got {scheme!r}")
+    check_scheme(scheme)
     if f_c_ghz not in BANDWIDTH_HZ and bandwidth_hz is None:
         raise ConfigError(f"f_c_ghz={f_c_ghz!r} is not a standard carrier; set bandwidth_hz")
     if f_c_ghz not in BANDWIDTH_HZ and tx_power_dbm is None and scheme == "scaled":
@@ -56,9 +55,8 @@ def power_allocation(scheme: str, f_c_ghz: float, bandwidth_hz: float | None = N
 
 def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Receiver noise power in dBm over ``bandwidth_hz`` at ``NOISE_DENSITY_DBM_HZ``."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz}")
-    return NOISE_DENSITY_DBM_HZ + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
+    b = check_range("bandwidth_hz", bandwidth_hz, 0.0, open_low=True)
+    return NOISE_DENSITY_DBM_HZ + 10.0 * np.log10(b) + noise_figure_db
 
 
 def coupling_loss(g_tx_dbi, g_rx_dbi, pl_db, l_o2i_db=0.0, l_oa_db=0.0, g_sm_db=0.0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import ConfigError, check_block
+from .checks import ConfigError, check_block, check_range
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -142,9 +142,8 @@ def fspl(f_c_ghz: float) -> float:
     -------
     20 * log10(4 * pi * f_c / c) in dB, with f_c in Hz.
     """
-    if np.any(np.asarray(f_c_ghz) <= 0):
-        raise ValueError(f"f_c_ghz must be positive, got {f_c_ghz}")
-    return 20.0 * np.log10(4.0 * np.pi * (f_c_ghz * 1e9) / SPEED_OF_LIGHT_M_S)
+    f = check_range("f_c_ghz", f_c_ghz, 0.0, open_low=True)
+    return 20.0 * np.log10(4.0 * np.pi * (f * 1e9) / SPEED_OF_LIGHT_M_S)
 
 
 def pl_los_ci(f_c_ghz: float, d_m, x_los_db=0.0,
@@ -162,9 +161,7 @@ def pl_los_ci(f_c_ghz: float, d_m, x_los_db=0.0,
     -------
     FSPL(f_c) + ci_ple_coeff * log10(d) + x_los in dB.
     """
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < 1.0):
-        raise ValueError("d_m below the 1 m close-in reference distance")
+    d = check_range("d_m", d_m, 1.0)
     return fspl(f_c_ghz) + params.ci_ple_coeff * np.log10(d) + x_los_db
 
 
@@ -174,8 +171,8 @@ def pl_nlos_abg(f_c_ghz: float, d_m, x_nlos_db=0.0,
 
     Parameters
     ----------
-    f_c_ghz : carrier frequency in GHz (the frequency slope of this model
-        is defined on GHz).
+    f_c_ghz : carrier frequency in GHz, > 0 (the frequency slope of this
+        model is defined on GHz).
     d_m : 3D transmitter-receiver distance in metres, >= 1.
     x_nlos_db : shadow term in dB.
 
@@ -183,11 +180,10 @@ def pl_nlos_abg(f_c_ghz: float, d_m, x_nlos_db=0.0,
     -------
     10*alpha*log10(d) + beta + 10*gamma*log10(f_GHz) + x_nlos in dB.
     """
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < 1.0):
-        raise ValueError("d_m below the 1 m reference distance")
+    d = check_range("d_m", d_m, 1.0)
+    f = check_range("f_c_ghz", f_c_ghz, 0.0, open_low=True)
     return (10.0 * params.abg_alpha * np.log10(d) + params.abg_beta_db
-            + 10.0 * params.abg_gamma * np.log10(f_c_ghz) + x_nlos_db)
+            + 10.0 * params.abg_gamma * np.log10(f) + x_nlos_db)
 
 
 def los_probability(d_2d_m):
@@ -201,9 +197,7 @@ def los_probability(d_2d_m):
     link's d_2D minus its in-building depth (clipped to d_2D), so a link
     that lies wholly inside the building is LoS with probability 1.
     """
-    d = np.asarray(d_2d_m, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("d_2d_m must be non-negative")
+    d = check_range("d_2d_m", d_2d_m, 0.0)
     # 1 for d <= 18, collapses p to 1; a clip, not maximum(d, 18.0), which
     # numpy runs in a non-SIMD loop with AVX-512 (same bits)
     ratio = 18.0 / np.clip(d, 18.0, np.inf)
@@ -217,10 +211,8 @@ def material_loss(material: str, f_c_ghz: float,
     """Penetration loss of one building material in dB, linear in f_GHz."""
     if material not in _MATERIALS:
         raise ValueError(f"unknown material {material!r}, expected one of {_MATERIALS}")
-    if np.any(np.asarray(f_c_ghz) < 0):
-        raise ValueError("f_c_ghz must be non-negative")
     intercept, slope = getattr(params, f"{material}_loss_db")
-    return intercept + slope * f_c_ghz
+    return intercept + slope * check_range("f_c_ghz", f_c_ghz, 0.0)
 
 
 def o2i_loss(f_c_ghz: float, d_2d_in_m, x_low_db=0.0, x_high_db=0.0,
@@ -233,9 +225,7 @@ def o2i_loss(f_c_ghz: float, d_2d_in_m, x_low_db=0.0, x_high_db=0.0,
     adds the in-building loss ``indoor_loss_rate * d_2d_in``.  Outdoor
     stations bypass this entirely (loss 0).
     """
-    d_in = np.asarray(d_2d_in_m, dtype=float)
-    if np.any(d_in < 0):
-        raise ValueError("d_2d_in_m must be non-negative")
+    d_in = check_range("d_2d_in_m", d_2d_in_m, 0.0)
     l_g = material_loss("glass", f_c_ghz, params)
     l_irr = material_loss("irr_glass", f_c_ghz, params)
     l_c = material_loss("concrete", f_c_ghz, params)
@@ -260,9 +250,6 @@ def oxygen_absorption(f_c_ghz: float, d_m,
     """Atmospheric oxygen loss, delta(f_c) dB/km over the full travel distance;
     delta is 0 where f_c is not a key of the table (a config refuses such a
     carrier inside ``OXYGEN_COMPLEX_GHZ``)."""
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("d_m must be non-negative")
-    table = params.oxygen_delta_db_per_km
-    out = table.get(f_c_ghz, 0.0) * d / 1000.0
+    d = check_range("d_m", d_m, 0.0)
+    out = params.oxygen_delta_db_per_km.get(f_c_ghz, 0.0) * d / 1000.0
     return out if out.ndim else float(out)

@@ -481,22 +481,57 @@ def test_sweep_refuses_carriers_that_are_not_positive_and_finite(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("dangling, below", [(False, False), (False, True), (True, False),
+                                             (True, True)],
+                         ids=["file", "below_a_file", "dangling_link", "below_a_dangling_link"])
 def test_output_path_that_cannot_be_a_directory_exits_2_before_the_run(
-        tmp_path, capsys, monkeypatch, command, below):
-    # the run used to be simulated whole, then lost as its first save failed
+        tmp_path, capsys, monkeypatch, command, dangling, below):
+    # refused before the run is simulated, not when its first save fails;
+    # a dangling symlink is an entry that is no directory
     calls = []
     monkeypatch.setattr(cli, "run_scenario", lambda *args, **kw: calls.append(args))
     monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: calls.append(args))
     cfg = write_config(tmp_path, n_drops=1)
-    blocker = tmp_path / "file"
-    blocker.write_text("kept\n")
+    blocker, missing = tmp_path / "blocker", tmp_path / "missing"
+    if dangling:
+        blocker.symlink_to(missing)
+    else:
+        blocker.write_text("kept\n")
     out = blocker / "out" if below else blocker
     assert main([command, "-c", str(cfg), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: output directory {out}")
     assert err.endswith(f": {blocker} is not a directory\n") and err.count("\n") == 1
-    assert calls == [] and blocker.read_text() == "kept\n"
+    assert calls == []
+    if dangling:
+        assert blocker.readlink() == missing and not os.path.exists(missing)
+    else:
+        assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_into_a_symlinked_directory_is_written(tmp_path, command):
+    cfg = write_config(tmp_path, n_drops=1, ms_per_sector=1)
+    real, link = tmp_path / "real", tmp_path / "link"
+    real.mkdir()
+    link.symlink_to(real)
+    args = [command, "-c", str(cfg), "-o", str(link)]
+    assert main(args + (["--frequencies", "30"] if command == "sweep" else [])) == 0
+    summary = real / ("" if command == "run" else "f30ghz_scaled") / "summary.json"
+    assert json.loads(summary.read_text())["config"]["f_c_ghz"] == 30.0
+
+
+def test_sweep_refuses_an_unknown_scheme_before_any_run(tmp_path, capsys, monkeypatch):
+    # a scheme's rule reads only the scheme, as the carrier's range reads only the carrier
+    runs = []
+    monkeypatch.setattr(mmwsim.engine, "_run_all", lambda *args: runs.append(args))
+    cfg = write_config(tmp_path, n_drops=1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--frequencies", "2,60",
+                 "--schemes", "scaled,bogus"]) == 2
+    assert capsys.readouterr().err == ("error: schemes ['scaled', 'bogus']: power_scheme "
+                                       "must be 'scaled' or 'constant', got 'bogus'\n")
+    assert runs == [] and not out.exists()
 
 
 def test_sweep_worker_counts_write_identical_directories(tmp_path):

@@ -1376,6 +1376,18 @@ def test_sweep_refuses_carriers_that_are_not_positive_and_finite(bad):
         run_sweep(small(n_drops=1), [2.0, bad], ["scaled"])
 
 
+@pytest.mark.parametrize("bad", ["bogus", None, 1])
+def test_sweep_refuses_an_unknown_scheme_before_any_run(monkeypatch, bad):
+    # refused by the scheme's own rule, as a config refuses it, before any run
+    runs = []
+    monkeypatch.setattr(engine, "_run_all", lambda *args: runs.append(args))
+    message = (f"schemes ['scaled', {bad!r}]: power_scheme must be 'scaled' or 'constant', "
+               f"got {bad!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_sweep(small(n_drops=1), [2.0, 60.0], ["scaled", bad])
+    assert runs == []
+
+
 def test_sweep_carriers_stay_floats():
     [entry] = run_sweep(small(n_drops=1), [30], ["scaled"])
     assert type(entry.f_c_ghz) is type(entry.result.config.f_c_ghz) is float

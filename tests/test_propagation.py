@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mmwsim import linkbudget, propagation
-from mmwsim import (ConfigError, DeploymentParams, MobileDrop,
+from mmwsim import (AntennaPattern, ConfigError, DeploymentParams, MobileDrop,
                     PropagationParams, ScenarioConfig, ShadowDraws, draw_shadows, fspl,
-                    link_budget, los_probability, material_loss, o2i_loss,
-                    oxygen_absorption, pl_los_ci, pl_nlos_abg)
+                    link_budget, los_probability, material_loss, noise_power, o2i_loss,
+                    oxygen_absorption, pl_los_ci, pl_nlos_abg, sector_gain)
 
 # expected values frozen from an independent high-precision evaluation of the
 # model formulas (mpmath script, 40 digits)
@@ -51,7 +52,7 @@ def test_ci_los_values():
 def test_ci_los_reference_distance_error():
     with pytest.raises(ValueError):
         pl_los_ci(30.0, 0.5)
-    with pytest.raises(ValueError, match="^d_m below the 1 m reference distance$"):
+    with pytest.raises(ValueError, match=r"^d_m must lie in \[1, inf\), got 0\.5$"):
         pl_nlos_abg(30.0, 0.5)
 
 
@@ -113,15 +114,65 @@ def test_los_probability_shape(rng):
         los_probability(-1.0)
 
 
+# every range refusal of a link-budget stage: (stage, the stage called at the
+# argument under test, its name, its interval's text, low, high, low bound
+# open, takes arrays)
+STAGE_RANGES = [
+    ("fspl", fspl, "f_c_ghz", "(0, inf)", 0.0, math.inf, True, True),
+    ("pl_los_ci", lambda v: pl_los_ci(30.0, v), "d_m", "[1, inf)", 1.0, math.inf, False, True),
+    ("pl_nlos_abg", lambda v: pl_nlos_abg(30.0, v), "d_m", "[1, inf)",
+     1.0, math.inf, False, True),
+    ("pl_nlos_abg", lambda v: pl_nlos_abg(v, 100.0), "f_c_ghz", "(0, inf)",
+     0.0, math.inf, True, True),
+    ("los_probability", los_probability, "d_2d_m", "[0, inf)", 0.0, math.inf, False, True),
+    ("o2i_loss", lambda v: o2i_loss(28.0, v), "d_2d_in_m", "[0, inf)",
+     0.0, math.inf, False, True),
+    ("oxygen_absorption", lambda v: oxygen_absorption(60.0, v), "d_m", "[0, inf)",
+     0.0, math.inf, False, True),
+    ("material_loss", lambda v: material_loss("glass", v), "f_c_ghz", "[0, inf)",
+     0.0, math.inf, False, True),
+    ("sector_gain", lambda v: sector_gain(AntennaPattern(), v, 0.0), "theta_deg", "[0, 180]",
+     0.0, 180.0, False, True),
+    ("sector_gain", lambda v: sector_gain(AntennaPattern(), 90.0, v), "phi_deg",
+     "(-180, 180]", -180.0, 180.0, True, True),
+    ("noise_power", lambda v: noise_power(v, 9.0), "bandwidth_hz", "(0, inf)",
+     0.0, math.inf, True, False),
+]
+
+
+@pytest.mark.parametrize("stage, name, interval, low, high, open_low, arrays",
+                         [case[1:] for case in STAGE_RANGES],
+                         ids=[f"{case[0]}-{case[2]}" for case in STAGE_RANGES])
+def test_stage_ranges_are_one_rule(stage, name, interval, low, high, open_low, arrays):
+    outside = [np.nextafter(low, -math.inf), low - 5.0] + [low] * open_low
+    outside += [np.nextafter(high, math.inf), high + 5.0] if high < math.inf else []
+    inside = min(low + 1.0, high)
+    with warnings.catch_warnings():  # refused before numpy could warn of a log of <= 0
+        warnings.simplefilter("error")
+        for value in outside:
+            message = f"^{re.escape(f'{name} must lie in {interval}, got {float(value)!r}')}$"
+            with pytest.raises(ValueError, match=message):
+                stage(value)
+            if arrays:  # a NaN beside it hides nothing
+                with pytest.raises(ValueError, match=message):
+                    stage(np.array([np.nan, inside, value]))
+        # each closed bound is accepted, and a NaN passes
+        for value in [low] * (not open_low) + [high] * (high < math.inf) + [np.nan, inside]:
+            stage(value)
+        if arrays:
+            assert np.shape(stage(np.array([]))) == (0,)
+            assert np.shape(stage(np.array([np.nan, inside]))) == (2,)
+
+
 def test_material_loss():
     assert_allclose(material_loss("glass", 28.0), 7.6, atol=1e-12)
     assert_allclose(material_loss("concrete", 28.0), 117.0, atol=1e-12)
     assert_allclose(material_loss("irr_glass", 0.0), 23.0, atol=1e-12)
     with pytest.raises(ValueError):
         material_loss("wood", 28.0)
-    with pytest.raises(ValueError, match="^f_c_ghz must be non-negative$"):
+    with pytest.raises(ValueError, match=r"^f_c_ghz must lie in \[0, inf\), got -1\.0$"):
         material_loss("glass", -1.0)
-    with pytest.raises(ValueError, match="^d_2d_in_m must be non-negative$"):
+    with pytest.raises(ValueError, match=r"^d_2d_in_m must lie in \[0, inf\), got -1\.0$"):
         o2i_loss(28.0, -1.0)
 
 
