@@ -114,6 +114,36 @@ def _lattice(isd_m: float) -> tuple[np.ndarray, np.ndarray]:
     return xy[:len(_SITE_COORDS)], xy[len(_SITE_COORDS):]
 
 
+@functools.cache
+def _wrap_candidates() -> tuple[np.ndarray, int]:
+    """The read-only ``(7, 26, 19)`` table of the wrap images a scan visits, and its depth.
+
+    ``table[:, 5i + j + 12, s]`` lists the images of site ``s`` (0 the site, ``1 + w``
+    its translate by wrap vector ``w``) nearest somewhere in the closed cell of axial
+    ``(i, j)``, ``|i|, |j| <= 2``: ascending, then the first repeated, at most ``depth``
+    of them.  Row 25 lists all 7, for any other point.  As the images' bisectors meet
+    only at cell corners, these are the images nearest at a corner, where in axial
+    coordinates times 3 squared distances ``i^2 + ij + j^2`` are exact integers.
+    """
+    corners = ((1, 1), (-1, 2), (-2, 1), (-1, -1), (1, -2), (2, -1))  # of the origin's cell
+    images = ((0, 0),) + tuple((3 * i, 3 * j) for i, j in _WRAP_COORDS)
+
+    @functools.cache
+    def nearest(di, dj):  # for a cell (di, dj) from a site; 475 pairs share 75 offsets
+        found = set()
+        for x, y in ((3 * di + a, 3 * dj + b) for a, b in corners):
+            d2 = [(x - u) ** 2 + (x - u) * (y - v) + (y - v) ** 2 for u, v in images]
+            low = min(d2)
+            found.update(k for k, d in enumerate(d2) if d == low)
+        return sorted(found) + [min(found)] * (7 - len(found))
+
+    cells = [[nearest(i - si, j - sj) for si, sj in _SITE_COORDS]
+             for i in range(-2, 3) for j in range(-2, 3)]
+    table = np.array(cells + [[list(range(7))] * 19]).transpose(2, 0, 1).copy()
+    table.flags.writeable = False
+    return table, max(len(set(near)) for cell in cells for near in cell)
+
+
 def wrap_displacements(deployment: DeploymentParams, ms_xy: np.ndarray):
     """Minimum-norm wrap-around displacements for all site/station pairs.
 
@@ -126,21 +156,30 @@ def wrap_displacements(deployment: DeploymentParams, ms_xy: np.ndarray):
     disp : (2, n, n_sites) x and y of the minimum-norm displacements (site to station)
     d2d : (n, n_sites) horizontal distances in metres, the norms of ``disp``
 
-    The images are scanned in order (the site itself, then each wrap
-    vector) keeping the running best in ``disp``; an image replaces it only
-    when strictly closer, so on ties the lowest image index wins.
+    A station's cell fixes which images of each site can be nearest to it
+    (``_wrap_candidates``: 1-3 in the cluster, all 7 far outside it or at a
+    non-finite position).  Those are scanned in order (the site itself, then
+    each wrap vector) keeping the running best in ``disp``; an image replaces
+    it only when strictly closer, so on ties the lowest image index wins.
     """
     shifts = np.vstack([np.zeros((1, 2)), deployment.wrap_vectors])
     images = deployment.site_xy[None, :, :] + shifts[:, None, :]  # (7, s, 2)
+    table, depth = _wrap_candidates()
+    with np.errstate(invalid="ignore"):  # an infinite position finds no cell
+        i, j = _axial_cells(ms_xy, deployment.isd_m)
+        in_box = (np.abs(i) <= 2) & (np.abs(j) <= 2)
+        row = np.where(in_box, 5 * i + j + 12, 25).astype(np.intp)
+    flat = table * deployment.n_sites + np.arange(deployment.n_sites)  # into (7, s)
+    image_x, image_y = images[:, :, 0].take(flat), images[:, :, 1].take(flat)
     ms_x = ms_xy[:, 0, None]
     ms_y = ms_xy[:, 1, None]
     disp = np.empty((2, len(ms_xy), deployment.n_sites))
-    best_dx = np.subtract(ms_x, images[0, :, 0], out=disp[0])
-    best_dy = np.subtract(ms_y, images[0, :, 1], out=disp[1])
+    best_dx = np.subtract(ms_x, image_x[0][row], out=disp[0])
+    best_dy = np.subtract(ms_y, image_y[0][row], out=disp[1])
     best_d = np.sqrt(best_dx * best_dx + best_dy * best_dy)
-    for image in images[1:]:
-        dx = ms_x - image[:, 0]
-        dy = ms_y - image[:, 1]
+    for p in range(1, depth if in_box.all() else 7):
+        dx = ms_x - image_x[p][row]
+        dy = ms_y - image_y[p][row]
         d = np.sqrt(dx * dx + dy * dy)
         closer = d < best_d
         np.copyto(best_dx, dx, where=closer)

@@ -4,17 +4,22 @@ import dataclasses
 import inspect
 import itertools
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mmwsim
 from mmwsim import (AntennaPattern, ConfigError, DeploymentParams, MobileDrop,
                     PropagationParams, ScenarioConfig, ShadowDraws, coupling_loss,
                     deployment, drop_mobiles, engine, in_footprint,
@@ -286,7 +291,7 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
     disp, _ = wrap_displacements(dep, ms)
     assert np.array_equal(disp[:, :, 0].T, ms)  # the site itself wins
     # two neighbouring images tie on integer wrap vectors (halves are exact)
-    idep = SimpleNamespace(site_xy=dep.site_xy, n_sites=dep.n_sites,
+    idep = SimpleNamespace(site_xy=dep.site_xy, n_sites=dep.n_sites, isd_m=dep.isd_m,
                            wrap_vectors=np.round(dep.wrap_vectors))
     iv = np.asarray(idep.wrap_vectors)
     ms = (iv + np.roll(iv, -1, axis=0)) / 2.0  # between images k+1 and k+2 (mod 6)
@@ -303,6 +308,144 @@ def test_wrap_displacements_ties_pick_lowest_image(dep):
         assert np.array_equal(wrap_displacements(idep, ms[k][None])[0][:, 0, 0],
                               ms[k] - iv[lower[k]])
 
+
+def _axial_box():
+    # the 25 cells of axial (i, j), |i|, |j| <= 2, around the centre site
+    return [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+
+
+def _cell_corners(d, i, j):
+    # the six corners of the cell of axial (i, j), counter-clockwise, as floats
+    cx, cy = d.isd_m * (i + j / 2.0), d.isd_m * math.sqrt(3.0) / 2.0 * j
+    r = d.isd_m / math.sqrt(3.0)
+    return [(cx + r * math.cos((k + 0.5) * math.pi / 3.0),
+             cy + r * math.sin((k + 0.5) * math.pi / 3.0)) for k in range(6)]
+
+
+def _clip(polygon, nx, ny, offset, tol):
+    # Sutherland-Hodgman: the part of a convex polygon with n . p <= offset + tol
+    out = []
+    for k, (px, py) in enumerate(polygon):
+        qx, qy = polygon[(k + 1) % len(polygon)]
+        fp = nx * px + ny * py - offset - tol
+        fq = nx * qx + ny * qy - offset - tol
+        if fp <= 0.0:
+            out.append((px, py))
+        if fp * fq < 0.0:
+            t = fp / (fp - fq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _clipped_candidates(d, corners):
+    # for each site, the images nearest somewhere in the closed cell: the cell
+    # clipped by every half-plane where the image is no farther than another
+    # image (|p - a| <= |p - b| is (b - a) . p <= (|b|^2 - |a|^2) / 2) keeps a
+    # point, an edge or an area
+    shifts = [(0.0, 0.0)] + [tuple(map(float, v)) for v in d.wrap_vectors]
+    tol = 1e-9 * d.isd_m ** 2
+    found = []
+    for sx, sy in d.site_xy:
+        images = [(sx + vx, sy + vy) for vx, vy in shifts]
+        keep = []
+        for k, (ax, ay) in enumerate(images):
+            poly = corners
+            for m, (bx, by) in enumerate(images):
+                if m != k and poly:
+                    poly = _clip(poly, bx - ax, by - ay,
+                                 (bx * bx + by * by - ax * ax - ay * ay) / 2.0, tol)
+            if poly:
+                keep.append(k)
+        found.append(keep)
+    return found
+
+
+@pytest.mark.parametrize("isd", [1.0, 200.0, 333.3, 1e5])
+def test_wrap_candidate_table_is_every_image_nearest_in_each_cell(isd):
+    d = DeploymentParams(isd_m=isd, min_distance_m=0.1 * isd)
+    table, depth = deployment._wrap_candidates()
+    assert table.shape == (7, 26, 19) and not table.flags.writeable
+    counts = collections.Counter()
+    for i, j in _axial_box():
+        for s, keep in enumerate(_clipped_candidates(d, _cell_corners(d, i, j))):
+            # ascending, then the first repeated, so a strict < keeps the best
+            assert table[:, 5 * i + j + 12, s].tolist() == keep + keep[:1] * (7 - len(keep))
+            if max(abs(i), abs(j), abs(i + j)) <= 2:
+                counts[len(keep)] += 1
+    assert np.array_equal(table[:, 25], np.broadcast_to(np.arange(7)[:, None], (7, 19)))
+    assert counts == {1: 133, 2: 114, 3: 114} and depth == 3  # over 19 cells x 19 sites
+
+
+@pytest.mark.parametrize("isd", [1.0, 200.0, 333.3, 1e5])
+def test_wrap_displacements_bit_identical_at_nudged_cell_corners_and_edges(isd):
+    # where images tie or nearly tie: every corner and edge midpoint of the 25
+    # cells, and each moved one ulp either way in x and in y
+    d = DeploymentParams(isd_m=isd, min_distance_m=0.1 * isd)
+    pts = []
+    for i, j in _axial_box():
+        corners = np.array(_cell_corners(d, i, j))
+        pts += [corners, (corners + np.roll(corners, -1, axis=0)) / 2.0]
+    pts = np.concatenate(pts)
+    nudged = [pts]
+    for axis in (0, 1):
+        for to in (-np.inf, np.inf):
+            moved = pts.copy()
+            moved[:, axis] = np.nextafter(pts[:, axis], to)
+            nudged.append(moved)
+    pts = np.concatenate(nudged)
+    i, j = deployment._axial_cells(pts, isd)
+    in_box = (np.abs(i) <= 2) & (np.abs(j) <= 2)
+    assert in_box.sum() > 1200 and (~in_box).sum() > 100
+    # the points of the 25 cells scan only their cells' images; the others all 7
+    _assert_wrap_bit_identical(d, pts[in_box])
+    _assert_wrap_bit_identical(d, pts[~in_box])
+
+
+def test_wrap_displacements_mixed_call_matches_one_station_calls(dep):
+    # inside the footprint, at sites, in the axial box beyond the footprint,
+    # far outside it, and at non-finite positions: one call, no numpy warning
+    ms = np.array([[50.0, 20.0], [-310.0, 95.0], *dep.site_xy[[0, 7, 12]],
+                   [3.0 * ISD, math.sqrt(3.0) * ISD], [-2.9 * ISD, -1.8 * ISD],
+                   [5000.0, -3000.0], [-1e7, 2e6], [np.nan, 0.0], [0.0, np.nan],
+                   [np.inf, 0.0], [-np.inf, np.inf], [np.nan, np.inf], [np.inf, np.inf],
+                   [np.nan, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disp, d2d = wrap_displacements(dep, ms)
+        want_disp, want_d2d, _ = _argmin_wrap_displacements(dep, ms)
+        for k, station in enumerate(ms):
+            one_disp, one_d2d = wrap_displacements(dep, station[None])
+            assert np.array_equal(one_disp[:, 0], disp[:, k], equal_nan=True), station
+            assert np.array_equal(one_d2d[0], d2d[k], equal_nan=True), station
+    assert np.array_equal(disp, want_disp, equal_nan=True)
+    assert np.array_equal(d2d, want_d2d, equal_nan=True)
+    assert not in_footprint(ms[5:7], dep).any()
+
+
+_WRAP_TABLE_ON_FIRST_USE = """
+import sys
+import numpy as np
+import mmwsim
+from mmwsim import deployment
+cfg = mmwsim.load_config(sys.argv[1])
+misses = [deployment._wrap_candidates.cache_info().misses]
+for _ in range(2):
+    mmwsim.wrap_displacements(cfg.deployment, np.zeros((3, 2)))
+    misses.append(deployment._wrap_candidates.cache_info().misses)
+print(*misses)
+"""
+
+
+def test_loading_a_config_builds_no_wrap_table(tmp_path):
+    # a run's setup imports the package and loads its config: the candidate
+    # table waits for the first wrap call, which builds it once
+    path = tmp_path / "scenario.yaml"
+    path.write_text("f_c_ghz: 60.0\nenvironment: indoor\n")
+    src = str(Path(mmwsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _WRAP_TABLE_ON_FIRST_USE, str(path)],
+                         check=True, capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "1", "1"]
 
 def _projection_in_footprint(pts, dep):
     # the independent footprint rule: a point is in a site's cell when its
